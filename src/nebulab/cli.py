@@ -7,7 +7,7 @@ found a failing check, 2 = parse error, 3 = search budget exceeded (also: no
 structure found), 4 = internal invariant violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
-NEBULAB_CANONICAL_BUDGET, NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
+NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
 
 Audit traces (run-algorithm --trace) are line-delimited JSON records with
 sorted keys.  Every record carries "phase" and "action"; append records add
@@ -36,7 +36,19 @@ from .stars import StarKind
 
 def _budget(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _read_tournament(path: str) -> core.Tournament:
@@ -550,7 +562,7 @@ def cmd_exponent(args) -> tuple[dict, int]:
     return report, 0
 
 
-KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880}
+KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880, 9: 191536}
 
 
 def cmd_enumerate(args) -> tuple[dict, int]:
@@ -576,8 +588,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     validation = [
         {
             "check": "class-count-table",
-            "passed": args.filter is None
-            or len(reps_list) == KNOWN_CLASS_COUNTS[args.n],
+            "passed": len(reps_list) == KNOWN_CLASS_COUNTS[args.n],
             "detail": {"total_classes": len(reps_list)},
         },
         {
@@ -654,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_exponent)
 
     p = sub.add_parser("enumerate", help="one tournament per isomorphism class")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--filter", choices=["prime", "nebula-orderable"])
     p.add_argument("--out")
     p.set_defaults(handler=cmd_enumerate)

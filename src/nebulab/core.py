@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError
 
@@ -260,58 +260,86 @@ class CanonicalForm:
     """Isomorphism-invariant minimal adjacency encoding.
 
     The encoding lists, for each position q = 1..n-1, the column of bits
-    edge(placed[i] -> placed[q]) for i < q, chosen so that the column sequence
-    is lexicographically minimal over all vertex orderings.
+    edge(placed[i] -> placed[q]) for i < q.  The vertex orderings compared are
+    the leaves of an individualization-refinement search (McKay-Piperno,
+    "Practical graph isomorphism II", 2014): refine the partition of the
+    vertices by out-degree into every cell until it is equitable, then
+    individualize each vertex of the first non-singleton cell in turn and
+    recurse until every cell is a singleton.  The refinement never looks at
+    labels, so any relabelling maps the set of leaves onto itself, and the
+    lexicographically minimal column sequence over the leaves is an
+    isomorphism invariant.
     """
 
     n: int
     data: bytes
 
 
-def _minimal_columns(t: Tournament) -> tuple[int, ...]:
-    """Lexicographically minimal column encoding over all orderings.
+def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
+    """Split an ordered partition (cell bitmasks) until it is equitable.
 
-    Depth-first search placing one vertex per position.  At each level only
-    the candidates achieving the minimal next column are explored (columns at
-    later levels cannot compensate a larger column here), which keeps the tie
-    tree near the automorphism group's size.
+    Each vertex of a cell gets the signature of its out-degrees into every
+    current cell; a cell splits into its signature classes, ordered by
+    signature.  Rounds repeat until no cell splits.
     """
-    n = t.n
-    best: list[Optional[tuple[int, ...]]] = [None]
+    while True:
+        refined = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            bits = cell
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                row = rows[low.bit_length() - 1]
+                sig = tuple([(row & c).bit_count() for c in cells])
+                parts[sig] = parts.get(sig, 0) | low
+            if len(parts) == 1:
+                refined.append(cell)
+            else:
+                refined.extend(parts[sig] for sig in sorted(parts))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
 
-    def descend(placed: list[int], remaining: list[int], cols: list[int]) -> None:
-        if not remaining:
-            cand = tuple(cols)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-            return
-        if not placed:
-            for v in remaining:
-                descend([v], [w for w in remaining if w != v], cols)
-            return
-        scored = []
-        for v in remaining:
-            col = 0
-            for u in placed:
-                col = col << 1 | (t.rows[u] >> v & 1)
-            scored.append((col, v))
-        low = min(col for col, _ in scored)
-        level = len(cols)  # index of the column about to be fixed
-        if best[0] is not None:
-            if cols == list(best[0][:level]) and low > best[0][level]:
-                return
-        for col, v in sorted(scored):
-            if col != low:
+
+def _leaf_columns(rows: Sequence[int], order: list[int]) -> tuple[int, ...]:
+    cols = []
+    for q in range(1, len(order)):
+        v = order[q]
+        col = 0
+        for u in order[:q]:
+            col = col << 1 | (rows[u] >> v & 1)
+        cols.append(col)
+    return tuple(cols)
+
+
+def _canonical_columns(rows: Sequence[int]) -> tuple[int, ...]:
+    """Lexicographically minimal column encoding over the search's leaves."""
+    best: Optional[tuple[int, ...]] = None
+
+    def search(cells: list[int]) -> None:
+        nonlocal best
+        cells = _refine(rows, cells)
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1):
                 break
-            placed.append(v)
-            cols.append(col)
-            descend(placed, [w for w in remaining if w != v], cols)
-            placed.pop()
-            cols.pop()
+        else:
+            leaf = _leaf_columns(rows, [c.bit_length() - 1 for c in cells])
+            if best is None or leaf < best:
+                best = leaf
+            return
+        bits = cell
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            search(cells[:i] + [low, cell ^ low] + cells[i + 1 :])
 
-    descend([], list(range(n)), [])
-    assert best[0] is not None
-    return best[0]
+    search([(1 << len(rows)) - 1])
+    assert best is not None
+    return best
 
 
 def _columns_to_bytes(n: int, cols: tuple[int, ...]) -> bytes:
@@ -322,7 +350,7 @@ def _columns_to_bytes(n: int, cols: tuple[int, ...]) -> bytes:
     return bytes([n]) + acc.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
-def _tournament_from_columns(n: int, cols: tuple[int, ...]) -> Tournament:
+def _rows_from_columns(n: int, cols: tuple[int, ...]) -> tuple[int, ...]:
     rows = [0] * n
     for q, col in enumerate(cols, start=1):
         for i in range(q):
@@ -330,13 +358,13 @@ def _tournament_from_columns(n: int, cols: tuple[int, ...]) -> Tournament:
                 rows[i] |= 1 << q
             else:
                 rows[q] |= 1 << i
-    return Tournament(n, tuple(rows))
+    return tuple(rows)
 
 
 def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> CanonicalForm:
     if t.n > budget:
         raise BudgetError(f"canonical form limited to n <= {budget}, got {t.n}")
-    return CanonicalForm(t.n, _columns_to_bytes(t.n, _minimal_columns(t)))
+    return CanonicalForm(t.n, _columns_to_bytes(t.n, _canonical_columns(t.rows)))
 
 
 def isomorphic(t1: Tournament, t2: Tournament, budget: int = CANONICAL_BUDGET) -> bool:
@@ -348,30 +376,32 @@ def isomorphic(t1: Tournament, t2: Tournament, budget: int = CANONICAL_BUDGET) -
 def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[Tournament]:
     """One representative per isomorphism class, by iterated one-vertex extension.
 
-    Representatives are rebuilt from their canonical encodings, so the stream
-    is deterministic and sorted by encoding.
+    Every extension of every class representative by a new vertex, given as
+    raw rows, is reduced to its canonical columns by the same search as
+    ``canonical_form``; the distinct column tuples are the classes of the next
+    size.  Representatives are rebuilt from their canonical encodings, so the
+    stream is deterministic and sorted by encoding.
     """
     if n > budget:
         raise BudgetError(f"enumeration limited to n <= {budget}, got {n}")
     if n < 1:
         raise ValueError("n must be positive")
-    reps = {(): None}  # canonical column tuples at the current size
-    size = 1
-    while size < n:
+    reps: set[tuple[int, ...]] = {()}  # canonical column tuples at the current size
+    for size in range(1, n):
+        new_bit = 1 << size
         extended = set()
         for cols in reps:
-            base = _tournament_from_columns(size, cols)
+            base = _rows_from_columns(size, cols)
             for out_bits in range(1 << size):
-                rows = list(base.rows) + [out_bits]
-                for v in range(size):
-                    if not (out_bits >> v & 1):
-                        rows[v] |= 1 << size
-                bigger = Tournament(size + 1, tuple(rows))
-                extended.add(_minimal_columns(bigger))
-        reps = dict.fromkeys(extended)
-        size += 1
+                rows = [
+                    row if out_bits >> v & 1 else row | new_bit
+                    for v, row in enumerate(base)
+                ]
+                rows.append(out_bits)
+                extended.add(_canonical_columns(rows))
+        reps = extended
     for cols in sorted(reps):
-        yield _tournament_from_columns(n, cols)
+        yield Tournament(n, _rows_from_columns(n, cols))
 
 
 # ---------------------------------------------------------------------------

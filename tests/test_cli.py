@@ -198,6 +198,16 @@ class TestOtherCommands:
         )
         assert report["results"]["kept"] == brute == 3
 
+    def test_enumerate_count_check_sees_missing_class(self, capsys, monkeypatch):
+        real = core.enumerate_tournaments
+        monkeypatch.setattr(
+            cli.core, "enumerate_tournaments", lambda n, budget: list(real(n, budget))[1:]
+        )
+        code, report = run_cli(capsys, "enumerate", "--n", "5")
+        checks = {v["check"]: v for v in report["validation"]}
+        assert checks["class-count-table"]["passed"] is False
+        assert checks["class-count-table"]["detail"]["total_classes"] == 11
+
     def test_exponent_triangle_slope(self, capsys, c3_file):
         code, report = run_cli(
             capsys, "exponent", "--family", c3_file, "--sizes", "6,9",
@@ -205,6 +215,30 @@ class TestOtherCommands:
         )
         assert code == 0
         assert abs(report["results"]["slope"] - 1.0) < 1e-9
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["enumerate", "--n", "0"], {}),
+            (["enumerate", "--n", "-1"], {}),
+            (["enumerate", "--n", "4"], {"NEBULAB_ENUMERATION_BUDGET": "x"}),
+            (["tr", "C3"], {"NEBULAB_TR_BUDGET": "2.5"}),
+        ],
+    )
+    def test_parse_exit_without_traceback(self, capsys, monkeypatch, c3_file, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [c3_file if arg == "C3" else arg for arg in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
 
 
 class TestRunAlgorithmCommand:

@@ -25,6 +25,7 @@ from nebulab.core import (
     transitive_tournament,
 )
 from nebulab.errors import BudgetError
+from nebulab.product import SMALL_STARS, build_nebula
 
 def rand_t(n, seed):
     return random_tournament(n, random.Random(seed))
@@ -213,7 +214,7 @@ class TestCanonicalForms:
         forms = {canonical_form(t).data for t in all_labeled_tournaments(4)}
         assert len(forms) == 4
 
-    @given(st.integers(2, 7), st.integers(0, 10**6))
+    @given(st.integers(2, 12), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_relabelling_invariance(self, n, seed):
         rng = random.Random(seed)
@@ -225,6 +226,61 @@ class TestCanonicalForms:
     def test_budget(self):
         with pytest.raises(BudgetError):
             canonical_form(rand_t(13, 0))
+
+
+def _circulant(n, rng):
+    steps = [s if rng.random() < 0.5 else n - s for s in range(1, (n - 1) // 2 + 1)]
+    return Tournament(n, tuple(sum(1 << (i + s) % n for s in steps) for i in range(n)))
+
+
+def _product_nebula(stars, rng):
+    slots = list(range(1, 3 * stars + 1))
+    rng.shuffle(slots)
+    placements = [tuple(sorted(slots[3 * i : 3 * i + 3])) for i in range(stars)]
+    kind = rng.choice(sorted(SMALL_STARS, key=lambda k: k.value))
+    return build_nebula(kind, sorted(placements))[1]
+
+
+def _flip(t, u, v):
+    rows = list(t.rows)
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Tournament(t.n, tuple(rows))
+
+
+def _regular_asymmetric(n, rng):
+    """A circulant with one directed triangle reversed: every score stays
+    (n-1)/2, so refinement alone cannot split the vertices."""
+    t = _circulant(n, rng)
+    while True:
+        u, v, w = rng.sample(range(n), 3)
+        if t.has_edge(u, v) and t.has_edge(v, w) and t.has_edge(w, u):
+            return _flip(_flip(_flip(t, u, v), v, w), w, u)
+
+
+class TestIsomorphismOracle:
+    def test_agrees_with_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        def digraph(t):
+            g = nx.DiGraph()
+            g.add_nodes_from(range(t.n))
+            g.add_edges_from(t.edges())
+            return g
+
+        rng = random.Random(2014)
+        hosts = [random_tournament(n, rng) for n in (9, 10, 11, 12) for _ in range(10)]
+        hosts += [_product_nebula(stars, rng) for stars in (3, 4) for _ in range(5)]
+        hosts += [_circulant(n, rng) for n in (9, 11) for _ in range(5)]
+        hosts += [_regular_asymmetric(n, rng) for n in (9, 11) for _ in range(5)]
+        for a in hosts:
+            perm = list(range(a.n))
+            rng.shuffle(perm)
+            relabelled = relabel(a, perm)
+            u, v = rng.sample(range(a.n), 2)
+            for b in (relabelled, _flip(relabelled, u, v)):
+                same_form = canonical_form(a) == canonical_form(b)
+                assert same_form == nx.is_isomorphic(digraph(a), digraph(b))
 
 
 class TestEnumeration:
@@ -251,6 +307,18 @@ class TestEnumeration:
 
     def test_seven_vertex_count(self):
         assert sum(1 for _ in enumerate_tournaments(7)) == 456
+
+    def test_seven_vertex_forms_invariant_and_distinct(self):
+        rng = random.Random(7)
+        forms = set()
+        for t in enumerate_tournaments(7):
+            form = canonical_form(t)
+            for _ in range(3):
+                perm = list(range(7))
+                rng.shuffle(perm)
+                assert canonical_form(relabel(t, perm)) == form
+            forms.add(form.data)
+        assert len(forms) == 456
 
     def test_budget(self):
         with pytest.raises(BudgetError):
