@@ -3,7 +3,8 @@
 Every command prints a JSON report document to stdout whose validation
 section re-derives the headline claims with independent checkers.  Exit
 codes: 0 = verdict computed (even a negative one), 1 = a self-check command
-found a failing check, 2 = parse error, 3 = search budget exceeded (also: no
+found a failing check (verify-examples, or enumerate's class-count or
+round-trip check), 2 = parse error, 3 = search budget exceeded (also: no
 structure found), 4 = internal invariant violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
@@ -360,11 +361,21 @@ def cmd_tr(args) -> tuple[dict, int]:
 
 
 def _parse_slots(spec: str) -> list[tuple[int, int, int]]:
+    """Parse 'a,b,c;d,e,f' into increasing triples of distinct positive slots."""
     out = []
+    used: set[int] = set()
     for chunk in spec.split(";"):
-        slots = tuple(int(x) for x in chunk.split(","))
+        try:
+            slots = tuple(int(x) for x in chunk.split(","))
+        except ValueError:
+            raise ParseError(f"slot triple {chunk!r} must hold integers") from None
         if len(slots) != 3:
             raise ParseError(f"slot triple {chunk!r} must have three entries")
+        if not 0 < slots[0] < slots[1] < slots[2]:
+            raise ParseError(f"slot triple {chunk!r} must be positive and increasing")
+        if used & set(slots):
+            raise ParseError(f"slot triple {chunk!r} reuses a slot")
+        used |= set(slots)
         out.append(slots)
     return out
 
@@ -605,7 +616,7 @@ def cmd_enumerate(args) -> tuple[dict, int]:
         {"total": len(reps_list), "kept": len(kept), "files": written},
         validation,
     )
-    return report, 0
+    return report, 0 if all(v["passed"] for v in validation) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .core import Ordering, Tournament, check_ordering
 from .errors import BudgetError
@@ -22,37 +22,14 @@ ORDERING_SEARCH_BUDGET = 10
 
 @dataclass(frozen=True)
 class BackwardEdgeGraph:
-    """Undirected graph of the backward pairs of a tournament under an ordering."""
+    """Undirected graph of the backward pairs of a tournament under an ordering.
+
+    ``adj[v]`` is the bitmask of the vertices joined to ``v`` by a backward
+    edge; it is symmetric, and 0 for a vertex the ordering has not placed.
+    """
 
     n: int
-    edges: frozenset[frozenset[int]]
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for e in self.edges:
-            if v in e:
-                out |= e - {v}
-        return out
-
-    def components(self) -> list[frozenset[int]]:
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            a, b = tuple(e)
-            parent[find(a)] = find(b)
-        groups: dict[int, set[int]] = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
-        return sorted((frozenset(g) for g in groups.values()), key=min)
+    adj: tuple[int, ...]
 
 
 class StarKind(Enum):
@@ -78,58 +55,80 @@ class StarComponent:
         return self.vertices - {self.center}
 
 
-def backward_graph(t: Tournament, order: Ordering) -> BackwardEdgeGraph:
-    """B(T, order): vertices u,v are adjacent iff their edge points backward."""
-    pos = check_ordering(order, t.n)
-    edges = set()
-    for u in range(t.n):
-        for v in range(u + 1, t.n):
-            if t.has_edge(u, v):
-                later, earlier = (u, v) if pos[u] > pos[v] else (v, u)
-            else:
-                later, earlier = (v, u) if pos[v] > pos[u] else (u, v)
-            if t.has_edge(later, earlier) and pos[later] > pos[earlier]:
-                edges.add(frozenset((u, v)))
-    return BackwardEdgeGraph(t.n, frozenset(edges))
+def backward_graph(t: Tournament, order: Sequence[int]) -> BackwardEdgeGraph:
+    """B(T, order) for an ordering or a prefix of one: two placed vertices are
+    adjacent iff the later one beats the earlier one."""
+    adj = [0] * t.n
+    placed = 0
+    for v in order:
+        if not 0 <= v < t.n:
+            raise ValueError(f"ordering vertex {v} leaves the vertex range")
+        if placed >> v & 1:
+            raise ValueError("ordering repeats a vertex")
+        back = t.rows[v] & placed
+        adj[v] = back
+        for u in _vertices(back):
+            adj[u] |= 1 << v
+        placed |= 1 << v
+    return BackwardEdgeGraph(t.n, tuple(adj))
 
 
-def _star_center(graph: BackwardEdgeGraph, comp: frozenset[int]) -> Optional[int]:
-    """The hub of a star component with >= 3 vertices, None if not a star."""
-    degs = {v: graph.degree(v) for v in comp}
-    hubs = [v for v in comp if degs[v] == len(comp) - 1]
-    if len(hubs) != 1:
-        return None
-    hub = hubs[0]
-    if all(degs[v] == 1 for v in comp if v != hub):
-        return hub
-    return None
+def _vertices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def classify_components(graph: BackwardEdgeGraph, order: Ordering) -> list[StarComponent]:
     """Partition the vertex set into classified backward components."""
-    pos = check_ordering(order, graph.n)
+    check_ordering(order, graph.n)
+    return classify_components_partial(graph, order)
+
+
+def classify_components_partial(
+    graph: BackwardEdgeGraph, placed: Sequence[int]
+) -> list[StarComponent]:
+    """Classify the backward components among the ``placed`` vertices.
+
+    Positions are indices into ``placed``; components come in increasing
+    order of their least vertex.
+    """
+    pos = {v: i for i, v in enumerate(placed)}
+    adj = graph.adj
+    remaining = 0
+    for v in placed:
+        remaining |= 1 << v
     out = []
-    for comp in graph.components():
-        comp_pos = tuple(sorted(pos[v] for v in comp))
-        if len(comp) == 1:
-            out.append(StarComponent(comp, None, StarKind.SINGLETON, comp_pos))
-            continue
-        if len(comp) == 2:
-            out.append(StarComponent(comp, min(comp), StarKind.GENERAL, comp_pos))
-            continue
-        hub = _star_center(graph, comp)
-        if hub is None:
-            out.append(StarComponent(comp, None, StarKind.NON_STAR, comp_pos))
-            continue
-        hub_pos = pos[hub]
-        leaf_pos = [pos[v] for v in comp if v != hub]
-        if hub_pos < min(leaf_pos):
-            kind = StarKind.LEFT
-        elif hub_pos > max(leaf_pos):
-            kind = StarKind.RIGHT
-        else:
-            kind = StarKind.CENTRAL
-        out.append(StarComponent(comp, hub, kind, comp_pos))
+    while remaining:
+        comp = frontier = remaining & -remaining
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & remaining & ~comp
+            comp |= new
+            frontier |= new
+        remaining &= ~comp
+        verts = _vertices(comp)
+        comp_pos = tuple(sorted(pos[v] for v in verts))
+        center, kind = None, StarKind.SINGLETON
+        if len(verts) == 2:
+            center, kind = verts[0], StarKind.GENERAL
+        elif len(verts) > 2:
+            hub = max(verts, key=lambda v: adj[v].bit_count())
+            if adj[hub].bit_count() != len(verts) - 1 or any(
+                adj[v].bit_count() != 1 for v in verts if v != hub
+            ):
+                kind = StarKind.NON_STAR
+            elif pos[hub] == comp_pos[0]:
+                center, kind = hub, StarKind.LEFT
+            elif pos[hub] == comp_pos[-1]:
+                center, kind = hub, StarKind.RIGHT
+            else:
+                center, kind = hub, StarKind.CENTRAL
+        out.append(StarComponent(frozenset(verts), center, kind, comp_pos))
     return out
 
 
@@ -228,8 +227,7 @@ def _prefix_viable(t: Tournament, placed: list[int], kind: str) -> bool:
     that is already a non-star (or violates the requested 3-vertex kind) kills
     the whole subtree.
     """
-    graph = _partial_backward(t, placed)
-    comps = classify_components_partial(graph, placed)
+    comps = classify_components_partial(backward_graph(t, placed), placed)
     for c in comps:
         if c.kind is StarKind.NON_STAR:
             return False
@@ -257,60 +255,6 @@ def _prefix_viable(t: Tournament, placed: list[int], kind: str) -> bool:
         if not _galaxy_positions_ok(fixed):
             return False
     return True
-
-
-def _partial_backward(t: Tournament, placed: list[int]) -> BackwardEdgeGraph:
-    edges = set()
-    for p, u in enumerate(placed):
-        for q in range(p + 1, len(placed)):
-            w = placed[q]
-            if t.has_edge(w, u):
-                edges.add(frozenset((u, w)))
-    return BackwardEdgeGraph(t.n, frozenset(edges))
-
-
-def classify_components_partial(
-    graph: BackwardEdgeGraph, placed: list[int]
-) -> list[StarComponent]:
-    """Classify components among placed vertices only (positions = list index)."""
-    pos = {v: i for i, v in enumerate(placed)}
-    placed_set = set(placed)
-    seen: set[int] = set()
-    out = []
-    for v in placed:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for y in graph.neighbors(x):
-                if y in placed_set and y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
-        comp_f = frozenset(comp)
-        comp_pos = tuple(sorted(pos[u] for u in comp))
-        if len(comp) == 1:
-            out.append(StarComponent(comp_f, None, StarKind.SINGLETON, comp_pos))
-            continue
-        if len(comp) == 2:
-            out.append(StarComponent(comp_f, min(comp_f), StarKind.GENERAL, comp_pos))
-            continue
-        hub = _star_center(graph, comp_f)
-        if hub is None:
-            out.append(StarComponent(comp_f, None, StarKind.NON_STAR, comp_pos))
-            continue
-        hub_pos = pos[hub]
-        leaf_pos = [pos[u] for u in comp if u != hub]
-        if hub_pos < min(leaf_pos):
-            kind = StarKind.LEFT
-        elif hub_pos > max(leaf_pos):
-            kind = StarKind.RIGHT
-        else:
-            kind = StarKind.CENTRAL
-        out.append(StarComponent(comp_f, hub, kind, comp_pos))
-    return out
 
 
 def find_ordering(

@@ -13,14 +13,14 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .containment import Embedding
-from .core import Tournament, induced, is_transitive, largest_transitive
+from .core import Tournament
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
 from .product import Placement, ProductResult, product
 from .stars import StarKind
 
 
 # ---------------------------------------------------------------------------
-# Strong (c, lambda, w)-structures
+# Strong (c, lambda)-structures
 # ---------------------------------------------------------------------------
 
 
@@ -39,43 +39,19 @@ class StructureCertificate:
     strong: bool
 
 
-@dataclass(frozen=True)
-class StrongStructure:
-    """Disjoint host subsets with density parameters; w entries of 1 ask for
-    transitive parts sized against tr(host) instead of n (unused by the main
-    algorithm, kept for fidelity)."""
-
-    host: Tournament
-    parts: tuple[frozenset[int], ...]
-    c: Fraction
-    lam: Fraction
-    w: tuple[int, ...] = ()
-
-    def verify(self, strong: bool = True) -> "StructureCertificate":
-        w = self.w if self.w else None
-        return verify_structure(self.host, self.parts, self.c, self.lam, strong, w)
-
-
 def verify_structure(
     host: Tournament,
     subsets: Sequence[frozenset[int]],
     c: Fraction,
     lam: Fraction,
     strong: bool = False,
-    w: Optional[Sequence[int]] = None,
 ) -> StructureCertificate:
-    """Check every condition of a (c, lambda, w)-structure, listing violations.
+    """Check every condition of a (c, lambda)-structure, listing violations.
 
     With ``strong`` the per-vertex density conditions are checked as well.
-    The w-vector defaults to all zeros; a 1-entry asks for a transitive part
-    of size at least c*tr(host) instead of c*n.
     """
     c, lam = Fraction(c), Fraction(lam)
     parts = [frozenset(s) for s in subsets]
-    if w is None:
-        w = [0] * len(parts)
-    if len(w) != len(parts):
-        raise ValueError("w-vector length does not match the subset count")
     seen: set[int] = set()
     for s in parts:
         if s & seen:
@@ -83,22 +59,11 @@ def verify_structure(
         seen |= s
     violations: list[Violation] = []
     n = host.n
-    tr_size: Optional[int] = None
     for i, s in enumerate(parts):
-        if w[i] == 0:
-            if len(s) < c * n:
-                violations.append(
-                    Violation("size", {"part": i, "size": len(s), "bound": c * n})
-                )
-        else:
-            if not s or not is_transitive(induced(host, s)):
-                violations.append(Violation("transitive-part", {"part": i}))
-            if tr_size is None:
-                tr_size = len(largest_transitive(host))
-            if len(s) < c * tr_size:
-                violations.append(
-                    Violation("size-tr", {"part": i, "size": len(s), "bound": c * tr_size})
-                )
+        if len(s) < c * n:
+            violations.append(
+                Violation("size", {"part": i, "size": len(s), "bound": c * n})
+            )
     for i, j in combinations(range(len(parts)), 2):
         d = _density_masks(host, parts[i], parts[j])
         if d < 1 - lam:

@@ -204,6 +204,7 @@ class TestOtherCommands:
             cli.core, "enumerate_tournaments", lambda n, budget: list(real(n, budget))[1:]
         )
         code, report = run_cli(capsys, "enumerate", "--n", "5")
+        assert code == 1
         checks = {v["check"]: v for v in report["validation"]}
         assert checks["class-count-table"]["passed"] is False
         assert checks["class-count-table"]["detail"]["total_classes"] == 11
@@ -225,6 +226,11 @@ class TestMalformedInput:
             (["enumerate", "--n", "-1"], {}),
             (["enumerate", "--n", "4"], {"NEBULAB_ENUMERATION_BUDGET": "x"}),
             (["tr", "C3"], {"NEBULAB_TR_BUDGET": "2.5"}),
+            (["product", "--kind", "left", "--slots", "1,2,x"], {}),
+            (["product", "--kind", "left", "--slots", "1,2,3;"], {}),
+            (["product", "--kind", "left", "--slots", "3,2,1"], {}),
+            (["product", "--kind", "left", "--slots", "0,1,2"], {}),
+            (["product", "--kind", "left", "--slots", "1,2,3;3,4,5"], {}),
         ],
     )
     def test_parse_exit_without_traceback(self, capsys, monkeypatch, c3_file, argv, env):

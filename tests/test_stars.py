@@ -9,6 +9,7 @@ from nebulab.core import cyclic_triangle, from_backward_edges, transitive_tourna
 from nebulab.errors import BudgetError
 from nebulab.product import build_nebula
 from nebulab.stars import (
+    PREDICATES,
     StarKind,
     backward_graph,
     classify_components,
@@ -24,22 +25,48 @@ from nebulab.stars import (
 IDENTITY_12 = examples.IDENTITY_12
 
 
+def _pairs(g):
+    """The adjacent pairs of a backward graph, read off its mask rows."""
+    return {frozenset((u, v)) for u in range(g.n) for v in range(g.n) if g.adj[u] >> v & 1}
+
+
 class TestBackwardGraph:
     def test_transitive_empty(self):
         g = backward_graph(transitive_tournament(5), tuple(range(5)))
-        assert not g.edges
+        assert g.adj == (0,) * 5
 
     def test_triangle_single_edge(self):
         g = backward_graph(cyclic_triangle(), (0, 1, 2))
-        assert g.edges == frozenset({frozenset({0, 2})})
+        assert _pairs(g) == {frozenset({0, 2})}
 
     def test_central_example_edge_count(self):
         g = backward_graph(examples.central_example(), IDENTITY_12)
-        assert len(g.edges) == 8
+        assert len(_pairs(g)) == 8
         expected = {
             frozenset(e) for e in examples.CENTRAL_EXAMPLE_BACK_EDGES
         }
-        assert g.edges == expected
+        assert _pairs(g) == expected
+
+    def test_agrees_with_backward_edges_on_prefixes(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            t = core.random_tournament(n, rng)
+            order = tuple(rng.sample(range(n), n))
+            back = core.backward_edges(t, order)
+            for k in range(n + 1):
+                placed = set(order[:k])
+                g = backward_graph(t, order[:k])
+                assert all(g.adj[u] >> v & 1 == g.adj[v] >> u & 1
+                           for u in range(n) for v in range(n))
+                assert _pairs(g) == {
+                    frozenset(e) for e in back if placed.issuperset(e)
+                }
+
+    @pytest.mark.parametrize("order", [(0, 1, 0), (0, 3), (-1, 0)])
+    def test_bad_vertex_rejected(self, order):
+        with pytest.raises(ValueError):
+            backward_graph(cyclic_triangle(), order)
 
 
 class TestClassifyComponents:
@@ -220,6 +247,18 @@ class TestFindOrdering:
                 None,
             )
             assert (fast is None) == (brute is None)
+
+    def test_lex_first_matches_brute_force_every_kind(self):
+        rng = random.Random(17)
+        hosts = [t for n in range(1, 6) for t in core.enumerate_tournaments(n)]
+        hosts += [core.random_tournament(6, rng) for _ in range(10)]
+        for t in hosts:
+            for kind, predicate in PREDICATES.items():
+                brute = next(
+                    (p for p in itertools.permutations(range(t.n)) if predicate(t, p)),
+                    None,
+                )
+                assert find_ordering(t, predicate) == brute, (kind, t.rows)
 
 
 class TestComplementDuality:

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import forward_block_host
 from nebulab import core
-from nebulab.core import from_backward_edges, random_tournament, transitive_tournament
+from nebulab.core import from_backward_edges, random_tournament
 from nebulab.errors import CoverageTieError, LambdaTooLargeError
 from nebulab.product import small_central_star, small_left_star, small_right_star
 from nebulab.structures import (
@@ -73,24 +73,11 @@ class TestVerifyStructure:
         with pytest.raises(ValueError):
             verify_structure(host, [frozenset({0, 1}), frozenset({1, 2})], 0, 0)
 
-    def test_transitive_w_entry(self):
-        host = transitive_tournament(8)
-        cert = verify_structure(
-            host, [frozenset({0, 1, 2})], Fraction(1, 4), Fraction(1, 2), w=[1]
-        )
-        assert cert.passed
-
     def test_strong_structure_bundle(self):
-        from nebulab.structures import StrongStructure
-
         host = forward_block_host(2, 5, seed=21)
-        bundle = StrongStructure(
-            host,
-            (frozenset(range(5)), frozenset(range(5, 10))),
-            Fraction(1, 2),
-            Fraction(0),
-        )
-        assert bundle.verify(strong=True).passed
+        parts = [frozenset(range(5)), frozenset(range(5, 10))]
+        cert = verify_structure(host, parts, Fraction(1, 2), Fraction(0), strong=True)
+        assert cert.passed
 
 
 class TestNeighborhood:
