@@ -5,7 +5,8 @@ section re-derives the headline claims with independent checkers.  Exit
 codes: 0 = verdict computed (even a negative one), 1 = a self-check command
 found a failing check (verify-examples, or enumerate's class-count or
 round-trip check), 2 = parse error, 3 = search budget exceeded (also: no
-structure found), 4 = internal invariant violation.
+structure found, or too few samples to fit a slope), 4 = internal invariant
+violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
 NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
@@ -30,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import algorithm, containment, core, examples, files, product, reports, stars
-from .errors import BudgetError, InvariantError, NebulabError
+from .errors import BudgetError, InvariantError, NebulabError, NoDataError
 from .files import ParseError
 from .stars import StarKind
 
@@ -50,6 +51,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a fraction like 3/10, got {text!r}") from None
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(x) for x in text.split(",")]
 
 
 def _read_tournament(path: str) -> core.Tournament:
@@ -429,9 +441,33 @@ def cmd_complement(args) -> tuple[dict, int]:
 
 
 def _nebula_from_arg(kind: StarKind, spec: str | None, k: int) -> product.PlacementNebula:
-    if spec is None:
-        return product.PlacementNebula(kind, ((1, 2, 3),), min(3, k))
-    return product.PlacementNebula(kind, tuple(_parse_slots(spec)), k)
+    placements = ((1, 2, 3),) if spec is None else tuple(_parse_slots(spec))
+    if max(max(slots) for slots in placements) > k:
+        raise ParseError(f"nebula slots {spec or '1,2,3'} leave the slot range 1..{k} of --k")
+    return product.PlacementNebula(kind, placements, 3 if spec is None else k)
+
+
+def _read_structure(path: str, n: int, t: int, part_size: int) -> list[frozenset[int]]:
+    """Parse {"parts": [[v, ...], ...]}: t disjoint parts of 1-based vertices."""
+    try:
+        blocks = json.loads(Path(path).read_text())["parts"]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, TypeError, KeyError):
+        raise ParseError(f"{path} is not a JSON object with a 'parts' list") from None
+    if not isinstance(blocks, list) or len(blocks) != t:
+        raise ParseError(f"{path} must list {t} parts (--t)")
+    parts: list[frozenset[int]] = []
+    for block in blocks:
+        if not isinstance(block, list) or len(block) != part_size:
+            raise ParseError(f"each part must list {part_size} vertices (--part-size)")
+        if not all(type(v) is int and 1 <= v <= n for v in block):
+            raise ParseError(f"structure vertices must be integers in 1..{n}")
+        part = frozenset(v - 1 for v in block)
+        if len(part) < len(block) or any(part & other for other in parts):
+            raise ParseError("structure parts must not overlap or repeat a vertex")
+        parts.append(part)
+    return parts
 
 
 def _outcome_payload(outcome) -> dict:
@@ -462,6 +498,8 @@ def _outcome_payload(outcome) -> dict:
 
 def cmd_run_algorithm(args) -> tuple[dict, int]:
     host = _read_tournament(args.host)
+    if args.k > args.t:
+        raise ParseError(f"--k {args.k} exceeds --t {args.t}")
     spec = algorithm.CASES[args.case]
     nebulae = {
         spec.white: _nebula_from_arg(spec.white, args.nebula_white, args.k),
@@ -473,8 +511,8 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
         args.k,
         args.t,
         args.part_size,
-        Fraction(args.c),
-        Fraction(args.lam),
+        args.c,
+        args.lam,
     )
     if args.structure == "auto":
         parts = algorithm.find_strong_structure(
@@ -483,8 +521,7 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
         if parts is None:
             raise BudgetError("no verifying strong structure found")
     else:
-        payload = json.loads(Path(args.structure).read_text())
-        parts = [frozenset(v - 1 for v in block) for block in payload["parts"]]
+        parts = _read_structure(args.structure, host.n, args.t, args.part_size)
     result = algorithm.run(host, parts, config)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -537,9 +574,8 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
 
 def cmd_exponent(args) -> tuple[dict, int]:
     family = [_read_tournament(path) for path in args.family]
-    sizes = [int(x) for x in args.sizes.split(",")]
     rep = containment.empirical_eh_exponent(
-        family, sizes, args.samples, args.seed,
+        family, args.sizes, args.samples, args.seed,
         tr_budget=_budget("NEBULAB_TR_BUDGET", core.TR_BUDGET),
     )
     # independent slope refit from the reported samples
@@ -559,7 +595,7 @@ def cmd_exponent(args) -> tuple[dict, int]:
     ]
     report = reports.make_report(
         "exponent",
-        {"family": list(args.family), "sizes": sizes, "samples": args.samples},
+        {"family": list(args.family), "sizes": args.sizes, "samples": args.samples},
         args.seed,
         {
             "slope": rep.slope,
@@ -655,11 +691,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-algorithm", help="run the phase algorithm")
     p.add_argument("host")
     p.add_argument("--case", choices=sorted(algorithm.CASES), required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--part-size", type=int, required=True)
-    p.add_argument("--lam", default="3/10")
-    p.add_argument("--c", default="1/10")
+    p.add_argument("--k", type=_positive_int, default=3)
+    p.add_argument("--t", type=_positive_int, required=True)
+    p.add_argument("--part-size", type=_positive_int, required=True)
+    p.add_argument("--lam", type=_fraction, default="3/10")
+    p.add_argument("--c", type=_fraction, default="1/10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--structure", default="auto")
     p.add_argument("--nebula-white")
@@ -670,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponent", help="empirical transitive-size exponent")
     p.add_argument("--family", nargs="*", default=[])
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--sizes", type=_positive_ints, required=True)
+    p.add_argument("--samples", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_exponent)
 
@@ -698,6 +734,9 @@ def main(argv=None) -> int:
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except NoDataError as exc:
+        print(f"no data: {exc}", file=sys.stderr)
         return 3
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .core import TR_BUDGET, Tournament, largest_transitive, random_tournament
-from .errors import BudgetError
+from .errors import BudgetError, NoDataError
 
 BRUTE_FORCE_BUDGET = 5_000_000
 
@@ -184,14 +184,14 @@ def empirical_eh_exponent(
         if rate > 0.5:
             flagged.append(n)
     if len(samples) < 2:
-        raise ValueError("not enough samples to fit a slope")
+        raise NoDataError("not enough samples to fit a slope")
     xs = [math.log(n) for n, _ in samples]
     ys = [math.log(tr) for _, tr in samples]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     sxx = sum((x - mean_x) ** 2 for x in xs)
     if sxx == 0:
-        raise ValueError("need at least two distinct sizes")
+        raise NoDataError("need at least two distinct sizes")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x

@@ -56,7 +56,7 @@ class Tournament:
         return full & ~self.rows[u] & ~(1 << u)
 
     def out_degree(self, u: int) -> int:
-        return bin(self.rows[u]).count("1")
+        return self.rows[u].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -243,11 +243,27 @@ def density(t: Tournament, a: Iterable[int], b: Iterable[int]) -> Fraction:
         raise ValueError("density needs nonempty sets")
     if a_set & b_set:
         raise ValueError("density needs disjoint sets")
-    b_mask = 0
-    for v in b_set:
-        b_mask |= 1 << v
-    edges = sum(bin(t.rows[u] & b_mask).count("1") for u in a_set)
+    b_mask = vertex_mask(b_set)
+    edges = sum((t.rows[u] & b_mask).bit_count() for u in a_set)
     return Fraction(edges, len(a_set) * len(b_set))
+
+
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The mask with bit v set for every v in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask: int) -> list[int]:
+    """The set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +471,7 @@ def find_module_exhaustive(t: Tournament, budget: int = 16) -> Optional[frozense
         raise BudgetError(f"exhaustive module search limited to n <= {budget}")
     full = (1 << t.n) - 1
     for mask in range(3, full):
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         if size < 2:
             continue
         if all(

@@ -9,6 +9,10 @@ class BudgetError(NebulabError):
     """An exact solver was asked to exceed its configured search budget."""
 
 
+class NoDataError(NebulabError):
+    """A computation drew too little data to produce its estimate."""
+
+
 class InvariantError(NebulabError):
     """An internal invariant that should hold by construction was violated."""
 

@@ -14,10 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .containment import Embedding
-from .core import Tournament, density, from_edges
+from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
 from .errors import BudgetError
 from .structures import UGraph, turan_clique, ugraph_from_edges
 
@@ -58,7 +56,10 @@ def regular_pair_exact(
     """Exhaustive scan over all qualifying subset pairs.
 
     Passes iff no X in A, Y in B with |X| >= eps|A|, |Y| >= eps|B| has
-    |d(X,Y) - d(A,B)| > eps; otherwise reports the first violator.
+    |d(X,Y) - d(A,B)| > eps; otherwise reports a violator.  For a fixed X and
+    |Y| = y the deviation |e(X,Y)|A||B| - e(A,B)|X|y| is convex in e(X,Y), so
+    only the y columns of B with the fewest and the most edges from X need a
+    check.
     """
     a, b = sorted(set(a)), sorted(set(b))
     if set(a) & set(b):
@@ -67,42 +68,32 @@ def regular_pair_exact(
         raise BudgetError(f"exact pair check limited to sides <= {budget}")
     eps = to_fraction(eps)
     num, den = eps.numerator, eps.denominator
-    # the int64 sweep multiplies num/den by at most (|A||B|)^2
-    if max(num, den) * (len(a) * len(b)) ** 2 > 2**62:
-        raise ValueError("epsilon numerator/denominator too large for the exact sweep")
     na, nb = len(a), len(b)
-    base = np.array(
-        [[1 if host.has_edge(u, v) else 0 for v in b] for u in a], dtype=np.int64
-    )
-    counts = np.zeros((1 << na, nb), dtype=np.int64)
-    for mask in range(1, 1 << na):
-        low = mask & -mask
-        counts[mask] = counts[mask ^ low] + base[low.bit_length() - 1]
-    y_masks = np.arange(1 << nb, dtype=np.int64)
-    member = np.array(
-        [[(m >> i) & 1 for m in range(1 << nb)] for i in range(nb)], dtype=np.int64
-    )
-    y_sizes = member.sum(axis=0)
-    y_ok = (y_sizes * den >= num * nb) & (y_sizes > 0)
-    e0 = int(counts[(1 << na) - 1].sum())
     ab = na * nb
+    # columns[k] has bit i set iff a[i] beats b[k]
+    columns = [sum(1 << i for i, u in enumerate(a) if host.has_edge(u, v)) for v in b]
+    e0 = sum(col.bit_count() for col in columns)
     for xmask in range(1, 1 << na):
-        x_size = bin(xmask).count("1")
+        x_size = xmask.bit_count()
         if x_size * den < num * na:
             continue
-        e1 = counts[xmask] @ member
-        lhs = np.abs(e1 * ab - e0 * x_size * y_sizes) * den
-        rhs = num * x_size * y_sizes * ab
-        bad = y_ok & (lhs > rhs)
-        if bad.any():
-            ymask = int(y_masks[bad][0])
-            x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
-            y = frozenset(b[i] for i in range(nb) if ymask >> i & 1)
-            return PairVerdict(
-                False,
-                ViolatingPair(x, y, density(host, x, y), Fraction(e0, ab)),
-                exact=True,
-            )
+        ranked = sorted(((col & xmask).bit_count(), k) for k, col in enumerate(columns))
+        low = high = 0
+        for y in range(1, nb + 1):
+            low += ranked[y - 1][0]
+            high += ranked[nb - y][0]
+            if y * den < num * nb:
+                continue
+            mid = e0 * x_size * y
+            if max(mid - low * ab, high * ab - mid) * den > num * x_size * y * ab:
+                extreme = ranked[:y] if mid - low * ab >= high * ab - mid else ranked[nb - y :]
+                x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
+                y_set = frozenset(b[k] for _, k in extreme)
+                return PairVerdict(
+                    False,
+                    ViolatingPair(x, y_set, density(host, x, y_set), Fraction(e0, ab)),
+                    exact=True,
+                )
     return PairVerdict(True, None, exact=True)
 
 
@@ -208,39 +199,30 @@ def embed_via_regular_parts(
     lam_f = to_fraction(lam_density)
     part_sets = [sorted(set(p)) for p in parts]
     for i, j in combinations(range(len(part_sets)), 2):
-        if density(host, part_sets[i], part_sets[j]) < lam_f or density(
-            host, part_sets[j], part_sets[i]
-        ) < lam_f:
+        d = density(host, part_sets[i], part_sets[j])
+        if min(d, 1 - d) < lam_f:
             raise ValueError(f"parts {i},{j} miss the density floor {lam_f}")
-    candidates = [set(p) for p in part_sets]
+    candidates = [vertex_mask(p) for p in part_sets]
+
+    def allowed(i: int, v: int, j: int) -> int:
+        """Candidates of part j oriented toward v as pattern edge (i, j) asks."""
+        return candidates[j] & (host.rows[v] if pattern.has_edge(i, j) else ~host.rows[v])
+
     chosen: list[int] = []
     for i in range(pattern.n):
         best_v, best_score = None, None
-        for v in sorted(candidates[i]):
-            futures = []
-            feasible = True
-            for j in range(i + 1, pattern.n):
-                if pattern.has_edge(i, j):
-                    allowed = {w for w in candidates[j] if host.has_edge(v, w)}
-                else:
-                    allowed = {w for w in candidates[j] if host.has_edge(w, v)}
-                if not allowed:
-                    feasible = False
-                    break
-                futures.append(len(allowed))
-            if not feasible:
+        for v in mask_vertices(candidates[i]):
+            futures = [allowed(i, v, j).bit_count() for j in range(i + 1, pattern.n)]
+            if 0 in futures:
                 continue
-            score = min(futures) if futures else 0
+            score = min(futures, default=0)
             if best_score is None or score > best_score:
                 best_v, best_score = v, score
         if best_v is None:
             return None
         chosen.append(best_v)
         for j in range(i + 1, pattern.n):
-            if pattern.has_edge(i, j):
-                candidates[j] = {w for w in candidates[j] if host.has_edge(best_v, w)}
-            else:
-                candidates[j] = {w for w in candidates[j] if host.has_edge(w, best_v)}
+            candidates[j] = allowed(i, best_v, j)
     emb = Embedding(tuple(chosen))
     return emb if emb.validate(host, pattern) else None
 
@@ -256,12 +238,9 @@ def stearns_transitive(t: Tournament) -> list[int]:
         if mask == 0:
             return []
         best_v, best_size, best_out = -1, -1, 0
-        bits = mask
-        while bits:
-            v = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            out = bin(t.rows[v] & mask).count("1")
-            inn = bin(t.in_mask(v) & mask).count("1")
+        for v in mask_vertices(mask):
+            out = (t.rows[v] & mask).bit_count()
+            inn = (t.in_mask(v) & mask).bit_count()
             size = max(out, inn)
             if size > best_size:
                 best_v, best_size, best_out = v, size, out >= inn

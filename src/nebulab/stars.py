@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .core import Ordering, Tournament, check_ordering
+from .core import Ordering, Tournament, check_ordering, mask_vertices
 from .errors import BudgetError
 
 ORDERING_SEARCH_BUDGET = 10
@@ -67,19 +67,10 @@ def backward_graph(t: Tournament, order: Sequence[int]) -> BackwardEdgeGraph:
             raise ValueError("ordering repeats a vertex")
         back = t.rows[v] & placed
         adj[v] = back
-        for u in _vertices(back):
+        for u in mask_vertices(back):
             adj[u] |= 1 << v
         placed |= 1 << v
     return BackwardEdgeGraph(t.n, tuple(adj))
-
-
-def _vertices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def classify_components(graph: BackwardEdgeGraph, order: Ordering) -> list[StarComponent]:
@@ -111,7 +102,7 @@ def classify_components_partial(
             comp |= new
             frontier |= new
         remaining &= ~comp
-        verts = _vertices(comp)
+        verts = mask_vertices(comp)
         comp_pos = tuple(sorted(pos[v] for v in verts))
         center, kind = None, StarKind.SINGLETON
         if len(verts) == 2:

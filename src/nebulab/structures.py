@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
 
 from .containment import Embedding
-from .core import Tournament
+from .core import Tournament, density, mask_vertices, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
 from .product import Placement, ProductResult, product
 from .stars import StarKind
@@ -65,34 +65,21 @@ def verify_structure(
                 Violation("size", {"part": i, "size": len(s), "bound": c * n})
             )
     for i, j in combinations(range(len(parts)), 2):
-        d = _density_masks(host, parts[i], parts[j])
+        d = density(host, parts[i], parts[j])
         if d < 1 - lam:
             violations.append(Violation("pair-density", {"i": i, "j": j, "d": d}))
     if strong:
-        for i, s in enumerate(parts):
-            for j, other in enumerate(parts):
-                if i == j:
-                    continue
-                for v in sorted(s):
-                    if i < j:
-                        d = _density_masks(host, frozenset((v,)), other)
-                        kind = "strong-out"
-                    else:
-                        d = _density_masks(host, other, frozenset((v,)))
-                        kind = "strong-in"
-                    if d < 1 - lam:
-                        violations.append(
-                            Violation(kind, {"i": i, "j": j, "vertex": v, "d": d})
-                        )
+        for (i, s), (j, other) in permutations(enumerate(parts), 2):
+            for v in sorted(s):
+                if i < j:
+                    d = density(host, (v,), other)
+                    kind = "strong-out"
+                else:
+                    d = density(host, other, (v,))
+                    kind = "strong-in"
+                if d < 1 - lam:
+                    violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
     return StructureCertificate(not violations, tuple(violations), c, lam, strong)
-
-
-def _density_masks(host: Tournament, a: frozenset[int], b: frozenset[int]) -> Fraction:
-    b_mask = 0
-    for v in b:
-        b_mask |= 1 << v
-    edges = sum(bin(host.rows[u] & b_mask).count("1") for u in a)
-    return Fraction(edges, len(a) * len(b))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +117,13 @@ def neighborhood(host: Tournament, sigma: Triple, v: int, j: int) -> frozenset[i
         raise ValueError(f"vertex {v} is in no set of the triple")
     if j == i or j not in (1, 2, 3):
         raise ValueError(f"invalid target index {j} for vertex in S_{i}")
-    target = sigma.get(j)
-    if j > i:
-        return frozenset(w for w in target if host.has_edge(w, v))
-    return frozenset(w for w in target if host.has_edge(v, w))
+    mask = _neighbour_mask(host, v, vertex_mask(sigma.get(j)), j > i)
+    return frozenset(mask_vertices(mask))
+
+
+def _neighbour_mask(host: Tournament, v: int, target: int, later: bool) -> int:
+    """N(v, j) as a mask, given S_j as the mask ``target``."""
+    return target & ~host.rows[v] if later else target & host.rows[v]
 
 
 @dataclass(frozen=True)
@@ -166,16 +156,16 @@ TripleVerdict = Union[CompletePair, TripleClass]
 
 def _coverage_profile(
     host: Tournament, sigma: Triple, i: int, j: int, ordering: Sequence[int]
-) -> tuple[tuple[int, ...], frozenset[int], list[frozenset[int]]]:
-    """Cumulative union cardinalities of N(v, j) along the ordering of S_i."""
-    union: set[int] = set()
-    profile = []
-    prefix_sets = []
+) -> tuple[tuple[int, ...], list[int]]:
+    """Cumulative unions of N(v, j) along the ordering of S_i, as masks, and
+    their cardinalities."""
+    target = vertex_mask(sigma.get(j))
+    union = 0
+    prefixes = []
     for v in ordering:
-        union |= neighborhood(host, sigma, v, j)
-        profile.append(len(union))
-        prefix_sets.append(frozenset(union))
-    return tuple(profile), frozenset(union), prefix_sets
+        union |= _neighbour_mask(host, v, target, j > i)
+        prefixes.append(union)
+    return tuple(m.bit_count() for m in prefixes), prefixes
 
 
 def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVerdict:
@@ -191,12 +181,11 @@ def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVe
         raise ValueError(f"invalid triple indices ({i},{j})")
     l = 6 - i - j
     ordering = tuple(sorted(sigma.get(i)))
-    prof_j, total_j, _ = _coverage_profile(host, sigma, i, j, ordering)
-    prof_l, total_l, _ = _coverage_profile(host, sigma, i, l, ordering)
-    for target, total in ((j, total_j), (l, total_l)):
-        size = len(sigma.get(target))
-        if 2 * len(total) < size:
-            untouched = sigma.get(target) - total
+    prof_j, prefixes_j = _coverage_profile(host, sigma, i, j, ordering)
+    prof_l, prefixes_l = _coverage_profile(host, sigma, i, l, ordering)
+    for target, prof, prefixes in ((j, prof_j, prefixes_j), (l, prof_l, prefixes_l)):
+        if 2 * prof[-1] < len(sigma.get(target)):
+            untouched = sigma.get(target).difference(mask_vertices(prefixes[-1]))
             if target > i:
                 pair = CompletePair(sigma.get(i), untouched)
             else:
@@ -281,23 +270,19 @@ def witness(
     found = _find_pattern_triple(host, sigma, pattern)
     if found is not None:
         return found
-    _, _, prefixes_j = _coverage_profile(
-        host, sigma, verdict.i, verdict.j, verdict.ordering
-    )
-    _, _, prefixes_l = _coverage_profile(
-        host, sigma, verdict.i, verdict.l, verdict.ordering
-    )
+    _, prefixes_j = _coverage_profile(host, sigma, verdict.i, verdict.j, verdict.ordering)
+    _, prefixes_l = _coverage_profile(host, sigma, verdict.i, verdict.l, verdict.ordering)
     size_j = len(sigma.get(verdict.j))
     size_l = len(sigma.get(verdict.l))
-    for k in range(1, len(verdict.ordering) + 1):
-        cov_j = prefixes_j[k - 1]
-        cov_l = prefixes_l[k - 1]
-        if 2 * len(cov_j) >= size_j and 2 * len(cov_l) <= size_l:
+    for cov_j, cov_l in zip(prefixes_j, prefixes_l):
+        if 2 * cov_j.bit_count() >= size_j and 2 * cov_l.bit_count() <= size_l:
             sides = {}
             for label, (role, index) in (("a", a_spec), ("b", b_spec)):
                 cov = cov_j if index == verdict.j else cov_l
-                sides[label] = cov if role == "cov" else sigma.get(index) - cov
-            pair = CompletePair(frozenset(sides["a"]), frozenset(sides["b"]))
+                if role == "compl":
+                    cov = vertex_mask(sigma.get(index)) & ~cov
+                sides[label] = frozenset(mask_vertices(cov))
+            pair = CompletePair(sides["a"], sides["b"])
             if not pair.validate(host):
                 raise InvariantError(
                     "coverage pair failed completeness despite missing pattern"
@@ -375,16 +360,11 @@ def is_normal(
             return False
         if len(ordering) != t:
             return False
-    for row in range(t):
-        for a in range(pattern.n):
-            for b in range(pattern.n):
-                if a == b:
-                    continue
-                va = orderings[phi[a]][row]
-                vb = orderings[phi[b]][row]
-                if host.has_edge(va, vb) != pattern.has_edge(a, b):
-                    return False
-    return True
+    return all(
+        host.has_edge(orderings[phi[a]][row], orderings[phi[b]][row]) == pattern.has_edge(a, b)
+        for row in range(t)
+        for a, b in permutations(range(pattern.n), 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -425,51 +405,36 @@ def extract_product(
             raise ValueError("structure is not normal for a component")
     t = len(parts[0])
     p = len(components)
+    # rows[m][s]: (part index, vertex) pairs of row s of component m
+    rows = [
+        [[(comp.phi[h], comp.orderings[comp.phi[h]][s]) for h in range(comp.pattern.n)]
+         for s in range(t)]
+        for comp in components
+    ]
 
-    def row_vertices(m: int, s: int) -> list[tuple[int, int]]:
-        comp = components[m]
-        return [(comp.phi[h], comp.orderings[comp.phi[h]][s]) for h in range(comp.pattern.n)]
+    def rows_compatible(row1, row2) -> bool:
+        return all(
+            host.has_edge(v1, v2) if k1 < k2 else host.has_edge(v2, v1)
+            for k1, v1 in row1
+            for k2, v2 in row2
+        )
 
-    def rows_compatible(m1: int, s1: int, m2: int, s2: int) -> bool:
-        for k1, v1 in row_vertices(m1, s1):
-            for k2, v2 in row_vertices(m2, s2):
-                if k1 < k2:
-                    if not host.has_edge(v1, v2):
-                        return False
-                elif not host.has_edge(v2, v1):
-                    return False
-        return True
-
-    edge_count = 0
-    adjacency: dict[tuple[int, int], set[int]] = {}
-    for m1 in range(p):
-        for m2 in range(m1 + 1, p):
-            for s1 in range(t):
-                ok = {s2 for s2 in range(t) if rows_compatible(m1, s1, m2, s2)}
-                adjacency[(m1 * t + s1, m2)] = ok
-                edge_count += len(ok)
-
-    chosen: list[int] = []
-
-    def descend(m: int) -> bool:
-        if m == p:
-            return True
-        for s in range(t):
-            if all(
-                s in adjacency[(m_prev * t + chosen[m_prev], m)]
-                for m_prev in range(m)
-            ):
-                chosen.append(s)
-                if descend(m + 1):
-                    return True
-                chosen.pop()
-        return False
+    # row s of component m is vertex m*t + s; a p-clique takes one row per
+    # component, and the lex-least one is the lex-first row tuple
+    edges = [
+        (m1 * t + s1, m2 * t + s2)
+        for m1, m2 in combinations(range(p), 2)
+        for s1 in range(t)
+        for s2 in range(t)
+        if rows_compatible(rows[m1][s1], rows[m2][s2])
+    ]
+    clique = turan_clique(ugraph_from_edges(p * t, edges), p)
 
     max_part = max(comp.pattern.n for comp in components)
     threshold = turan_threshold(p, max_part)
     total_vertices = p * t
     gate = {
-        "edges": edge_count,
+        "edges": len(edges),
         "vertices": total_vertices,
         "epsilon": lam * max_part**2,
         "bound": Fraction(total_vertices**2, 2)
@@ -479,8 +444,9 @@ def extract_product(
         else Fraction(0),
         "threshold": threshold,
     }
-    if not descend(0):
+    if clique is None:
         raise LambdaTooLargeError(lam, threshold)
+    chosen = [v - m * t for m, v in enumerate(clique)]
 
     placements: list[tuple[Tournament, Placement]] = [
         (comp.pattern, dict(comp.phi)) for comp in components
@@ -516,7 +482,7 @@ class UGraph:
                     raise ValueError("adjacency must be symmetric")
 
     def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.adj) // 2
+        return sum(r.bit_count() for r in self.adj) // 2
 
 
 def ugraph_from_edges(n: int, edges) -> UGraph:
@@ -537,12 +503,9 @@ def turan_clique(g: UGraph, p: int) -> Optional[tuple[int, ...]]:
         if len(chosen) == p:
             best[0] = tuple(chosen)
             return True
-        if len(chosen) + bin(cand).count("1") < p:
+        if len(chosen) + cand.bit_count() < p:
             return False
-        bits = cand
-        while bits:
-            v = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
+        for v in mask_vertices(cand):
             chosen.append(v)
             if descend(chosen, cand & g.adj[v] & ~((1 << (v + 1)) - 1)):
                 return True

@@ -218,6 +218,21 @@ class TestOtherCommands:
         assert abs(report["results"]["slope"] - 1.0) < 1e-9
 
 
+# a valid run-algorithm invocation on the cyclic triangle: three one-vertex parts
+RUN_C3 = ["run-algorithm", "C3", "--case", "LR", "--t", "3", "--part-size", "1"]
+
+
+def assert_clean_exit(capsys, argv, expected):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == expected
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv, env",
@@ -231,20 +246,48 @@ class TestMalformedInput:
             (["product", "--kind", "left", "--slots", "3,2,1"], {}),
             (["product", "--kind", "left", "--slots", "0,1,2"], {}),
             (["product", "--kind", "left", "--slots", "1,2,3;3,4,5"], {}),
+            (RUN_C3 + ["--k", "0"], {}),
+            (RUN_C3 + ["--t", "0"], {}),
+            (RUN_C3 + ["--part-size", "0"], {}),
+            (RUN_C3 + ["--lam", "abc"], {}),
+            (RUN_C3 + ["--c", "abc"], {}),
+            (RUN_C3 + ["--nebula-white", "1,2,9", "--k", "3"], {}),
+            (RUN_C3 + ["--k", "2"], {}),
+            (RUN_C3 + ["--k", "4"], {}),
+            (["exponent", "--sizes", "a,b"], {}),
+            (["exponent", "--sizes", "4,6", "--samples", "0"], {}),
         ],
     )
     def test_parse_exit_without_traceback(self, capsys, monkeypatch, c3_file, argv, env):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         argv = [c3_file if arg == "C3" else arg for arg in argv]
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
+        assert_clean_exit(capsys, argv, 2)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # missing file
+            "not json",
+            '{"blocks": [[1], [2], [3]]}',
+            "[[1], [2], [3]]",
+            '{"parts": [[1], [2], ["3"]]}',
+            '{"parts": [[1], [2], [4]]}',
+            '{"parts": [[1], [2], [0]]}',
+            '{"parts": [[1], [2], []]}',
+            '{"parts": [[1], [2], [2]]}',
+            '{"parts": [[1], [2]]}',
+        ],
+    )
+    def test_structure_file_parse_exit(self, capsys, tmp_path, c3_file, content):
+        path = tmp_path / "structure.json"
+        if content is not None:
+            path.write_text(content)
+        argv = [c3_file if arg == "C3" else arg for arg in RUN_C3]
+        assert_clean_exit(capsys, argv + ["--structure", str(path)], 2)
+
+    def test_exponent_without_enough_samples_exit(self, capsys):
+        assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)
 
 
 class TestRunAlgorithmCommand:

@@ -1,9 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nebulab
 from helpers import forward_block_host
 from nebulab import core
 from nebulab.core import cyclic_triangle, density, random_tournament
@@ -37,6 +44,22 @@ def brute_force_pair(host, a, b, eps):
             if abs(density(host, x, y) - d_ab) > eps:
                 return False
     return True
+
+
+def assert_valid_violator(host, a, b, eps, verdict):
+    """The violator is a pair of large enough subsets whose density strays."""
+    eps = to_fraction(eps)
+    v = verdict.violator
+    assert v.x and v.y and v.x <= set(a) and v.y <= set(b)
+    assert len(v.x) >= eps * len(a) and len(v.y) >= eps * len(b)
+    assert v.d_xy == density(host, v.x, v.y) and v.d_ab == density(host, a, b)
+    assert abs(v.d_xy - v.d_ab) > eps
+
+
+PAIR_EPSILONS = [
+    Fraction(0), Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+    Fraction(1), Fraction(3, 2), 0.25,
+]
 
 
 class TestRegularPairExact:
@@ -80,20 +103,44 @@ class TestRegularPairExact:
                 fast = regular_pair_exact(host, a, b, eps)
                 assert fast.passed == brute_force_pair(host, a, b, eps)
 
+    @given(
+        st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6),
+        st.sampled_from(PAIR_EPSILONS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_brute_force_agreement_random_sides(self, na, nb, seed, eps):
+        rng = random.Random(seed)
+        host = random_tournament(na + nb + rng.randint(0, 2), rng)
+        vertices = rng.sample(range(host.n), na + nb)
+        a, b = vertices[:na], vertices[na:]
+        verdict = regular_pair_exact(host, a, b, eps)
+        assert verdict.passed == brute_force_pair(host, a, b, eps)
+        if not verdict.passed:
+            assert_valid_violator(host, a, b, eps, verdict)
+
     def test_violator_is_exact(self):
         rng = random.Random(4)
+        failed = 0
         for _ in range(10):
             host = random_tournament(14, rng)
             a, b = list(range(7)), list(range(7, 14))
             verdict = regular_pair_exact(host, a, b, Fraction(1, 10))
             if not verdict.passed:
-                v = verdict.violator
-                assert abs(density(host, v.x, v.y) - density(host, a, b)) > Fraction(1, 10)
+                failed += 1
+                assert_valid_violator(host, a, b, Fraction(1, 10), verdict)
+        assert failed
 
     def test_budget(self):
         host = random_tournament(30, random.Random(5))
         with pytest.raises(BudgetError):
             regular_pair_exact(host, range(14), range(14, 28), Fraction(1, 4))
+
+
+def test_imports_without_numpy():
+    src = str(Path(nebulab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, nebulab.cli, nebulab.regularity; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestRegularPairSampled:

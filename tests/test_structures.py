@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import forward_block_host
 from nebulab import core
@@ -402,6 +404,94 @@ class TestExtractProduct:
         bad = [comps[0], NormalPart(comps[1].pattern, comps[0].phi, comps[0].orderings)]
         with pytest.raises(ValueError):
             extract_product(host, parts, bad, lam=Fraction(0))
+
+
+def random_normal_instance(rng, p, t, forward):
+    """p small-star components on 3p parts of t vertices.  Row s of each
+    component induces its star; every other pair of vertices in distinct
+    parts points from the lower part to the higher with probability
+    ``forward``, and pairs inside a part are random."""
+    makers = (small_left_star, small_right_star, small_central_star)
+    patterns = [rng.choice(makers)()[0] for _ in range(p)]
+    part_ids = rng.sample(range(3 * p), 3 * p)
+    phis = [{h: part_ids[3 * m + h] for h in range(3)} for m in range(p)]
+    orderings = {q: tuple(rng.sample(range(q * t, (q + 1) * t), t)) for q in range(3 * p)}
+    place = {}  # vertex -> (component, pattern vertex, row)
+    for m, phi in enumerate(phis):
+        for h, q in phi.items():
+            for s, v in enumerate(orderings[q]):
+                place[v] = (m, h, s)
+    n = 3 * p * t
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            (mu, hu, su), (mv, hv, sv) = place[u], place[v]
+            if u // t == v // t:
+                forward_edge = rng.random() < 0.5
+            elif mu == mv and su == sv:
+                forward_edge = patterns[mu].has_edge(hu, hv)
+            else:
+                forward_edge = rng.random() < forward
+            if forward_edge:
+                adj[u] |= 1 << v
+            else:
+                adj[v] |= 1 << u
+    host = core.Tournament(n, tuple(adj))
+    parts = [frozenset(range(q * t, (q + 1) * t)) for q in range(3 * p)]
+    comps = [
+        NormalPart(patterns[m], phis[m], {q: orderings[q] for q in phis[m].values()})
+        for m in range(p)
+    ]
+    return host, parts, comps
+
+
+def compatible_rows(host, comps, m1, s1, m2, s2):
+    """Every cross pair of the two rows points from the lower part to the higher."""
+    row1 = [(q, comps[m1].orderings[q][s1]) for q in comps[m1].phi.values()]
+    row2 = [(q, comps[m2].orderings[q][s2]) for q in comps[m2].phi.values()]
+    return all(
+        host.has_edge(*((v1, v2) if q1 < q2 else (v2, v1)))
+        for q1, v1 in row1
+        for q2, v2 in row2
+    )
+
+
+class TestExtractProductLexFirst:
+    @given(
+        st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 5),
+        st.sampled_from([0.6, 0.8, 0.95, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_lex_first_oracle(self, seed, p, t, forward):
+        host, parts, comps = random_normal_instance(random.Random(seed), p, t, forward)
+        pairs = list(itertools.combinations(range(p), 2))
+        first = next(
+            (
+                rows
+                for rows in itertools.product(range(t), repeat=p)
+                if all(compatible_rows(host, comps, a, rows[a], b, rows[b]) for a, b in pairs)
+            ),
+            None,
+        )
+        edges = sum(
+            compatible_rows(host, comps, a, s1, b, s2)
+            for a, b in pairs
+            for s1 in range(t)
+            for s2 in range(t)
+        )
+        if first is None:
+            with pytest.raises(LambdaTooLargeError):
+                extract_product(host, parts, comps, lam=Fraction(0))
+            return
+        res = extract_product(host, parts, comps, lam=Fraction(0))
+        assert res.rows_used == first
+        assert res.turan_gate["edges"] == edges
+        assert res.embedding.validate(host, res.product.tournament)
+
+    def test_no_compatible_rows_raises(self):
+        host, parts, comps = random_normal_instance(random.Random(3), 2, 3, 0.0)
+        with pytest.raises(LambdaTooLargeError):
+            extract_product(host, parts, comps, lam=Fraction(0))
 
 
 class TestTuranClique:
