@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 from .containment import Embedding
 from .core import TR_BUDGET, Tournament, largest_transitive
-from .errors import InvariantError, NebulabError
+from .errors import BudgetError, InvariantError, NebulabError
 from .product import SMALL_STARS, PlacementNebula
 from .stars import StarKind
 from .structures import (
@@ -83,7 +83,10 @@ class AlgorithmConfig:
             if nebula.width > self.k:
                 raise ValueError("nebula slots exceed the configured width k")
         if math.comb(self.t, self.k) > SUBSET_BUDGET:
-            raise ValueError("t choose k exceeds the enumeration budget")
+            raise BudgetError(
+                f"C({self.t},{self.k}) = {math.comb(self.t, self.k)} part subsets exceed "
+                f"the enumeration budget {SUBSET_BUDGET}"
+            )
         if self.part_size < 1:
             raise ValueError("part size must be positive")
 
@@ -424,7 +427,6 @@ def run(
     host: Tournament,
     parts: Sequence[frozenset[int]],
     config: AlgorithmConfig,
-    verify_input: bool = True,
 ) -> RunResult:
     """Run phases until a terminal outcome, re-validating every payload."""
     parts = [frozenset(p) for p in parts]
@@ -432,12 +434,9 @@ def run(
         raise ValueError("structure part count does not match config.t")
     if any(len(p) != config.part_size for p in parts):
         raise ValueError("structure parts must all have size W")
-    if verify_input:
-        cert = verify_structure(host, parts, config.c, config.lam, strong=True)
-        if not cert.passed:
-            raise ValueError(
-                f"initial structure fails strong verification: {cert.violations[:3]}"
-            )
+    cert = verify_structure(host, parts, config.c, config.lam, strong=True)
+    if not cert.passed:
+        raise ValueError(f"initial structure fails strong verification: {cert.violations[:3]}")
     state = initial_state(parts, config)
     trace: list[dict] = []
     warning = config.lambda_warning()
@@ -475,16 +474,15 @@ def find_strong_structure(
     c: Fraction,
     lam: Fraction,
     seed: int = 0,
-    tries: int = 50,
 ) -> Optional[list[frozenset[int]]]:
     """Sampled search for a verifying strong structure: contiguous blocks
-    first, then seeded random partitions."""
+    first, then 50 seeded random partitions."""
     need = t * part_size
     if need > host.n:
         return None
     candidates = [list(range(need))]
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(50):
         candidates.append(rng.sample(range(host.n), need))
     for vertices in candidates:
         parts = [
@@ -495,26 +493,14 @@ def find_strong_structure(
     return None
 
 
-def eh_induction_step(
-    host: Tournament,
-    pair: CompletePair,
-    solver=None,
-) -> frozenset[int]:
+def eh_induction_step(host: Tournament, pair: CompletePair) -> frozenset[int]:
     """Combine transitive sets found in both halves of a complete pair.
 
-    ``solver`` maps a subtournament to a transitive local vertex set; the
-    default is the exact solver under its budget and the log-size extractor
-    beyond it.  The union is transitive because A is complete to B; this is
-    re-checked.
+    Each half gets the exact solver under its budget and the log-size
+    extractor beyond it.  The union is transitive because A is complete to
+    B; this is re-checked.
     """
     from .regularity import stearns_transitive
-
-    if solver is None:
-
-        def solver(sub: Tournament) -> frozenset[int]:
-            if sub.n <= TR_BUDGET:
-                return largest_transitive(sub)
-            return frozenset(stearns_transitive(sub))
 
     if not pair.validate(host):
         raise ValueError("pair is not complete from A to B")
@@ -523,7 +509,8 @@ def eh_induction_step(
     combined: set[int] = set()
     for side in (pair.a, pair.b):
         ordered = sorted(side)
-        local = solver(induced(host, ordered))
+        sub = induced(host, ordered)
+        local = largest_transitive(sub) if sub.n <= TR_BUDGET else stearns_transitive(sub)
         combined |= {ordered[i] for i in local}
     if not is_transitive(induced(host, combined)):
         raise InvariantError("combined transitive sets are not transitive")

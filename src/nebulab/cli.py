@@ -4,9 +4,10 @@ Every command prints a JSON report document to stdout whose validation
 section re-derives the headline claims with independent checkers.  Exit
 codes: 0 = verdict computed (even a negative one), 1 = a self-check command
 found a failing check (verify-examples, or enumerate's class-count or
-round-trip check), 2 = parse error, 3 = search budget exceeded (also: no
-structure found, or too few samples to fit a slope), 4 = internal invariant
-violation.
+round-trip check), 2 = parse error (also: a --structure file that fails
+strong verification), 3 = search budget exceeded (also: C(t,k) part subsets
+above the phase algorithm's budget, no structure found, or too few samples
+to fit a slope), 4 = internal invariant violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
 NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
@@ -30,7 +31,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import algorithm, containment, core, examples, files, product, reports, stars
+from . import algorithm, containment, core, examples, files, product, reports, stars, structures
 from .errors import BudgetError, InvariantError, NebulabError, NoDataError
 from .files import ParseError
 from .stars import StarKind
@@ -146,19 +147,9 @@ def _independent_component_check(
 def cmd_classify(args) -> tuple[dict, int]:
     t = _read_tournament(args.file)
     budget = _budget("NEBULAB_ORDERING_BUDGET", stars.ORDERING_SEARCH_BUDGET)
-    predicate = stars.PREDICATES[args.kind]
-    if args.ordering == "identity":
-        order = tuple(range(t.n))
-    else:
-        order = stars.find_ordering(t, predicate, budget=budget)
-    if order is None:
-        verdict = False
-        comps = []
-        order_payload = None
-    else:
-        verdict = predicate(t, order)
-        comps = stars.classify_components(stars.backward_graph(t, order), order)
-        order_payload = [v + 1 for v in order]
+    given = tuple(range(t.n)) if args.ordering == "identity" else None
+    found = stars.nebula_verdict(t, args.kind, given, budget=budget)
+    order, verdict, comps = found.ordering, found.holds, found.components
     validation = []
     if order is not None:
         validation.append(_independent_component_check(t, order, comps))
@@ -186,11 +177,10 @@ def cmd_classify(args) -> tuple[dict, int]:
         None,
         {
             "verdict": verdict,
-            "ordering": order_payload,
+            "ordering": None if order is None else [v + 1 for v in order],
             "components": [_component_payload(c) for c in comps],
         },
         validation,
-        timing=None,
     )
     return report, 0
 
@@ -295,7 +285,6 @@ def cmd_verify_examples(args) -> tuple[dict, int]:
         None,
         {"passed": not failed, "failed_checks": failed},
         checks,
-        timing=None,
     )
     return report, 0 if not failed else 1
 
@@ -522,6 +511,13 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
             raise BudgetError("no verifying strong structure found")
     else:
         parts = _read_structure(args.structure, host.n, args.t, args.part_size)
+        cert = structures.verify_structure(host, parts, config.c, config.lam, strong=True)
+        if not cert.passed:
+            first = cert.violations[0]
+            detail = ", ".join(f"{key}={value}" for key, value in first.detail.items())
+            raise ParseError(
+                f"{args.structure} fails strong verification: {first.check} ({detail})"
+            )
     result = algorithm.run(host, parts, config)
     if args.trace:
         with open(args.trace, "w") as fh:

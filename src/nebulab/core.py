@@ -48,9 +48,6 @@ class Tournament:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def out_mask(self, u: int) -> int:
-        return self.rows[u]
-
     def in_mask(self, u: int) -> int:
         full = (1 << self.n) - 1
         return full & ~self.rows[u] & ~(1 << u)
@@ -171,23 +168,6 @@ def is_transitive(t: Tournament) -> bool:
     for u in range(t.n):
         out = t.rows[u]
         back = t.in_mask(u)
-        v_bits = out
-        while v_bits:
-            v = (v_bits & -v_bits).bit_length() - 1
-            v_bits &= v_bits - 1
-            if t.rows[v] & back:
-                return False
-    return True
-
-
-def is_transitive_subset(t: Tournament, mask: int) -> bool:
-    """True iff the subtournament on the vertex bitmask is transitive."""
-    bits = mask
-    while bits:
-        u = (bits & -bits).bit_length() - 1
-        bits &= bits - 1
-        out = t.rows[u] & mask
-        back = t.in_mask(u) & mask
         v_bits = out
         while v_bits:
             v = (v_bits & -v_bits).bit_length() - 1

@@ -183,7 +183,6 @@ def embed_via_regular_parts(
     host: Tournament,
     parts: Sequence[Sequence[int]],
     pattern: Tournament,
-    eta,
     lam_density,
 ) -> Optional[Embedding]:
     """Greedy one-vertex-per-part embedding with candidate tracking.
@@ -278,19 +277,18 @@ class PipelineReport:
     bullets: dict
 
 
-def _turan_u(eta: Fraction, k_target: int, cap: int = 10_000) -> Optional[int]:
-    """Smallest u with C(u,2) - eta*u^2 > (k-2)/(2(k-1)) * u^2 for all u' >= u."""
+def _turan_u(eta: Fraction, k_target: int) -> Optional[int]:
+    """Smallest u >= 2 with C(u',2) - eta*u'^2 > (k-2)/(2(k-1)) * u'^2 for all u' >= u.
+
+    Dividing by u^2 gives a > 1/(2u) with a = 1/2 - eta - (k-2)/(2(k-1)),
+    which holds exactly for u > 1/(2a); None when k < 2 or a <= 0.
+    """
     if k_target < 2:
         return None
-    rhs_coeff = Fraction(k_target - 2, 2 * (k_target - 1))
-    u = None
-    for cand in range(cap, 1, -1):
-        lhs = Fraction(cand * (cand - 1), 2) - eta * cand * cand
-        if lhs > rhs_coeff * cand * cand:
-            u = cand
-        else:
-            break
-    return u
+    a = Fraction(1, 2) - eta - Fraction(k_target - 2, 2 * (k_target - 1))
+    if a <= 0:
+        return None
+    return max(2, math.floor(1 / (2 * a)) + 1)
 
 
 def strong_structure_pipeline(
@@ -301,8 +299,6 @@ def strong_structure_pipeline(
     p_target: int,
     lam,
     eta,
-    pair_method: str = "exact",
-    seed: int = 0,
 ) -> Union[PipelineReport, StageFailure]:
     """Stages: regular-part selection, good/bad labelling, the clique/stable
     dichotomy, the derived part tournament, log-size chain extraction, and
@@ -313,9 +309,7 @@ def strong_structure_pipeline(
     part_sets = [sorted(set(p)) for p in parts]
     r = len(part_sets)
 
-    cert = verify_regular_partition(
-        host, exceptional, part_sets, eta_f, method=pair_method, seed=seed
-    )
+    cert = verify_regular_partition(host, exceptional, part_sets, eta_f)
     if not cert.passed:
         return StageFailure("partition", "partition certificate failed", cert)
 
@@ -367,7 +361,7 @@ def strong_structure_pipeline(
                 f"no {needed} pairwise-bad parts and no {pattern.n} pairwise-good parts",
             )
         h_parts = [part_sets[selected[i]] for i in h_clique]
-        emb = embed_via_regular_parts(host, h_parts, pattern, eta_f, big_lam)
+        emb = embed_via_regular_parts(host, h_parts, pattern, big_lam)
         if emb is not None:
             return StageFailure(
                 "found-h", "good clique embeds the forbidden pattern", emb

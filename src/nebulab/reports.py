@@ -34,7 +34,6 @@ def make_report(
     seed: Optional[int],
     results: dict,
     validation: list[dict],
-    timing: Optional[float] = None,
 ) -> dict:
     if not validation:
         raise ValueError("reports must re-validate at least one claim")
@@ -45,13 +44,9 @@ def make_report(
         "seed": seed,
         "results": _jsonable(results),
         "validation": _jsonable(validation),
-        "timing": timing,
+        "timing": None,
     }
 
 
 def render(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def all_validations_pass(report: dict) -> bool:
-    return all(entry.get("passed") for entry in report["validation"])

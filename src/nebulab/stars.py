@@ -131,34 +131,10 @@ class NebulaVerdict:
     components: tuple[StarComponent, ...]
 
 
-def is_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    """Every backward component is a star or a singleton."""
-    comps = classify_components(backward_graph(t, order), order)
-    return all(c.kind is not StarKind.NON_STAR for c in comps)
+_THREE_STAR_KINDS = {"left": StarKind.LEFT, "right": StarKind.RIGHT, "central": StarKind.CENTRAL}
 
 
-def _is_three_star_ordering(t: Tournament, order: Ordering, kind: StarKind) -> bool:
-    comps = classify_components(backward_graph(t, order), order)
-    return all(
-        c.kind is StarKind.SINGLETON or (c.kind is kind and len(c.vertices) == 3)
-        for c in comps
-    )
-
-
-def is_left_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    """Every backward component is a singleton or a 3-vertex left star."""
-    return _is_three_star_ordering(t, order, StarKind.LEFT)
-
-
-def is_right_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    return _is_three_star_ordering(t, order, StarKind.RIGHT)
-
-
-def is_central_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    return _is_three_star_ordering(t, order, StarKind.CENTRAL)
-
-
-def _galaxy_positions_ok(stars: list[tuple[int, list[int]]]) -> bool:
+def _galaxy_positions_ok(stars: list[tuple[int, Sequence[int]]]) -> bool:
     """No star center may sit strictly between two leaves of another star.
 
     Stars are given as (center position, leaf positions).
@@ -172,34 +148,77 @@ def _galaxy_positions_ok(stars: list[tuple[int, list[int]]]) -> bool:
     return True
 
 
+def _admissible(comps: Sequence[StarComponent], kind: str, complete: bool) -> bool:
+    """The rule of an ordering kind on classified backward components.
+
+    With ``complete`` the components are those of a whole ordering, and the
+    answer is the kind's predicate.  Otherwise they are those of a prefix,
+    whose backward graph is final among the placed vertices, and False means
+    that no extension of the prefix satisfies the predicate.  The complete
+    rule is the stricter one.
+
+    Two-vertex components have an arbitrary center: a galaxy ordering needs
+    some choice of their centers to satisfy the positional rule.
+    """
+    want = _THREE_STAR_KINDS.get(kind)
+    stars: list[tuple[int, Sequence[int]]] = []  # galaxy: (center, leaves)
+    ambiguous: list[tuple[int, ...]] = []  # galaxy: two-vertex positions
+    for c in comps:
+        size = len(c.positions)
+        if c.kind is StarKind.NON_STAR:
+            return False
+        if want is not None:
+            # a right star's hub arrives last and attaches to all leaves at
+            # once, so no prefix of a right nebula ordering holds a 2-vertex
+            # component
+            if size > 3 or (size == 3 and c.kind is not want) or (
+                size == 2 and (complete or want is StarKind.RIGHT)
+            ):
+                return False
+        elif kind == "galaxy" and size >= 3:
+            if c.kind is StarKind.LEFT:
+                stars.append((c.positions[0], c.positions[1:]))
+            elif c.kind is StarKind.RIGHT:
+                stars.append((c.positions[-1], c.positions[:-1]))
+            else:
+                return False
+        elif kind == "galaxy" and size == 2 and complete:
+            ambiguous.append(c.positions)
+    if kind != "galaxy":
+        return True
+    for choice in itertools.product((0, 1), repeat=len(ambiguous)):
+        chosen = [(p[flip], (p[1 - flip],)) for flip, p in zip(choice, ambiguous)]
+        if _galaxy_positions_ok(stars + chosen):
+            return True
+    return False
+
+
+def _ordering_admissible(t: Tournament, order: Ordering, kind: str) -> bool:
+    return _admissible(classify_components(backward_graph(t, order), order), kind, True)
+
+
+def is_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    """Every backward component is a star or a singleton."""
+    return _ordering_admissible(t, order, "nebula")
+
+
+def is_left_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    """Every backward component is a singleton or a 3-vertex left star."""
+    return _ordering_admissible(t, order, "left")
+
+
+def is_right_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    return _ordering_admissible(t, order, "right")
+
+
+def is_central_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    return _ordering_admissible(t, order, "central")
+
+
 def is_galaxy_ordering(t: Tournament, order: Ordering) -> bool:
     """Components are left/right stars or singletons, with no star center
-    positioned between two leaves of another star.
-
-    Two-vertex components have an arbitrary center; the predicate holds if
-    some assignment of their centers satisfies the positional rule.
-    """
-    pos = check_ordering(order, t.n)
-    comps = classify_components(backward_graph(t, order), order)
-    fixed = []
-    ambiguous = []
-    for c in comps:
-        if c.kind is StarKind.SINGLETON:
-            continue
-        if c.kind is StarKind.GENERAL:
-            ambiguous.append(sorted(pos[v] for v in c.vertices))
-            continue
-        if c.kind not in (StarKind.LEFT, StarKind.RIGHT):
-            return False
-        fixed.append((pos[c.center], [pos[v] for v in c.leaves]))
-    for choice in itertools.product((0, 1), repeat=len(ambiguous)):
-        stars = list(fixed)
-        for flip, (p0, p1) in zip(choice, ambiguous):
-            center, leaf = (p0, p1) if flip == 0 else (p1, p0)
-            stars.append((center, [leaf]))
-        if _galaxy_positions_ok(stars):
-            return True
-    return not fixed and not ambiguous
+    positioned between two leaves of another star."""
+    return _ordering_admissible(t, order, "galaxy")
 
 
 PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
@@ -211,43 +230,6 @@ PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
 }
 
 
-def _prefix_viable(t: Tournament, placed: list[int], kind: str) -> bool:
-    """Can a partial ordering still extend to one satisfying the predicate?
-
-    The backward graph restricted to placed vertices is final, so a component
-    that is already a non-star (or violates the requested 3-vertex kind) kills
-    the whole subtree.
-    """
-    comps = classify_components_partial(backward_graph(t, placed), placed)
-    for c in comps:
-        if c.kind is StarKind.NON_STAR:
-            return False
-        if kind in ("left", "right", "central"):
-            if len(c.vertices) > 3:
-                return False
-            if len(c.vertices) == 3:
-                want = {"left": StarKind.LEFT, "right": StarKind.RIGHT,
-                        "central": StarKind.CENTRAL}[kind]
-                if c.kind is not want:
-                    return False
-            if kind == "right" and len(c.vertices) == 2:
-                # a right star's hub arrives last and attaches to all leaves
-                # at once, so no valid prefix ever holds a 2-vertex component
-                return False
-        if kind == "galaxy" and len(c.vertices) >= 3:
-            if c.kind not in (StarKind.LEFT, StarKind.RIGHT):
-                return False
-    if kind == "galaxy":
-        fixed = []
-        for c in comps:
-            if c.kind in (StarKind.LEFT, StarKind.RIGHT) and len(c.vertices) >= 3:
-                center = min(c.positions) if c.kind is StarKind.LEFT else max(c.positions)
-                fixed.append((center, [p for p in c.positions if p != center]))
-        if not _galaxy_positions_ok(fixed):
-            return False
-    return True
-
-
 def find_ordering(
     t: Tournament,
     predicate: Callable[[Tournament, Ordering], bool],
@@ -255,23 +237,26 @@ def find_ordering(
 ) -> Optional[Ordering]:
     """Exhaustive ordering search with prefix pruning.
 
-    Returns the lexicographically first ordering satisfying the predicate, or
-    None after exhausting all n! candidates (pruned).
+    ``predicate`` must be one of ``PREDICATES``; the search applies its rule
+    to every prefix and never calls it.  Returns the lexicographically first
+    ordering satisfying the predicate, or None after exhausting all n!
+    candidates (pruned).
     """
+    kind = next((k for k, p in PREDICATES.items() if p is predicate), None)
+    if kind is None:
+        raise ValueError("find_ordering searches only for the predicates in PREDICATES")
     if t.n > budget:
         raise BudgetError(f"ordering search limited to n <= {budget}, got {t.n}")
-    kind = next((k for k, p in PREDICATES.items() if p is predicate), "nebula")
 
     def descend(placed: list[int], remaining: list[int]) -> Optional[Ordering]:
         if not remaining:
-            order = tuple(placed)
-            return order if predicate(t, order) else None
+            return tuple(placed)
         for v in remaining:
             placed.append(v)
-            if _prefix_viable(t, placed, kind):
+            comps = classify_components_partial(backward_graph(t, placed), placed)
+            if _admissible(comps, kind, len(placed) == t.n):
                 found = descend(placed, [w for w in remaining if w != v])
                 if found is not None:
-                    placed.pop()
                     return found
             placed.pop()
         return None
@@ -287,6 +272,5 @@ def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None,
         order = find_ordering(t, predicate, budget=budget)
         if order is None:
             return NebulaVerdict(kind, False, None, ())
-    holds = predicate(t, order)
     comps = tuple(classify_components(backward_graph(t, order), order))
-    return NebulaVerdict(kind, holds, order, comps)
+    return NebulaVerdict(kind, _admissible(comps, kind, True), order, comps)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 from .containment import Embedding
 from .core import Tournament, density, mask_vertices, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
-from .product import Placement, ProductResult, product
+from .product import SMALL_STARS, Placement, ProductResult, product
 from .stars import StarKind
 
 
@@ -219,11 +219,10 @@ class WitnessTriple:
         )
 
 
-# pattern edges as (source position, target position), positions 1..3
+# pattern edges as (source position, target position), positions 1..3: the
+# edges of the three-vertex stars under their slot ordering
 PATTERN_EDGES = {
-    StarKind.LEFT: ((2, 1), (3, 1), (2, 3)),
-    StarKind.RIGHT: ((3, 1), (3, 2), (1, 2)),
-    StarKind.CENTRAL: ((2, 1), (3, 2), (1, 3)),
+    kind: tuple((u + 1, v + 1) for u, v in star()[0].edges()) for kind, star in SMALL_STARS.items()
 }
 
 # (i, j) -> (pattern, A side, B side); 'cov' takes the coverage prefix set in
@@ -480,9 +479,6 @@ class UGraph:
             for v in range(u + 1, self.n):
                 if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
                     raise ValueError("adjacency must be symmetric")
-
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.adj) // 2
 
 
 def ugraph_from_edges(n: int, edges) -> UGraph:

@@ -277,6 +277,7 @@ class TestMalformedInput:
             '{"parts": [[1], [2], []]}',
             '{"parts": [[1], [2], [2]]}',
             '{"parts": [[1], [2]]}',
+            '{"parts": [[1], [2], [3]]}',  # parses, fails strong verification
         ],
     )
     def test_structure_file_parse_exit(self, capsys, tmp_path, c3_file, content):
@@ -285,6 +286,16 @@ class TestMalformedInput:
             path.write_text(content)
         argv = [c3_file if arg == "C3" else arg for arg in RUN_C3]
         assert_clean_exit(capsys, argv + ["--structure", str(path)], 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            RUN_C3 + ["--t", "40", "--k", "10"],  # C(40, 10) part subsets
+        ],
+    )
+    def test_budget_exit_without_traceback(self, capsys, c3_file, argv):
+        argv = [c3_file if arg == "C3" else arg for arg in argv]
+        assert_clean_exit(capsys, argv, 3)
 
     def test_exponent_without_enough_samples_exit(self, capsys):
         assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)

@@ -18,6 +18,7 @@ from nebulab.errors import BudgetError
 from nebulab.regularity import (
     PipelineReport,
     StageFailure,
+    _turan_u,
     embed_via_regular_parts,
     regular_pair_exact,
     regular_pair_sampled,
@@ -201,9 +202,7 @@ class TestEmbedding:
             host = random_tournament(24, rng)
             parts = [range(8), range(8, 16), range(16, 24)]
             try:
-                emb = embed_via_regular_parts(
-                    host, parts, cyclic_triangle(), Fraction(1, 4), Fraction(1, 5)
-                )
+                emb = embed_via_regular_parts(host, parts, cyclic_triangle(), Fraction(1, 5))
             except ValueError:
                 continue
             if emb is not None:
@@ -213,9 +212,7 @@ class TestEmbedding:
 
     def test_single_vertex(self):
         host = random_tournament(4, random.Random(13))
-        emb = embed_via_regular_parts(
-            host, [range(4)], core.Tournament(1, (0,)), Fraction(1, 2), Fraction(0)
-        )
+        emb = embed_via_regular_parts(host, [range(4)], core.Tournament(1, (0,)), Fraction(0))
         assert emb is not None
 
     def test_zero_density_rejected(self):
@@ -225,9 +222,42 @@ class TestEmbedding:
                 host,
                 [range(4), range(4, 8)],
                 core.transitive_tournament(2),
-                Fraction(1, 4),
                 Fraction(1, 5),
             )
+
+
+def scanned_turan_u(eta, k_target, cap):
+    """The definition scanned downward from ``cap``: the least u >= 2 such
+    that every u' in u..cap satisfies C(u',2) - eta*u'^2 > (k-2)/(2(k-1))*u'^2,
+    None if ``cap`` itself fails."""
+    if k_target < 2:
+        return None
+    rhs_coeff = Fraction(k_target - 2, 2 * (k_target - 1))
+    u = None
+    for cand in range(cap, 1, -1):
+        if Fraction(cand * (cand - 1), 2) - eta * cand * cand > rhs_coeff * cand * cand:
+            u = cand
+        else:
+            break
+    return u
+
+
+class TestTuranU:
+    def test_closed_form_matches_scan(self):
+        cap = 200
+        etas = {Fraction(p, q) for q in range(1, 25) for p in range(0, q + 1)}
+        etas |= {Fraction(-1, 8), Fraction(1, 1000), Fraction(499, 1000)}  # u = 501 > cap
+        for eta in sorted(etas):
+            for k_target in range(0, 9):
+                u = _turan_u(eta, k_target)
+                expected = scanned_turan_u(eta, k_target, cap)
+                assert (u if u is None or u <= cap else None) == expected, (eta, k_target)
+
+    def test_known_values(self):
+        assert _turan_u(Fraction(1, 4), 2) == 3
+        assert _turan_u(Fraction(0), 2) == 2
+        assert _turan_u(Fraction(1, 2), 2) is None
+        assert _turan_u(Fraction(1, 4), 1) is None
 
 
 class TestStearns:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import relabel
 from nebulab import core, examples
@@ -259,6 +261,109 @@ class TestFindOrdering:
                     None,
                 )
                 assert find_ordering(t, predicate) == brute, (kind, t.rows)
+
+
+def definition_holds(t, order, kind):
+    """Definition-level oracle: the kind's rule read off the backward edge
+    list with plain sets, sharing no code with the library's classifier."""
+    pos = {v: p for p, v in enumerate(order)}
+    adj = {v: set() for v in order}
+    for w, u in core.backward_edges(t, order):
+        adj[w].add(u)
+        adj[u].add(w)
+    seen, stars, pairs = set(), [], []
+    for v in order:
+        if v in seen:
+            continue
+        comp, frontier = {v}, [v]
+        while frontier:
+            for y in adj[frontier.pop()] - comp:
+                comp.add(y)
+                frontier.append(y)
+        seen |= comp
+        if len(comp) == 1:
+            continue
+        if len(comp) == 2:
+            if kind in ("left", "right", "central"):
+                return False
+            pairs.append(sorted(pos[x] for x in comp))
+            continue
+        hubs = [x for x in comp if len(adj[x]) == len(comp) - 1]
+        if len(hubs) != 1 or any(len(adj[x]) != 1 for x in comp if x != hubs[0]):
+            return False
+        hub = pos[hubs[0]]
+        leaves = [pos[x] for x in comp if x != hubs[0]]
+        side = "left" if hub < min(leaves) else "right" if hub > max(leaves) else "central"
+        if kind in ("left", "right", "central") and (len(comp) != 3 or side != kind):
+            return False
+        if kind == "galaxy" and side == "central":
+            return False
+        stars.append((hub, leaves))
+    if kind != "galaxy":
+        return True
+    for ends in itertools.product((0, 1), repeat=len(pairs)):
+        chosen = stars + [(pair[e], [pair[1 - e]]) for e, pair in zip(ends, pairs)]
+        if not any(
+            i != j and len(leaves) >= 2 and min(leaves) < center < max(leaves)
+            for i, (center, _) in enumerate(chosen)
+            for j, (_, leaves) in enumerate(chosen)
+        ):
+            return True
+    return False
+
+
+def planted(n, groups, hubs, extra, order):
+    """``order`` and the tournament whose backward graph under it joins, in
+    each group of positions, the member picked by ``hubs`` to every other
+    member (a star forest), plus the ``extra`` position pairs."""
+    pairs = set(extra)
+    for g in set(groups):
+        members = [p for p in range(n) if groups[p] == g]
+        hub = members[hubs[g] % len(members)]
+        pairs |= {(hub, m) for m in members if m != hub}
+    back = {(order[max(a, b)], order[min(a, b)]) for a, b in pairs if a != b}
+    return from_backward_edges(n, order, back), order
+
+
+def planted_hosts(max_n):
+    def build(n):
+        positions = st.integers(0, n - 1)
+        return st.builds(
+            planted,
+            st.just(n),
+            st.lists(positions, min_size=n, max_size=n),
+            st.lists(positions, min_size=n, max_size=n),
+            st.lists(st.tuples(positions, positions), max_size=2),
+            st.permutations(range(n)).map(tuple),
+        )
+
+    return st.integers(1, max_n).flatmap(build)
+
+
+class TestSingleRule:
+    @given(planted_hosts(6), st.sampled_from(sorted(PREDICATES)))
+    @settings(max_examples=150, deadline=None)
+    def test_search_is_first_brute_force_permutation(self, host, kind):
+        t, _ = host
+        brute = next(
+            (p for p in itertools.permutations(range(t.n)) if definition_holds(t, p, kind)), None
+        )
+        assert find_ordering(t, PREDICATES[kind]) == brute
+
+    @given(planted_hosts(7), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_predicates_match_definition(self, host, rng):
+        t, planted_order = host
+        for order in (planted_order, tuple(rng.sample(range(t.n), t.n))):
+            for kind, predicate in PREDICATES.items():
+                assert predicate(t, order) == definition_holds(t, order, kind), (kind, order)
+
+    def test_foreign_predicate_rejected(self):
+        def always(t, order):
+            return True
+
+        with pytest.raises(ValueError, match="PREDICATES"):
+            find_ordering(cyclic_triangle(), always)
 
 
 class TestComplementDuality:
