@@ -2,22 +2,24 @@
 monochromatic clique selection, capacity-tracked star harvesting, and
 forbidden-copy extraction from saturated vectors.
 
-Parts are indexed 0..t-1.  Each k-subset of parts keeps one vector per
-forbidden nebula, with one entry per component star; entries collect
-vertex-disjoint witness triples up to the capacity ceil(W / (9k * C(t,k))).
+Parts are indexed 0..t-1 and held as vertex masks.  Each k-subset of parts
+keeps one vector per forbidden nebula, with one entry per component star;
+entries collect vertex-disjoint witness triples up to the capacity
+ceil(W / (9k * C(t,k))).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .containment import Embedding
-from .core import TR_BUDGET, Tournament, largest_transitive
+from .core import TR_BUDGET, Tournament, largest_transitive, vertex_mask
 from .errors import BudgetError, InvariantError, NebulabError
 from .product import SMALL_STARS, PlacementNebula
 from .stars import StarKind
@@ -94,9 +96,9 @@ class AlgorithmConfig:
     def spec(self) -> CaseSpec:
         return CASES[self.case]
 
-    @property
-    def subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(self.t), self.k))
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(combinations(range(self.t), self.k))
 
     @property
     def capacity(self) -> int:
@@ -127,11 +129,13 @@ StoredTriple = tuple[int, int, int]
 
 @dataclass
 class PhaseState:
+    """Parts and the used-vertex ledger as vertex masks."""
+
     phase: int
-    sets: list[set[int]]
-    initial_sets: tuple[frozenset[int], ...]
+    sets: list[int]
+    initial_sets: tuple[int, ...]
     vectors: dict[StarKind, list[list[list[StoredTriple]]]]
-    used: set[int] = field(default_factory=set)
+    used: int = 0
 
 
 def initial_state(parts: Sequence[frozenset[int]], config: AlgorithmConfig) -> PhaseState:
@@ -140,12 +144,8 @@ def initial_state(parts: Sequence[frozenset[int]], config: AlgorithmConfig) -> P
         kind: [[[] for _ in nebula.placements] for _ in subsets]
         for kind, nebula in config.nebulae.items()
     }
-    return PhaseState(
-        phase=0,
-        sets=[set(p) for p in parts],
-        initial_sets=tuple(frozenset(p) for p in parts),
-        vectors=vectors,
-    )
+    masks = tuple(vertex_mask(p) for p in parts)
+    return PhaseState(phase=0, sets=list(masks), initial_sets=masks, vectors=vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ ColorEntry = Union[tuple[str, TripleClass], tuple[str, CompletePair]]
 
 
 def color_hyperedges(
-    host: Tournament, sets: Sequence[set[int]], config: AlgorithmConfig
+    host: Tournament, sets: Sequence[int], config: AlgorithmConfig
 ) -> dict[tuple[int, int, int], ColorEntry]:
     """Classify every 3-subset of parts; white when the case query's own j is
     emitted, black for the sibling verdict, uncolored with the complete pair
@@ -215,8 +215,7 @@ def color_hyperedges(
                 raise InvariantError(
                     f"part {part} emptied: parameters are outside the accounting regime"
                 )
-        sigma = Triple(tuple(frozenset(sets[part]) for part in edge))
-        verdict = classify_triple(host, sigma, i_q, j_q)
+        verdict = classify_triple(host, Triple(tuple(sets[part] for part in edge)), i_q, j_q)
         if isinstance(verdict, CompletePair):
             coloring[edge] = ("uncolored", verdict)
         elif verdict.j == j_q:
@@ -277,7 +276,7 @@ def run_phase(
         return outcome, record
     slots = nebula.placements[entry_index]
     x = tuple(subset[s - 1] for s in slots)
-    sigma = Triple(tuple(frozenset(state.sets[part]) for part in x))
+    sigma = Triple(tuple(state.sets[part] for part in x))
     verdict = coloring[x][1]
     assert isinstance(verdict, TripleClass)
     result = witness(host, sigma, verdict)
@@ -286,10 +285,9 @@ def run_phase(
         return CompletePairOutcome(result, 2, state.phase, x), record
     assert isinstance(result, WitnessTriple)
     vec[entry_index].append(result.vertices)
-    for v in result.vertices:
-        for part in state.sets:
-            part.discard(v)
-        state.used.add(v)
+    taken = vertex_mask(result.vertices)
+    state.sets = [part & ~taken for part in state.sets]
+    state.used |= taken
     record.update(
         action="append",
         entry=[kind.value, subset_index, entry_index],
@@ -340,7 +338,7 @@ def nonsaturation_extract(
         orderings[pos] = column
         position_of_slot[slot] = pos
         part_id = subset[slot - 1]
-        if not set(column) <= state.initial_sets[part_id]:
+        if vertex_mask(column) & ~state.initial_sets[part_id]:
             raise ExtractionError(
                 "slot-membership", {"slot": slot, "part": part_id}
             )
@@ -381,7 +379,8 @@ def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) ->
     """Raise InvariantError on any violated phase invariant."""
     cap = config.capacity
     floor = Fraction(config.part_size, 3) - 6 * config.k * math.comb(config.t, config.k)
-    stored: list[int] = []
+    stored = 0
+    count = 0
     for kind, per_subset in state.vectors.items():
         nebula = config.nebulae[kind]
         star, _ = SMALL_STARS[kind]()
@@ -394,10 +393,11 @@ def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) ->
                     )
                 slots = nebula.placements[z]
                 for triple in entry:
-                    stored.extend(triple)
+                    stored |= vertex_mask(triple)
+                    count += len(triple)
                     for m in range(3):
                         part_id = subset[slots[m] - 1]
-                        if triple[m] not in state.initial_sets[part_id]:
+                        if not state.initial_sets[part_id] >> triple[m] & 1:
                             raise InvariantError(
                                 f"stored vertex {triple[m]} outside its slot part"
                             )
@@ -407,19 +407,21 @@ def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) ->
                                 raise InvariantError(
                                     f"stored triple {triple} does not induce the {kind.value} star"
                                 )
-    if len(stored) != len(set(stored)):
+    if stored.bit_count() != count:
         raise InvariantError("stored triples are not vertex-disjoint")
-    if set(stored) != state.used:
+    if stored != state.used:
         raise InvariantError("used-vertex ledger out of sync")
+    initial = remaining = 0
     for j, current in enumerate(state.sets):
-        if not current <= state.initial_sets[j]:
+        if current & ~state.initial_sets[j]:
             raise InvariantError(f"part {j} grew beyond its initial set")
         if current & state.used:
             raise InvariantError(f"part {j} still holds stored vertices")
-        if floor > 0 and len(current) < floor:
+        if floor > 0 and current.bit_count() < floor:
             raise InvariantError(f"part {j} fell below the size floor {floor}")
-    removed = set().union(*state.initial_sets) - set().union(*state.sets)
-    if removed != state.used:
+        initial |= state.initial_sets[j]
+        remaining |= current
+    if initial & ~remaining != state.used:
         raise InvariantError("vertex conservation failed")
 
 

@@ -172,9 +172,9 @@ def empirical_eh_exponent(
     for n in sizes:
         failures = 0
         for index in range(samples_per_size):
-            t = random_free_tournament(
-                n, family, seed=hash((seed, n, index)) & 0x7FFFFFFF, max_tries=max_tries
-            )
+            # one seed per (seed, n, index), independent of the interpreter's hash
+            sample_seed = (seed << 64) + (n << 32) + index
+            t = random_free_tournament(n, family, seed=sample_seed, max_tries=max_tries)
             if t is None:
                 failures += 1
                 continue

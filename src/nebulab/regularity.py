@@ -17,7 +17,13 @@ from typing import Optional, Sequence, Union
 from .containment import Embedding
 from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
 from .errors import BudgetError
-from .structures import UGraph, turan_clique, ugraph_from_edges
+from .structures import (
+    UGraph,
+    dense_vertices,
+    turan_clique,
+    ugraph_from_edges,
+    verify_structure,
+)
 
 EXACT_PAIR_BUDGET = 12
 
@@ -397,37 +403,40 @@ def strong_structure_pipeline(
 
     q_sizes = {}
     f_sets = []
+    slack = 2 * p_target * big_lam
+    masks = [vertex_mask(part_sets[w]) for w in chain]
     for ii, wi in enumerate(chain):
-        f_i = set(part_sets[wi])
-        for jj, wj in enumerate(chain):
+        f_i = masks[ii]
+        for jj in range(len(chain)):
             if ii == jj:
                 continue
-            q = set()
-            for v in part_sets[wi]:
-                if ii < jj:
-                    d = density(host, [v], part_sets[wj])
-                else:
-                    d = density(host, part_sets[wj], [v])
-                if d >= 1 - 2 * p_target * big_lam:
-                    q.add(v)
-            q_sizes[(ii, jj)] = len(q)
+            q = dense_vertices(host, masks[ii], masks[jj], ii < jj, slack)
+            q_sizes[(ii, jj)] = q.bit_count()
             bound = Fraction(len(part_sets[wi])) * (1 - Fraction(1, 2 * p_target))
-            if len(q) < bound:
+            if q.bit_count() < bound:
                 return StageFailure(
                     "q-filter",
-                    f"|Q^{ii}_{jj}| = {len(q)} below |W_{ii}|(1 - 1/(2P)) = {bound}",
+                    f"|Q^{ii}_{jj}| = {q.bit_count()} below |W_{ii}|(1 - 1/(2P)) = {bound}",
                 )
             f_i &= q
         half = -(-len(part_sets[wi]) // 2)
-        if len(f_i) < half:
+        if f_i.bit_count() < half:
             return StageFailure(
-                "f-filter", f"|F_{ii}| = {len(f_i)} below half of |W_{ii}|"
+                "f-filter", f"|F_{ii}| = {f_i.bit_count()} below half of |W_{ii}|"
             )
-        f_sets.append(sorted(f_i))
+        f_sets.append(mask_vertices(f_i))
     half = -(-len(part_sets[chain[0]]) // 2)
     finals = tuple(tuple(f[:half]) for f in f_sets)
 
-    bullets = _final_bullets(host, finals, lam_f)
+    c = Fraction(len(finals[0]), host.n)
+    checks = {v.check for v in verify_structure(host, finals, c, lam_f, strong=True).violations}
+    bullets = {
+        "passed": not checks,
+        "equal_sizes": "size" not in checks,
+        "per_vertex_forward": "strong-out" not in checks,
+        "per_vertex_backward": "strong-in" not in checks,
+        "c": c,
+    }
     if not bullets["passed"]:
         return StageFailure("final-bullets", "final sets fail a required condition", bullets)
     return PipelineReport(
@@ -439,29 +448,8 @@ def strong_structure_pipeline(
         q_sizes=q_sizes,
         f_sizes=tuple(len(f) for f in f_sets),
         finals=finals,
-        c=Fraction(len(finals[0]), host.n),
+        c=c,
         turan_u=turan_u,
         bullets=bullets,
     )
 
-
-def _final_bullets(host: Tournament, finals, lam: Fraction) -> dict:
-    """Independent re-check of the four final-set conditions."""
-    sizes_equal = len({len(f) for f in finals}) == 1
-    forward_ok = True
-    backward_ok = True
-    for i, j in combinations(range(len(finals)), 2):
-        for v in finals[i]:
-            if density(host, [v], finals[j]) < 1 - lam:
-                forward_ok = False
-        for v in finals[j]:
-            if density(host, finals[i], [v]) < 1 - lam:
-                backward_ok = False
-    c = Fraction(len(finals[0]), host.n) if finals else Fraction(0)
-    return {
-        "passed": sizes_equal and forward_ok and backward_ok and c > 0,
-        "equal_sizes": sizes_equal,
-        "per_vertex_forward": forward_ok,
-        "per_vertex_backward": backward_ok,
-        "c": c,
-    }

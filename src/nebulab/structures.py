@@ -1,8 +1,11 @@
 """Density structures, ordered-triple classification, and witness extraction.
 
-Triple positions are 1-based (sets S_1, S_2, S_3) so the (i,j) case names
-match the usual notation.  All half-thresholds are compared as 2*|set| vs
-cardinality, keeping the arithmetic integral.
+Every vertex set of a structure or triple is held as a bitmask over the host
+(bit v for vertex v), so densities and coverage counts are ``bit_count``s of
+masked host rows.  Triple positions are 1-based (sets S_1, S_2, S_3) so the
+(i,j) case names match the usual notation.  Density thresholds are compared
+as integer cross-products; a ``Fraction`` is built only for a reported
+density, and a ``frozenset`` only for an emitted ``CompletePair``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
 
 from .containment import Embedding
-from .core import Tournament, density, mask_vertices, vertex_mask
+from .core import Tournament, mask_vertices, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
 from .product import SMALL_STARS, Placement, ProductResult, product
 from .stars import StarKind
@@ -39,6 +42,24 @@ class StructureCertificate:
     strong: bool
 
 
+def _neighbour_mask(host: Tournament, v: int, target: int, out: bool) -> int:
+    """The out-neighbours (``out``) or in-neighbours of v inside the mask
+    ``target``, which must not hold v."""
+    return target & host.rows[v] if out else target & ~host.rows[v]
+
+
+def dense_vertices(host: Tournament, part: int, other: int, later: bool, slack: Fraction) -> int:
+    """The mask of the vertices of ``part`` that meet at least a 1 - slack
+    share of ``other`` on the structure's side: beating it when ``other`` is
+    later, beaten by it otherwise (the per-vertex strong condition)."""
+    need = (slack.denominator - slack.numerator) * other.bit_count()
+    dense = 0
+    for v in mask_vertices(part):
+        if _neighbour_mask(host, v, other, later).bit_count() * slack.denominator >= need:
+            dense |= 1 << v
+    return dense
+
+
 def verify_structure(
     host: Tournament,
     subsets: Sequence[frozenset[int]],
@@ -51,34 +72,34 @@ def verify_structure(
     With ``strong`` the per-vertex density conditions are checked as well.
     """
     c, lam = Fraction(c), Fraction(lam)
-    parts = [frozenset(s) for s in subsets]
-    seen: set[int] = set()
+    parts = [vertex_mask(s) for s in subsets]
+    seen = 0
     for s in parts:
         if s & seen:
             raise ValueError("subsets overlap")
         seen |= s
+    if len(parts) > 1 and not all(parts):
+        raise ValueError("density needs nonempty sets")
     violations: list[Violation] = []
-    n = host.n
+    bound = c * host.n
     for i, s in enumerate(parts):
-        if len(s) < c * n:
-            violations.append(
-                Violation("size", {"part": i, "size": len(s), "bound": c * n})
-            )
+        size = s.bit_count()
+        if size < bound:
+            violations.append(Violation("size", {"part": i, "size": size, "bound": bound}))
     for i, j in combinations(range(len(parts)), 2):
-        d = density(host, parts[i], parts[j])
-        if d < 1 - lam:
+        pairs = parts[i].bit_count() * parts[j].bit_count()
+        edges = sum((host.rows[v] & parts[j]).bit_count() for v in mask_vertices(parts[i]))
+        if edges * lam.denominator < (lam.denominator - lam.numerator) * pairs:
+            d = Fraction(edges, pairs)
             violations.append(Violation("pair-density", {"i": i, "j": j, "d": d}))
     if strong:
         for (i, s), (j, other) in permutations(enumerate(parts), 2):
-            for v in sorted(s):
-                if i < j:
-                    d = density(host, (v,), other)
-                    kind = "strong-out"
-                else:
-                    d = density(host, other, (v,))
-                    kind = "strong-in"
-                if d < 1 - lam:
-                    violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
+            later = i < j
+            kind = "strong-out" if later else "strong-in"
+            for v in mask_vertices(s & ~dense_vertices(host, s, other, later, lam)):
+                met = _neighbour_mask(host, v, other, later).bit_count()
+                d = Fraction(met, other.bit_count())
+                violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
     return StructureCertificate(not violations, tuple(violations), c, lam, strong)
 
 
@@ -89,41 +110,34 @@ def verify_structure(
 
 @dataclass(frozen=True)
 class Triple:
-    sets: tuple[frozenset[int], frozenset[int], frozenset[int]]
+    masks: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.sets) != 3:
+        if len(self.masks) != 3:
             raise ValueError("a triple holds exactly three sets")
-        if any(not s for s in self.sets):
+        s1, s2, s3 = self.masks
+        if not (s1 and s2 and s3):
             raise ValueError("triple sets must be nonempty")
-        if sum(len(s) for s in self.sets) != len(
-            self.sets[0] | self.sets[1] | self.sets[2]
-        ):
+        if s1 & s2 or s1 & s3 or s2 & s3:
             raise ValueError("triple sets must be pairwise disjoint")
 
     def get(self, index: int) -> frozenset[int]:
-        return self.sets[index - 1]
+        return frozenset(mask_vertices(self.masks[index - 1]))
 
 
 def make_triple(s1, s2, s3) -> Triple:
-    return Triple((frozenset(s1), frozenset(s2), frozenset(s3)))
+    return Triple((vertex_mask(s1), vertex_mask(s2), vertex_mask(s3)))
 
 
 def neighborhood(host: Tournament, sigma: Triple, v: int, j: int) -> frozenset[int]:
     """N(v, j): in-neighbours of v inside S_j when j is later than v's set,
     out-neighbours when earlier."""
-    i = next((k for k in (1, 2, 3) if v in sigma.get(k)), None)
+    i = next((k for k in (1, 2, 3) if sigma.masks[k - 1] >> v & 1), None)
     if i is None:
         raise ValueError(f"vertex {v} is in no set of the triple")
     if j == i or j not in (1, 2, 3):
         raise ValueError(f"invalid target index {j} for vertex in S_{i}")
-    mask = _neighbour_mask(host, v, vertex_mask(sigma.get(j)), j > i)
-    return frozenset(mask_vertices(mask))
-
-
-def _neighbour_mask(host: Tournament, v: int, target: int, later: bool) -> int:
-    """N(v, j) as a mask, given S_j as the mask ``target``."""
-    return target & ~host.rows[v] if later else target & host.rows[v]
+    return frozenset(mask_vertices(_neighbour_mask(host, v, sigma.masks[j - 1], j < i)))
 
 
 @dataclass(frozen=True)
@@ -156,16 +170,19 @@ TripleVerdict = Union[CompletePair, TripleClass]
 
 def _coverage_profile(
     host: Tournament, sigma: Triple, i: int, j: int, ordering: Sequence[int]
-) -> tuple[tuple[int, ...], list[int]]:
-    """Cumulative unions of N(v, j) along the ordering of S_i, as masks, and
-    their cardinalities."""
-    target = vertex_mask(sigma.get(j))
+) -> list[int]:
+    """Cumulative unions of N(v, j) along the ordering of S_i, as masks."""
+    target = sigma.masks[j - 1]
     union = 0
     prefixes = []
     for v in ordering:
-        union |= _neighbour_mask(host, v, target, j > i)
+        union |= _neighbour_mask(host, v, target, j < i)
         prefixes.append(union)
-    return tuple(m.bit_count() for m in prefixes), prefixes
+    return prefixes
+
+
+def _complete_pair(first: int, second: int) -> CompletePair:
+    return CompletePair(frozenset(mask_vertices(first)), frozenset(mask_vertices(second)))
 
 
 def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVerdict:
@@ -180,19 +197,21 @@ def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVe
     if i not in (1, 2, 3) or j not in (1, 2, 3) or i == j:
         raise ValueError(f"invalid triple indices ({i},{j})")
     l = 6 - i - j
-    ordering = tuple(sorted(sigma.get(i)))
-    prof_j, prefixes_j = _coverage_profile(host, sigma, i, j, ordering)
-    prof_l, prefixes_l = _coverage_profile(host, sigma, i, l, ordering)
-    for target, prof, prefixes in ((j, prof_j, prefixes_j), (l, prof_l, prefixes_l)):
-        if 2 * prof[-1] < len(sigma.get(target)):
-            untouched = sigma.get(target).difference(mask_vertices(prefixes[-1]))
+    source = sigma.masks[i - 1]
+    ordering = tuple(mask_vertices(source))
+    profiles = {}
+    for target in (j, l):
+        prefixes = _coverage_profile(host, sigma, i, target, ordering)
+        size = sigma.masks[target - 1].bit_count()
+        if 2 * prefixes[-1].bit_count() < size:
+            untouched = sigma.masks[target - 1] & ~prefixes[-1]
             if target > i:
-                pair = CompletePair(sigma.get(i), untouched)
-            else:
-                pair = CompletePair(untouched, sigma.get(i))
-            return pair
-    k_j = next(k for k, cov in enumerate(prof_j, 1) if 2 * cov >= len(sigma.get(j)))
-    k_l = next(k for k, cov in enumerate(prof_l, 1) if 2 * cov >= len(sigma.get(l)))
+                return _complete_pair(source, untouched)
+            return _complete_pair(untouched, source)
+        profile = tuple(m.bit_count() for m in prefixes)
+        k = next(k for k, cov in enumerate(profile, 1) if 2 * cov >= size)
+        profiles[target] = (k, profile)
+    (k_j, prof_j), (k_l, prof_l) = profiles[j], profiles[l]
     if k_j <= k_l:
         return TripleClass(i, j, l, ordering, k_j, k_l, prof_j, prof_l)
     return TripleClass(i, l, j, ordering, k_l, k_j, prof_l, prof_j)
@@ -212,7 +231,7 @@ class WitnessTriple:
 
     def validate(self, host: Tournament, sigma: Triple) -> bool:
         vs = self.vertices
-        if any(vs[m - 1] not in sigma.get(m) for m in (1, 2, 3)):
+        if any(not sigma.masks[m] >> vs[m] & 1 for m in range(3)):
             return False
         return all(
             host.has_edge(vs[a - 1], vs[b - 1]) for a, b in PATTERN_EDGES[self.pattern]
@@ -240,14 +259,18 @@ WITNESS_TABLE: dict[tuple[int, int], tuple[StarKind, tuple[str, int], tuple[str,
 def _find_pattern_triple(
     host: Tournament, sigma: Triple, pattern: StarKind
 ) -> Optional[WitnessTriple]:
+    """The lex-first (v1, v2, v3) inducing the pattern, or None."""
     edges = PATTERN_EDGES[pattern]
-    s1, s2, s3 = (sorted(sigma.get(m)) for m in (1, 2, 3))
-    for v1 in s1:
-        for v2 in s2:
-            for v3 in s3:
-                vs = (v1, v2, v3)
-                if all(host.has_edge(vs[a - 1], vs[b - 1]) for a, b in edges):
-                    return WitnessTriple(vs, pattern)
+
+    def fitting(v: int, a: int, b: int) -> int:
+        """Vertices of S_b oriented toward v (at position a) as the pattern asks."""
+        return _neighbour_mask(host, v, sigma.masks[b - 1], (a, b) in edges)
+
+    for v1 in mask_vertices(sigma.masks[0]):
+        for v2 in mask_vertices(fitting(v1, 1, 2)):
+            third = fitting(v1, 1, 3) & fitting(v2, 2, 3)
+            if third:
+                return WitnessTriple((v1, v2, (third & -third).bit_length() - 1), pattern)
     return None
 
 
@@ -269,19 +292,17 @@ def witness(
     found = _find_pattern_triple(host, sigma, pattern)
     if found is not None:
         return found
-    _, prefixes_j = _coverage_profile(host, sigma, verdict.i, verdict.j, verdict.ordering)
-    _, prefixes_l = _coverage_profile(host, sigma, verdict.i, verdict.l, verdict.ordering)
-    size_j = len(sigma.get(verdict.j))
-    size_l = len(sigma.get(verdict.l))
+    prefixes_j = _coverage_profile(host, sigma, verdict.i, verdict.j, verdict.ordering)
+    prefixes_l = _coverage_profile(host, sigma, verdict.i, verdict.l, verdict.ordering)
+    size_j = sigma.masks[verdict.j - 1].bit_count()
+    size_l = sigma.masks[verdict.l - 1].bit_count()
     for cov_j, cov_l in zip(prefixes_j, prefixes_l):
         if 2 * cov_j.bit_count() >= size_j and 2 * cov_l.bit_count() <= size_l:
-            sides = {}
-            for label, (role, index) in (("a", a_spec), ("b", b_spec)):
+            sides = []
+            for role, index in (a_spec, b_spec):
                 cov = cov_j if index == verdict.j else cov_l
-                if role == "compl":
-                    cov = vertex_mask(sigma.get(index)) & ~cov
-                sides[label] = frozenset(mask_vertices(cov))
-            pair = CompletePair(sides["a"], sides["b"])
+                sides.append(sigma.masks[index - 1] & ~cov if role == "compl" else cov)
+            pair = _complete_pair(*sides)
             if not pair.validate(host):
                 raise InvariantError(
                     "coverage pair failed completeness despite missing pattern"
@@ -291,37 +312,6 @@ def witness(
         f"verdict ({verdict.i},{verdict.j}) with k_j={verdict.k_j}, k_l={verdict.k_l}: "
         "no step satisfies both half bounds"
     )
-
-
-def witness_left(
-    host: Tournament, sigma: Triple, verdict: Optional[TripleClass] = None
-) -> Union[WitnessTriple, CompletePair]:
-    return _witness_kind(host, sigma, verdict, StarKind.LEFT, default_query=(2, 1))
-
-
-def witness_right(
-    host: Tournament, sigma: Triple, verdict: Optional[TripleClass] = None
-) -> Union[WitnessTriple, CompletePair]:
-    return _witness_kind(host, sigma, verdict, StarKind.RIGHT, default_query=(2, 3))
-
-
-def witness_central(
-    host: Tournament, sigma: Triple, verdict: Optional[TripleClass] = None
-) -> Union[WitnessTriple, CompletePair]:
-    return _witness_kind(host, sigma, verdict, StarKind.CENTRAL, default_query=(1, 2))
-
-
-def _witness_kind(host, sigma, verdict, kind, default_query):
-    if verdict is None:
-        verdict = classify_triple(host, sigma, *default_query)
-        if isinstance(verdict, CompletePair):
-            return verdict
-    expected, _, _ = WITNESS_TABLE.get((verdict.i, verdict.j), (None, None, None))
-    if expected is not kind:
-        raise ValueError(
-            f"verdict ({verdict.i},{verdict.j}) does not match the {kind.value} pattern"
-        )
-    return witness(host, sigma, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
@@ -160,3 +160,35 @@ def forward_block_host(part_count: int, part_size: int, seed: int) -> core.Tourn
             else:
                 rows[u] |= 1 << v
     return core.Tournament(n, tuple(rows))
+
+
+def set_density(t: core.Tournament, a, b) -> Fraction:
+    """d(A, B) by the definition: the share of the |A||B| pairs oriented A -> B."""
+    return Fraction(sum(t.has_edge(u, v) for u in a for v in b), len(a) * len(b))
+
+
+def structure_oracle(t: core.Tournament, parts, c, lam, strong: bool) -> list[tuple[str, dict]]:
+    """Definition-level (c, lambda)-structure check on sets: the violations as
+    (check, detail), in the order verify_structure lists them."""
+    parts = [set(p) for p in parts]
+    for a, b in combinations(parts, 2):
+        if a & b:
+            raise ValueError("subsets overlap")
+    out = []
+    for i, part in enumerate(parts):
+        if len(part) < c * t.n:
+            out.append(("size", {"part": i, "size": len(part), "bound": c * t.n}))
+    for i, j in combinations(range(len(parts)), 2):
+        d = set_density(t, parts[i], parts[j])
+        if d < 1 - lam:
+            out.append(("pair-density", {"i": i, "j": j, "d": d}))
+    if strong:
+        for i, j in permutations(range(len(parts)), 2):
+            for v in sorted(parts[i]):
+                if i < j:
+                    check, d = "strong-out", set_density(t, {v}, parts[j])
+                else:
+                    check, d = "strong-in", set_density(t, parts[j], {v})
+                if d < 1 - lam:
+                    out.append((check, {"i": i, "j": j, "vertex": v, "d": d}))
+    return out

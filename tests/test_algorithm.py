@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -47,6 +48,13 @@ class TestConfig:
         assert cfg.capacity == 1
         assert cfg.phase_bound() == 2 * 3 * 35
 
+    def test_subsets_built_once(self):
+        # check_state reads the subset list once per subset, so it must be one
+        # shared tuple for a check to stay linear in C(t, k)
+        cfg = single_star_config("LR", 7, 30, LAM)
+        assert cfg.subsets is cfg.subsets
+        assert cfg.subsets == tuple(itertools.combinations(range(7), 3))
+
     def test_case_nebula_kinds_enforced(self):
         neb = {
             StarKind.LEFT: PlacementNebula(StarKind.LEFT, ((1, 2, 3),), 3),
@@ -74,20 +82,20 @@ class TestColoring:
         b, d = uniform_tables(4, 2, 5)
         host = victim_host(4, 30, b, d, seed=0)
         cfg = single_star_config("LR", 4, 30, LAM, c=Fraction(1, 4))
-        coloring = color_hyperedges(host, [set(p) for p in blocks(4, 30)], cfg)
+        coloring = color_hyperedges(host, [core.vertex_mask(p) for p in blocks(4, 30)], cfg)
         assert all(entry[0] == "white" for entry in coloring.values())
 
     def test_uniform_black(self):
         b, d = uniform_tables(4, 3, 2)
         host = victim_host(4, 30, b, d, seed=0)
         cfg = single_star_config("LR", 4, 30, LAM, c=Fraction(1, 4))
-        coloring = color_hyperedges(host, [set(p) for p in blocks(4, 30)], cfg)
+        coloring = color_hyperedges(host, [core.vertex_mask(p) for p in blocks(4, 30)], cfg)
         assert all(entry[0] == "black" for entry in coloring.values())
 
     def test_uncolored_carries_valid_pair(self):
         host = noise_host(3, 10, span=3, seed=1)
         cfg = single_star_config("LR", 3, 10, LAM, c=Fraction(1, 3))
-        coloring = color_hyperedges(host, [set(p) for p in blocks(3, 10)], cfg)
+        coloring = color_hyperedges(host, [core.vertex_mask(p) for p in blocks(3, 10)], cfg)
         label, payload = coloring[(0, 1, 2)]
         assert label == "uncolored"
         assert payload.validate(host)
@@ -113,8 +121,6 @@ class TestMonochromaticClique:
         assert find_monochromatic_clique(coloring, 4, 3) == ((0, 1, 3), "white")
 
     def test_brute_force_agreement(self):
-        import itertools
-
         rng = random.Random(7)
         for _ in range(30):
             coloring = {
@@ -151,12 +157,12 @@ class TestRunPhase:
         host = victim_host(7, 30, b, d, seed=3)
         cfg = single_star_config("LR", 7, 30, LAM)
         state = initial_state(blocks(7, 30), cfg)
-        before = sum(len(s) for s in state.sets)
+        before = sum(s.bit_count() for s in state.sets)
         outcome, record = run_phase(host, state, cfg)
         assert outcome is None
         assert record["action"] == "append"
-        assert sum(len(s) for s in state.sets) == before - 3
-        assert len(state.used) == 3
+        assert sum(s.bit_count() for s in state.sets) == before - 3
+        assert state.used.bit_count() == 3
         check_state(host, state, cfg)
 
     def test_all_uncolored_state_zero(self):
@@ -235,9 +241,8 @@ class TestNonsaturationExtract:
                 triple = tuple(vid(3 * z + m, r) for m in range(3))
                 vec[z].append(triple)
                 for v in triple:
-                    state.used.add(v)
-                    for s in state.sets:
-                        s.discard(v)
+                    state.used |= 1 << v
+                    state.sets = [s & ~(1 << v) for s in state.sets]
         return host, cfg, state, subset_index
 
     def test_planted_two_star_extraction(self):
@@ -353,7 +358,7 @@ class TestRun:
         state = initial_state(blocks(7, 30), cfg)
         outcome, _ = run_phase(host, state, cfg)
         assert outcome is None
-        state.sets[0].add(sorted(state.used)[0])  # resurrect a stored vertex
+        state.sets[0] |= state.used & -state.used  # resurrect a stored vertex
         with pytest.raises(InvariantError):
             check_state(host, state, cfg)
 

@@ -378,3 +378,19 @@ class TestDeterminism:
             cli.main(list(argv))
             second = capsys.readouterr().out
             assert first == second, argv
+
+    def test_exponent_bytes_pinned(self, capsys):
+        # criterion 9's exponent invocation; each sample is seeded with
+        # (seed << 64) + (n << 32) + index, not with the interpreter's tuple hash
+        assert cli.main(["exponent", "--sizes", "6,8", "--samples", "2", "--seed", "7"]) == 0
+        pinned = (
+            '{"command": "exponent", "config": {"family": [], "samples": 2, "sizes": [6, 8]}, '
+            '"results": {"band": [0.40862650285052204, 2.7764545974941544], '
+            '"failure_rates": [[6, 0.0], [8, 0.0]], "flagged_sizes": [], '
+            '"samples": [[6, 4], [6, 3], [8, 5], [8, 6]], "slope": 1.5925405501723382}, '
+            '"schema": "nebulab-report/1", "seed": 7, "timing": null, '
+            '"validation": [{"check": "slope-refit", "passed": true}, '
+            '{"check": "failure-flags", "passed": true}]}'
+        )
+        expected = json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nebulab
-from helpers import forward_block_host
+from helpers import forward_block_host, structure_oracle
 from nebulab import core
 from nebulab.core import cyclic_triangle, density, random_tournament
 from nebulab.errors import BudgetError
@@ -342,6 +342,41 @@ class TestPipeline:
         assert isinstance(report, PipelineReport)
         assert len(report.finals) == 3
         assert report.bullets["passed"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(6, 9),
+        st.lists(st.tuples(st.integers(0, 35), st.integers(0, 35)), max_size=30),
+        st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
+    )
+    def test_bullets_match_the_oracle(self, seed, size, flips, lam):
+        # forward blocks with some cross edges reversed
+        rows = list(forward_block_host(4, size, seed).rows)
+        n = 4 * size
+        for u, v in flips:
+            u, v = u % n, v % n
+            if u // size != v // size:
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+        host = core.Tournament(n, tuple(rows))
+        parts = [range(i * size, (i + 1) * size) for i in range(4)]
+        result = strong_structure_pipeline(
+            host, [], parts, cyclic_triangle(), p_target=2, lam=lam, eta=Fraction(1, 4)
+        )
+        if isinstance(result, StageFailure):
+            return
+        finals = [set(f) for f in result.finals]
+        c = Fraction(len(finals[0]), n)
+        checks = {check for check, _ in structure_oracle(host, finals, c, lam, strong=True)}
+        bullets = {
+            "equal_sizes": len({len(f) for f in finals}) == 1,
+            "per_vertex_forward": "strong-out" not in checks,
+            "per_vertex_backward": "strong-in" not in checks,
+            "c": c,
+        }
+        bullets["passed"] = all(bullets.values())
+        assert result.bullets == bullets
 
     def test_partition_failure_reported(self):
         host = random_tournament(12, random.Random(20))

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import forward_block_host
+from helpers import forward_block_host, set_density, structure_oracle
 from nebulab import core
 from nebulab.core import from_backward_edges, random_tournament
 from nebulab.errors import CoverageTieError, LambdaTooLargeError
 from nebulab.product import small_central_star, small_left_star, small_right_star
+from nebulab.stars import StarKind
 from nebulab.structures import (
     CompletePair,
     NormalPart,
@@ -24,9 +25,7 @@ from nebulab.structures import (
     turan_clique,
     ugraph_from_edges,
     verify_structure,
-    witness_central,
-    witness_left,
-    witness_right,
+    witness,
 )
 
 
@@ -80,6 +79,68 @@ class TestVerifyStructure:
         parts = [frozenset(range(5)), frozenset(range(5, 10))]
         cert = verify_structure(host, parts, Fraction(1, 2), Fraction(0), strong=True)
         assert cert.passed
+
+
+@st.composite
+def structure_cases(draw):
+    """A random host, 1-4 disjoint parts of unequal sizes, and c, lambda with
+    lambda often set so that some density lands exactly on 1 - lambda."""
+    n = draw(st.integers(2, 12))
+    host = random_tournament(n, random.Random(draw(st.integers(0, 2**32))))
+    order = draw(st.permutations(range(n)))
+    count = draw(st.integers(1, min(4, n)))
+    used = draw(st.integers(count, n))
+    cuts = draw(st.sets(st.integers(1, max(used - 1, 1)), min_size=count - 1, max_size=count - 1))
+    bounds = [0, *sorted(cuts), used]
+    parts = [frozenset(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    densities = all_densities(host, parts)
+    exact = st.sampled_from(sorted({1 - d for d in densities})) if densities else st.nothing()
+    lam = draw(st.one_of(exact, st.fractions(0, 1, max_denominator=12)))
+    c = Fraction(draw(st.integers(0, 2 * n)), 2 * n)
+    return host, parts, c, lam
+
+
+def all_densities(host, parts):
+    """Every pair density and per-vertex density a strong check looks at."""
+    out = []
+    for i, j in itertools.permutations(range(len(parts)), 2):
+        if i < j:
+            out.append(set_density(host, parts[i], parts[j]))
+        for v in parts[i]:
+            pair = ({v}, parts[j]) if i < j else (parts[j], {v})
+            out.append(set_density(host, *pair))
+    return out
+
+
+class TestVerifyStructureOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(structure_cases())
+    def test_matches_definition(self, case):
+        host, parts, c, lam = case
+        for strong in (False, True):
+            cert = verify_structure(host, parts, c, lam, strong=strong)
+            want = structure_oracle(host, parts, c, lam, strong)
+            assert [(v.check, v.detail) for v in cert.violations] == want
+            assert cert.passed == (not want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(structure_cases())
+    def test_density_on_the_bound_passes(self, case):
+        host, parts, _, _ = case
+        densities = all_densities(host, parts)
+        lam = 1 - min(densities, default=Fraction(1))
+        assert verify_structure(host, parts, Fraction(0), lam, strong=True).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(structure_cases(), st.data())
+    def test_overlap_raises(self, case, data):
+        host, parts, c, lam = case
+        shared = data.draw(st.sampled_from(sorted(parts[0])))
+        parts = [*parts, frozenset({shared})]
+        with pytest.raises(ValueError):
+            structure_oracle(host, parts, c, lam, True)
+        with pytest.raises(ValueError):
+            verify_structure(host, parts, c, lam, strong=True)
 
 
 class TestNeighborhood:
@@ -219,15 +280,16 @@ class TestWitness:
         verdict = classify_triple(host, sigma, 2, 1)
         assert isinstance(verdict, TripleClass)
         assert (verdict.i, verdict.j) == (2, 1)
-        result = witness_left(host, sigma, verdict)
+        result = witness(host, sigma, verdict)
         assert isinstance(result, WitnessTriple)
+        assert result.pattern is StarKind.LEFT
         assert result.validate(host, sigma)
 
     def test_adversarial_fallback_pair(self):
         host = adversarial_no_pattern_host()
         sigma = make_triple(range(8), range(8, 16), range(16, 24))
         verdict = classify_triple(host, sigma, 2, 1)
-        result = witness_left(host, sigma, verdict)
+        result = witness(host, sigma, verdict)
         assert isinstance(result, CompletePair)
         assert result.validate(host)
         assert 2 * len(result.a) >= len(sigma.get(1))
@@ -239,24 +301,19 @@ class TestWitness:
         sigma = make_triple([0, 1], [2, 3], [4, 5])
         verdict = classify_triple(host, sigma, 2, 1)
         with pytest.raises(CoverageTieError):
-            witness_left(host, sigma, verdict)
+            witness(host, sigma, verdict)
 
-    def test_kind_mismatch_rejected(self):
-        host = adversarial_no_pattern_host()
-        sigma = make_triple(range(8), range(8, 16), range(16, 24))
-        verdict = classify_triple(host, sigma, 2, 1)
-        with pytest.raises(ValueError):
-            witness_right(host, sigma, verdict)
-
+    # labelled by the pattern each pair of queries promises
     @pytest.mark.parametrize(
-        "fn,queries",
+        "label,queries",
         [
-            (witness_left, [(2, 1), (3, 1)]),
-            (witness_right, [(2, 3), (1, 3)]),
-            (witness_central, [(1, 2), (3, 2)]),
+            ("witness_left", [(2, 1), (3, 1)]),
+            ("witness_right", [(2, 3), (1, 3)]),
+            ("witness_central", [(1, 2), (3, 2)]),
         ],
     )
-    def test_random_postconditions(self, fn, queries):
+    def test_random_postconditions(self, label, queries):
+        pattern = StarKind(label.removeprefix("witness_"))
         rng = random.Random(hash(queries[0]) & 0xFFFF)
         validated = 0
         for _ in range(250):
@@ -270,8 +327,9 @@ class TestWitness:
                 continue
             if (verdict.i, verdict.j) not in dict.fromkeys(queries):
                 continue  # sibling verdict belongs to the other pattern
-            result = fn(host, sigma, verdict)
+            result = witness(host, sigma, verdict)
             if isinstance(result, WitnessTriple):
+                assert result.pattern is pattern
                 assert result.validate(host, sigma)
             else:
                 assert result.validate(host)
