@@ -314,8 +314,9 @@ def nonsaturation_extract(
     The stored triples of each star fill one structure part per slot; the
     parts form a strong (c*theta, lambda/theta)-structure with
     theta = 1/(9k*C(t,k)), normal for every star, so the product extraction
-    applies.  Any verification failure raises ExtractionError rather than
-    fabricating a copy.
+    applies.  A failed slot-membership or strong-structure check raises
+    ExtractionError, and extract_product raises unless its copy validates,
+    so no copy is fabricated.
     """
     nebula = config.nebulae[kind]
     vec = state.vectors[kind][subset_index]
@@ -354,19 +355,15 @@ def nonsaturation_extract(
         phi = {m: position_of_slot[slots[m]] for m in range(3)}
         comp_orderings = {phi[m]: orderings[phi[m]] for m in range(3)}
         components.append(NormalPart(star, phi, comp_orderings))
+    # extract_product raises unless its embedding induces the product, and the
+    # components sit at the ranks of the nebula's slots, so that product is the
+    # nebula's own.
     extraction = extract_product(
         host, omega_sets, components, lam=config.lam / theta
     )
-    pattern = nebula.build().tournament
-    if extraction.product.tournament != pattern:
-        raise ExtractionError(
-            "pattern-mismatch",
-            {"extracted": extraction.product.tournament, "nebula": pattern},
-        )
-    if not extraction.embedding.validate(host, pattern):
-        raise ExtractionError("embedding", extraction.embedding)
     return ForbiddenCopyOutcome(
-        kind, nebula, pattern, extraction.embedding, state.phase, subset_index
+        kind, nebula, extraction.product.tournament, extraction.embedding,
+        state.phase, subset_index,
     )
 
 
@@ -455,18 +452,12 @@ def run(
     if outcome is None:
         outcome = PhaseLimitOutcome(state.phase)
         trace.append({"phase": state.phase, "action": "phase-limit"})
-    _validate_outcome(host, outcome)
+    # extract_product has validated a forbidden copy and witness its own pairs;
+    # a complete pair straight from classify_triple is checked only here
+    if isinstance(outcome, CompletePairOutcome) and not outcome.pair.validate(host):
+        raise InvariantError("terminal complete pair failed edge re-validation")
     trace.append({"phase": state.phase, "action": "terminal", "outcome": type(outcome).__name__})
     return RunResult(outcome, state.phase, trace)
-
-
-def _validate_outcome(host: Tournament, outcome: Outcome) -> None:
-    if isinstance(outcome, CompletePairOutcome):
-        if not outcome.pair.validate(host):
-            raise InvariantError("terminal complete pair failed edge re-validation")
-    elif isinstance(outcome, ForbiddenCopyOutcome):
-        if not outcome.embedding.validate(host, outcome.pattern):
-            raise InvariantError("terminal forbidden copy failed re-validation")
 
 
 def find_strong_structure(

@@ -69,16 +69,11 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
-def positions(order: Ordering) -> dict[int, int]:
+def check_ordering(order: Ordering, n: int) -> dict[int, int]:
     """Map vertex -> position for an ordering given as the vertex sequence."""
     pos = {v: p for p, v in enumerate(order)}
     if len(pos) != len(order):
         raise ValueError("ordering repeats a vertex")
-    return pos
-
-
-def check_ordering(order: Ordering, n: int) -> dict[int, int]:
-    pos = positions(order)
     if len(order) != n or set(order) != set(range(n)):
         raise ValueError("ordering is not a permutation of the vertex set")
     return pos

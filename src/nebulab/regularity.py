@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .containment import Embedding
 from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .structures import (
     UGraph,
     dense_vertices,
@@ -48,7 +48,6 @@ class ViolatingPair:
 class PairVerdict:
     passed: bool
     violator: Optional[ViolatingPair]
-    exact: bool
     trials: int = 0
 
 
@@ -96,11 +95,9 @@ def regular_pair_exact(
                 x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
                 y_set = frozenset(b[k] for _, k in extreme)
                 return PairVerdict(
-                    False,
-                    ViolatingPair(x, y_set, density(host, x, y_set), Fraction(e0, ab)),
-                    exact=True,
+                    False, ViolatingPair(x, y_set, density(host, x, y_set), Fraction(e0, ab))
                 )
-    return PairVerdict(True, None, exact=True)
+    return PairVerdict(True, None)
 
 
 def regular_pair_sampled(
@@ -126,8 +123,8 @@ def regular_pair_sampled(
         y = frozenset(rng.sample(b, rng.randint(min_y, nb)))
         d_xy = density(host, x, y)
         if abs(d_xy - d_ab) > eps:
-            return PairVerdict(False, ViolatingPair(x, y, d_xy, d_ab), exact=False, trials=trials)
-    return PairVerdict(True, None, exact=False, trials=trials)
+            return PairVerdict(False, ViolatingPair(x, y, d_xy, d_ab), trials=trials)
+    return PairVerdict(True, None, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -308,7 +305,13 @@ def strong_structure_pipeline(
 ) -> Union[PipelineReport, StageFailure]:
     """Stages: regular-part selection, good/bad labelling, the clique/stable
     dichotomy, the derived part tournament, log-size chain extraction, and
-    the per-vertex density filtering that equalizes the final sets."""
+    the per-vertex density filtering that equalizes the final sets.
+
+    Returns a StageFailure at partition, turan-selection, ramsey-dichotomy,
+    found-h, embedding-inconclusive or lambda-range; past the dichotomy the
+    stages cannot fail (see the comments at each), and the final strong
+    re-check raises InvariantError should it ever fail.
+    """
     lam_f = to_fraction(lam)
     eta_f = to_fraction(eta)
     big_lam = lam_f / (4 * p_target)
@@ -340,10 +343,12 @@ def strong_structure_pipeline(
         )
     turan_u = _turan_u(eta_f, len(selected))
 
-    labels = {}
-    for i, j in combinations(selected, 2):
-        d = density(host, part_sets[i], part_sets[j])
-        labels[(i, j)] = "good" if big_lam <= d <= 1 - big_lam else "bad"
+    densities = {
+        (i, j): density(host, part_sets[i], part_sets[j]) for i, j in combinations(selected, 2)
+    }
+    labels = {
+        pair: "good" if big_lam <= d <= 1 - big_lam else "bad" for pair, d in densities.items()
+    }
 
     good_graph = ugraph_from_edges(
         len(selected),
@@ -380,65 +385,49 @@ def strong_structure_pipeline(
         return StageFailure("lambda-range", f"lambda/(4P) = {big_lam} must be below 1/2")
     stable = tuple(selected[i] for i in stable_local)
 
-    t_hat_edges = []
-    for a, b in combinations(range(len(stable)), 2):
-        d = density(host, part_sets[stable[a]], part_sets[stable[b]])
-        if d > 1 - big_lam:
-            t_hat_edges.append((a, b))
-        elif 1 - d > 1 - big_lam:
-            t_hat_edges.append((b, a))
-        else:
-            return StageFailure(
-                "derived-tournament",
-                f"pair ({stable[a]},{stable[b]}) labelled bad but neither direction "
-                f"exceeds 1 - {big_lam}",
-            )
-    t_hat = from_edges(len(stable), t_hat_edges)
-    chain_local = stearns_transitive(t_hat)
-    if len(chain_local) < p_target:
-        return StageFailure(
-            "stearns", f"chain of {len(chain_local)} parts, need {p_target}"
-        )
+    # Every stable pair is labelled bad, so d > 1 - Lambda or d < Lambda, and
+    # Lambda < 1/2 makes the two exclusive: each pair has one orientation.
+    t_hat_edges = [
+        (a, b) if densities[(stable[a], stable[b])] > 1 - big_lam else (b, a)
+        for a, b in combinations(range(len(stable)), 2)
+    ]
+    # Stearns: 2^(P-1) stable parts hold a transitive chain of at least P.
+    chain_local = stearns_transitive(from_edges(len(stable), t_hat_edges))
     chain = tuple(stable[i] for i in chain_local[:p_target])
 
+    # Each chain pair has d > 1 - Lambda on the chain's side, so by Markov
+    # fewer than |W|/(2P) vertices miss more than 2P*Lambda of the other part:
+    # |Q| > |W|(1 - 1/(2P)), and F, missing fewer than (P-1)|W|/(2P), keeps
+    # more than |W|/2.
     q_sizes = {}
     f_sets = []
     slack = 2 * p_target * big_lam
     masks = [vertex_mask(part_sets[w]) for w in chain]
-    for ii, wi in enumerate(chain):
+    for ii in range(len(chain)):
         f_i = masks[ii]
         for jj in range(len(chain)):
-            if ii == jj:
-                continue
-            q = dense_vertices(host, masks[ii], masks[jj], ii < jj, slack)
-            q_sizes[(ii, jj)] = q.bit_count()
-            bound = Fraction(len(part_sets[wi])) * (1 - Fraction(1, 2 * p_target))
-            if q.bit_count() < bound:
-                return StageFailure(
-                    "q-filter",
-                    f"|Q^{ii}_{jj}| = {q.bit_count()} below |W_{ii}|(1 - 1/(2P)) = {bound}",
-                )
-            f_i &= q
-        half = -(-len(part_sets[wi]) // 2)
-        if f_i.bit_count() < half:
-            return StageFailure(
-                "f-filter", f"|F_{ii}| = {f_i.bit_count()} below half of |W_{ii}|"
-            )
+            if ii != jj:
+                q = dense_vertices(host, masks[ii], masks[jj], ii < jj, slack)
+                q_sizes[(ii, jj)] = q.bit_count()
+                f_i &= q
         f_sets.append(mask_vertices(f_i))
     half = -(-len(part_sets[chain[0]]) // 2)
     finals = tuple(tuple(f[:half]) for f in f_sets)
 
+    # A final vertex misses at most 2P*Lambda|W| = lambda|W|/2 of another final
+    # set, which holds ceil(|W|/2) vertices, so the finals form a strong
+    # (c, lambda)-structure; the check below re-derives it.
     c = Fraction(len(finals[0]), host.n)
-    checks = {v.check for v in verify_structure(host, finals, c, lam_f, strong=True).violations}
+    cert = verify_structure(host, finals, c, lam_f, strong=True)
+    if not cert.passed:
+        raise InvariantError(f"final sets fail the strong structure: {cert.violations[:3]}")
     bullets = {
-        "passed": not checks,
-        "equal_sizes": "size" not in checks,
-        "per_vertex_forward": "strong-out" not in checks,
-        "per_vertex_backward": "strong-in" not in checks,
+        "passed": True,
+        "equal_sizes": True,
+        "per_vertex_forward": True,
+        "per_vertex_backward": True,
         "c": c,
     }
-    if not bullets["passed"]:
-        return StageFailure("final-bullets", "final sets fail a required condition", bullets)
     return PipelineReport(
         selected=tuple(selected),
         pair_labels=labels,

@@ -48,12 +48,6 @@ class StarComponent:
     kind: StarKind
     positions: tuple[int, ...]
 
-    @property
-    def leaves(self) -> frozenset[int]:
-        if self.center is None:
-            return frozenset()
-        return self.vertices - {self.center}
-
 
 def backward_graph(t: Tournament, order: Sequence[int]) -> BackwardEdgeGraph:
     """B(T, order) for an ordering or a prefix of one: two placed vertices are

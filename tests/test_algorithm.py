@@ -186,6 +186,7 @@ class TestRunPhase:
         outcome, record = run_phase(host, state, cfg)
         assert record["action"] == "saturated"
         assert isinstance(outcome, ForbiddenCopyOutcome)
+        assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
         assert outcome.embedding.validate(host, outcome.pattern)
 
 
@@ -250,12 +251,14 @@ class TestNonsaturationExtract:
         outcome = nonsaturation_extract(host, state, cfg, idx, StarKind.LEFT)
         assert isinstance(outcome, ForbiddenCopyOutcome)
         assert outcome.pattern.n == 6
+        assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
         assert outcome.embedding.validate(host, outcome.pattern)
 
     def test_capacity_one_minimal(self):
         host, cfg, state, idx = self._planted_state(StarKind.RIGHT, 1, cap=1)
         outcome = nonsaturation_extract(host, state, cfg, idx, StarKind.RIGHT)
         assert outcome.pattern.n == 3
+        assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
         assert outcome.embedding.validate(host, outcome.pattern)
 
     def test_unsaturated_rejected(self):
@@ -311,9 +314,11 @@ class TestRun:
     def test_rc_case_forbidden_copy(self):
         b, d = uniform_tables(7, 2, 15)
         host = victim_host(7, 30, b, d, seed=40)
-        result = run(host, blocks(7, 30), single_star_config("RC", 7, 30, LAM))
+        cfg = single_star_config("RC", 7, 30, LAM)
+        result = run(host, blocks(7, 30), cfg)
         assert isinstance(result.outcome, ForbiddenCopyOutcome)
         assert result.outcome.kind is StarKind.CENTRAL
+        assert result.outcome.pattern == cfg.nebulae[StarKind.CENTRAL].build().tournament
         assert result.outcome.embedding.validate(host, result.outcome.pattern)
 
     def test_multi_star_saturation_reports_honestly(self):

@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 
 import pytest
 
 from helpers import blocks, random_speed_tables, victim_host
-from nebulab import cli, core, examples
+from nebulab import cli, core, examples, stars
 from nebulab.files import ParseError, parse_tournament, write_backedges, write_matrix
 
 
@@ -98,6 +99,17 @@ class TestClassifyCommand:
         path.write_text(write_matrix(core.transitive_tournament(5)))
         code, report = run_cli(capsys, "classify", str(path), "--kind", "galaxy")
         assert code == 0 and report["results"]["verdict"] is True
+
+    @pytest.mark.parametrize("kind", ["left", "right"])
+    def test_search_without_ordering(self, capsys, c3_file, kind):
+        # every ordering of C3 leaves a two-vertex or a central component
+        code, report = run_cli(
+            capsys, "classify", c3_file, "--ordering", "search", "--kind", kind
+        )
+        assert code == 0
+        assert report["results"]["verdict"] is False
+        assert report["results"]["ordering"] is None
+        assert report["results"]["components"] == []
 
     def test_search_mode_budget_exit(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
@@ -197,6 +209,21 @@ class TestOtherCommands:
             if core.find_module_exhaustive(t) is None
         )
         assert report["results"]["kept"] == brute == 3
+
+    def test_enumerate_nebula_orderable_filter(self, capsys):
+        code, report = run_cli(
+            capsys, "enumerate", "--n", "5", "--filter", "nebula-orderable"
+        )
+        assert code == 0
+        brute = sum(
+            1
+            for t in core.enumerate_tournaments(5)
+            if any(
+                stars.is_nebula_ordering(t, order) for order in itertools.permutations(range(5))
+            )
+        )
+        assert report["results"]["total"] == 12
+        assert report["results"]["kept"] == brute == 11
 
     def test_enumerate_count_check_sees_missing_class(self, capsys, monkeypatch):
         real = core.enumerate_tournaments

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -7,11 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nebulab
-from helpers import forward_block_host, structure_oracle
+from helpers import forward_block_host, set_density, structure_oracle
 from nebulab import core
 from nebulab.core import cyclic_triangle, density, random_tournament
 from nebulab.errors import BudgetError
@@ -348,12 +349,22 @@ class TestPipeline:
         st.integers(0, 2**32),
         st.integers(6, 9),
         st.lists(st.tuples(st.integers(0, 35), st.integers(0, 35)), max_size=30),
+        st.sets(st.sampled_from(list(itertools.combinations(range(4), 2)))),
         st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]),
     )
-    def test_bullets_match_the_oracle(self, seed, size, flips, lam):
-        # forward blocks with some cross edges reversed
+    # blocks 0 and 1 reversed: the stable pair is oriented backward
+    @example(0, 6, [], {(0, 1)}, Fraction(1, 4))
+    # vertex 0 meets 5/6 of block 1, below the Q bound 7/8: Q^0_1 drops it
+    @example(0, 6, [(0, 6)], set(), Fraction(1, 4))
+    def test_bullets_match_the_oracle(self, seed, size, flips, reversed_blocks, lam):
+        # forward blocks with whole block pairs and some cross edges reversed
         rows = list(forward_block_host(4, size, seed).rows)
         n = 4 * size
+        for a, b in reversed_blocks:
+            for u in range(a * size, (a + 1) * size):
+                for v in range(b * size, (b + 1) * size):
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
         for u, v in flips:
             u, v = u % n, v % n
             if u // size != v // size:
@@ -366,6 +377,24 @@ class TestPipeline:
         )
         if isinstance(result, StageFailure):
             return
+        # the lemmas that replace the late stage checks: each derived edge has
+        # density above 1 - lam/(4P), the chain has P parts, and Markov bounds
+        # Q (the vertices meeting a 1 - lam/2 share of the other chain part on
+        # the chain's side) and F (here the one Q of each part)
+        big_lam = lam / 8
+        for a, b in result.t_hat_edges:
+            pa, pb = parts[result.stable_parts[a]], parts[result.stable_parts[b]]
+            assert set_density(host, pa, pb) > 1 - big_lam
+        assert len(result.chain) == 2
+        for (i, j), q in result.q_sizes.items():
+            part, other = parts[result.chain[i]], parts[result.chain[j]]
+            dense = [
+                v for v in part
+                if (set_density(host, {v}, other) if i < j else set_density(host, other, {v}))
+                >= 1 - lam / 2
+            ]
+            assert q == len(dense) > size * (1 - Fraction(1, 4))
+            assert result.f_sizes[i] == q and 2 * q > size
         finals = [set(f) for f in result.finals]
         c = Fraction(len(finals[0]), n)
         checks = {check for check, _ in structure_oracle(host, finals, c, lam, strong=True)}
