@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .containment import Embedding
 from .core import TR_BUDGET, Tournament, largest_transitive, vertex_mask
-from .errors import BudgetError, InvariantError, NebulabError
+from .errors import BudgetError, InvariantError, NebulabError, ParseError
 from .product import SMALL_STARS, PlacementNebula
 from .stars import StarKind
 from .structures import (
@@ -73,24 +73,24 @@ class AlgorithmConfig:
 
     def __post_init__(self) -> None:
         if self.case not in CASES:
-            raise ValueError(f"unknown case {self.case}")
+            raise ParseError(f"unknown case {self.case}")
         spec = CASES[self.case]
         if set(self.nebulae) != {spec.white, spec.black}:
-            raise ValueError(
+            raise ParseError(
                 f"case {self.case} needs nebulae for {spec.white.value} and {spec.black.value}"
             )
         if not 1 <= self.k <= self.t:
-            raise ValueError("need 1 <= k <= t")
+            raise ParseError(f"need 1 <= k <= t, got k = {self.k} and t = {self.t}")
         for nebula in self.nebulae.values():
             if nebula.width > self.k:
-                raise ValueError("nebula slots exceed the configured width k")
+                raise ParseError(f"nebula width {nebula.width} exceeds k = {self.k}")
         if math.comb(self.t, self.k) > SUBSET_BUDGET:
             raise BudgetError(
                 f"C({self.t},{self.k}) = {math.comb(self.t, self.k)} part subsets exceed "
                 f"the enumeration budget {SUBSET_BUDGET}"
             )
         if self.part_size < 1:
-            raise ValueError("part size must be positive")
+            raise ParseError("part size must be positive")
 
     @property
     def spec(self) -> CaseSpec:
@@ -427,15 +427,23 @@ def run(
     parts: Sequence[frozenset[int]],
     config: AlgorithmConfig,
 ) -> RunResult:
-    """Run phases until a terminal outcome, re-validating every payload."""
+    """Run phases until a terminal outcome, re-validating every payload.
+
+    The parts must be t disjoint sets of W vertices forming a strong
+    (c, lambda)-structure; ParseError names the first rule they break.
+    """
     parts = [frozenset(p) for p in parts]
     if len(parts) != config.t:
-        raise ValueError("structure part count does not match config.t")
+        raise ParseError(f"the structure has {len(parts)} parts, not t = {config.t}")
     if any(len(p) != config.part_size for p in parts):
-        raise ValueError("structure parts must all have size W")
+        raise ParseError(f"structure parts must all hold W = {config.part_size} vertices")
+    if len(frozenset().union(*parts)) < config.t * config.part_size:
+        raise ParseError("structure parts must be disjoint")
     cert = verify_structure(host, parts, config.c, config.lam, strong=True)
     if not cert.passed:
-        raise ValueError(f"initial structure fails strong verification: {cert.violations[:3]}")
+        first = cert.violations[0]
+        detail = ", ".join(f"{key}={value}" for key, value in first.detail.items())
+        raise ParseError(f"the structure fails strong verification: {first.check} ({detail})")
     state = initial_state(parts, config)
     trace: list[dict] = []
     warning = config.lambda_warning()

@@ -4,10 +4,12 @@ Every command prints a JSON report document to stdout whose validation
 section re-derives the headline claims with independent checkers.  Exit
 codes: 0 = verdict computed (even a negative one), 1 = a self-check command
 found a failing check (verify-examples, or enumerate's class-count or
-round-trip check), 2 = parse error (also: a --structure file that fails
-strong verification), 3 = search budget exceeded (also: C(t,k) part subsets
-above the phase algorithm's budget, no structure found, or too few samples
-to fit a slope), 4 = internal invariant violation.
+round-trip check), 2 = malformed file or argument, including one that parses
+but breaks a library precondition (the library raises ParseError: slot
+triples outside --k, --k above --t, or --structure parts that fail strong
+verification), 3 = search budget exceeded (also: C(t,k) part subsets above
+the phase algorithm's budget, no structure found, or too few samples to fit
+a slope), 4 = internal invariant violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
 NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
@@ -31,9 +33,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import algorithm, containment, core, examples, files, product, reports, stars, structures
-from .errors import BudgetError, InvariantError, NebulabError, NoDataError
-from .files import ParseError
+from . import algorithm, containment, core, examples, files, product, reports, stars
+from .errors import BudgetError, InvariantError, NebulabError, NoDataError, ParseError
 from .stars import StarKind
 
 
@@ -361,24 +362,12 @@ def cmd_tr(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _parse_slots(spec: str) -> list[tuple[int, int, int]]:
-    """Parse 'a,b,c;d,e,f' into increasing triples of distinct positive slots."""
-    out = []
-    used: set[int] = set()
-    for chunk in spec.split(";"):
-        try:
-            slots = tuple(int(x) for x in chunk.split(","))
-        except ValueError:
-            raise ParseError(f"slot triple {chunk!r} must hold integers") from None
-        if len(slots) != 3:
-            raise ParseError(f"slot triple {chunk!r} must have three entries")
-        if not 0 < slots[0] < slots[1] < slots[2]:
-            raise ParseError(f"slot triple {chunk!r} must be positive and increasing")
-        if used & set(slots):
-            raise ParseError(f"slot triple {chunk!r} reuses a slot")
-        used |= set(slots)
-        out.append(slots)
-    return out
+def _parse_slots(spec: str) -> tuple[tuple[int, ...], ...]:
+    """Parse 'a,b,c;d,e,f' into integer tuples; PlacementNebula checks the rest."""
+    try:
+        return tuple(tuple(int(x) for x in chunk.split(",")) for chunk in spec.split(";"))
+    except ValueError:
+        raise ParseError(f"slot triples {spec!r} must hold integers") from None
 
 
 def cmd_product(args) -> tuple[dict, int]:
@@ -430,33 +419,23 @@ def cmd_complement(args) -> tuple[dict, int]:
 
 
 def _nebula_from_arg(kind: StarKind, spec: str | None, k: int) -> product.PlacementNebula:
-    placements = ((1, 2, 3),) if spec is None else tuple(_parse_slots(spec))
-    if max(max(slots) for slots in placements) > k:
-        raise ParseError(f"nebula slots {spec or '1,2,3'} leave the slot range 1..{k} of --k")
-    return product.PlacementNebula(kind, placements, 3 if spec is None else k)
+    return product.PlacementNebula(kind, _parse_slots(spec or "1,2,3"), k)
 
 
-def _read_structure(path: str, n: int, t: int, part_size: int) -> list[frozenset[int]]:
-    """Parse {"parts": [[v, ...], ...]}: t disjoint parts of 1-based vertices."""
+def _read_structure(path: str, n: int) -> list[frozenset[int]]:
+    """Parse {"parts": [[v, ...], ...]} with 1-based vertices; algorithm.run
+    checks the part count, sizes, disjointness and strong structure."""
     try:
         blocks = json.loads(Path(path).read_text())["parts"]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, TypeError, KeyError):
         raise ParseError(f"{path} is not a JSON object with a 'parts' list") from None
-    if not isinstance(blocks, list) or len(blocks) != t:
-        raise ParseError(f"{path} must list {t} parts (--t)")
-    parts: list[frozenset[int]] = []
-    for block in blocks:
-        if not isinstance(block, list) or len(block) != part_size:
-            raise ParseError(f"each part must list {part_size} vertices (--part-size)")
-        if not all(type(v) is int and 1 <= v <= n for v in block):
-            raise ParseError(f"structure vertices must be integers in 1..{n}")
-        part = frozenset(v - 1 for v in block)
-        if len(part) < len(block) or any(part & other for other in parts):
-            raise ParseError("structure parts must not overlap or repeat a vertex")
-        parts.append(part)
-    return parts
+    if not isinstance(blocks, list) or not all(isinstance(block, list) for block in blocks):
+        raise ParseError(f"{path} must hold a list of vertex lists under 'parts'")
+    if not all(type(v) is int and 1 <= v <= n for block in blocks for v in block):
+        raise ParseError(f"structure vertices must be integers in 1..{n}")
+    return [frozenset(v - 1 for v in block) for block in blocks]
 
 
 def _outcome_payload(outcome) -> dict:
@@ -487,8 +466,6 @@ def _outcome_payload(outcome) -> dict:
 
 def cmd_run_algorithm(args) -> tuple[dict, int]:
     host = _read_tournament(args.host)
-    if args.k > args.t:
-        raise ParseError(f"--k {args.k} exceeds --t {args.t}")
     spec = algorithm.CASES[args.case]
     nebulae = {
         spec.white: _nebula_from_arg(spec.white, args.nebula_white, args.k),
@@ -510,14 +487,7 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
         if parts is None:
             raise BudgetError("no verifying strong structure found")
     else:
-        parts = _read_structure(args.structure, host.n, args.t, args.part_size)
-        cert = structures.verify_structure(host, parts, config.c, config.lam, strong=True)
-        if not cert.passed:
-            first = cert.violations[0]
-            detail = ", ".join(f"{key}={value}" for key, value in first.detail.items())
-            raise ParseError(
-                f"{args.structure} fails strong verification: {first.check} ({detail})"
-            )
+        parts = _read_structure(args.structure, host.n)
     result = algorithm.run(host, parts, config)
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -687,9 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-algorithm", help="run the phase algorithm")
     p.add_argument("host")
     p.add_argument("--case", choices=sorted(algorithm.CASES), required=True)
-    p.add_argument("--k", type=_positive_int, default=3)
-    p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--part-size", type=_positive_int, required=True)
+    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--part-size", type=int, required=True)
     p.add_argument("--lam", type=_fraction, default="3/10")
     p.add_argument("--c", type=_fraction, default="1/10")
     p.add_argument("--seed", type=int, default=0)

@@ -5,6 +5,10 @@ class NebulabError(Exception):
     """Base class for library errors."""
 
 
+class ParseError(NebulabError, ValueError):
+    """Malformed input: a file or argument that breaks a documented precondition."""
+
+
 class BudgetError(NebulabError):
     """An exact solver was asked to exceed its configured search budget."""
 

@@ -13,11 +13,7 @@ write(parse(s)) == s for canonical output.
 from __future__ import annotations
 
 from .core import Tournament, backward_edges, from_backward_edges
-from .errors import NebulabError
-
-
-class ParseError(NebulabError):
-    """Malformed tournament file."""
+from .errors import ParseError
 
 
 def parse_tournament(text: str) -> Tournament:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Ordering, Tournament, backward_edges, from_backward_edges, from_edges
-from .errors import InvariantError
+from .errors import InvariantError, ParseError
 from .stars import StarKind, backward_graph, classify_components
 
 Placement = dict[int, int]
@@ -92,18 +92,20 @@ class PlacementNebula:
 
     def __post_init__(self) -> None:
         if self.kind not in SMALL_STARS:
-            raise ValueError(f"nebula kind must be a small-star kind, got {self.kind}")
+            raise ParseError(f"nebula kind must be a small-star kind, got {self.kind}")
         seen: set[int] = set()
         for triple in self.placements:
-            if len(triple) != 3 or list(triple) != sorted(set(triple)):
-                raise ValueError(f"placement {triple} is not strictly increasing")
+            if len(triple) != 3:
+                raise ParseError(f"placement {triple} must hold three slots")
+            if list(triple) != sorted(set(triple)):
+                raise ParseError(f"placement {triple} is not strictly increasing")
             if triple[0] < 1 or triple[-1] > self.width:
-                raise ValueError(f"placement {triple} leaves the slot universe 1..{self.width}")
+                raise ParseError(f"placement {triple} leaves the slot universe 1..{self.width}")
             if seen & set(triple):
-                raise ValueError(f"placement {triple} reuses a slot")
+                raise ParseError(f"placement {triple} reuses a slot")
             seen |= set(triple)
         if not self.placements:
-            raise ValueError("nebula needs at least one star")
+            raise ParseError("nebula needs at least one star")
 
     @property
     def star_count(self) -> int:

@@ -118,12 +118,12 @@ def regular_pair_sampled(
     min_x = max(1, -(-num * na // den))
     min_y = max(1, -(-num * nb // den))
     d_ab = density(host, a, b)
-    for _ in range(trials):
+    for drawn in range(1, trials + 1):
         x = frozenset(rng.sample(a, rng.randint(min_x, na)))
         y = frozenset(rng.sample(b, rng.randint(min_y, nb)))
         d_xy = density(host, x, y)
         if abs(d_xy - d_ab) > eps:
-            return PairVerdict(False, ViolatingPair(x, y, d_xy, d_ab), trials=trials)
+            return PairVerdict(False, ViolatingPair(x, y, d_xy, d_ab), trials=drawn)
     return PairVerdict(True, None, trials=trials)
 
 
@@ -146,7 +146,10 @@ def verify_regular_partition(
     trials: int = 200,
     seed: int = 0,
 ) -> PartitionCertificate:
-    """Check the three partition conditions and count irregular pairs."""
+    """Check the three partition conditions and count irregular pairs, with
+    ``method`` "exact" or "sampled"."""
+    if method not in ("exact", "sampled"):
+        raise ValueError(f"method must be 'exact' or 'sampled', got {method!r}")
     eps_f = to_fraction(eps)
     v0 = set(exceptional)
     all_parts = [sorted(set(p)) for p in parts]
@@ -312,6 +315,8 @@ def strong_structure_pipeline(
     stages cannot fail (see the comments at each), and the final strong
     re-check raises InvariantError should it ever fail.
     """
+    if p_target < 1:
+        raise ValueError(f"target P must be at least 1, got {p_target}")
     lam_f = to_fraction(lam)
     eta_f = to_fraction(eta)
     big_lam = lam_f / (4 * p_target)

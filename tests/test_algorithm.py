@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     blocks,
+    forward_block_host,
     noise_host,
     random_speed_tables,
     single_star_config,
@@ -28,7 +29,7 @@ from nebulab.algorithm import (
     run,
     run_phase,
 )
-from nebulab.errors import InvariantError
+from nebulab.errors import InvariantError, NebulabError, ParseError
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.stars import StarKind
 from nebulab.structures import CompletePair, verify_structure
@@ -75,6 +76,47 @@ class TestConfig:
     def test_lambda_warning_only_for_multi_star(self):
         cfg = single_star_config("LR", 7, 30, LAM)
         assert cfg.lambda_warning() is None
+
+
+def _run_on_forward_blocks(parts):
+    run(forward_block_host(3, 4, seed=5), parts, single_star_config("LR", 3, 4, LAM))
+
+
+FORWARD_BLOCKS = blocks(3, 4)
+
+
+class TestInputRules:
+    """Each input rule has one home in the library and raises ParseError,
+    which the CLI maps to exit 2."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: PlacementNebula(StarKind.LEFT, ((1, 2, 3, 4),), 4), "three slots"),
+            (lambda: PlacementNebula(StarKind.LEFT, ((2, 1, 3),), 3), "increasing"),
+            (lambda: PlacementNebula(StarKind.LEFT, ((1, 2, 3), (3, 4, 5)), 5), "reuses"),
+            (lambda: PlacementNebula(StarKind.LEFT, ((1, 2, 9),), 3), "slot universe 1..3"),
+            (lambda: single_star_config("LR", 2, 30, LAM), "k <= t"),
+            (lambda: _run_on_forward_blocks(FORWARD_BLOCKS[:2]), "2 parts, not t = 3"),
+            (
+                lambda: _run_on_forward_blocks(FORWARD_BLOCKS[:2] + [frozenset({8, 9, 10})]),
+                "W = 4",
+            ),
+            (
+                lambda: _run_on_forward_blocks(FORWARD_BLOCKS[:2] + [frozenset({7, 8, 9, 10})]),
+                "disjoint",
+            ),
+            (
+                lambda: _run_on_forward_blocks(FORWARD_BLOCKS[::-1]),
+                r"strong verification: pair-density \(i=0, j=1, d=0\)",
+            ),
+        ],
+    )
+    def test_rule_raises_parse_error(self, build, match):
+        with pytest.raises(ParseError, match=match) as info:
+            build()
+        assert isinstance(info.value, NebulabError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestColoring:

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from helpers import blocks, random_speed_tables, victim_host
-from nebulab import cli, core, examples, stars
+from nebulab import algorithm, cli, core, examples, stars, structures
 from nebulab.files import ParseError, parse_tournament, write_backedges, write_matrix
+from nebulab.structures import verify_structure
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +280,8 @@ class TestMalformedInput:
             (RUN_C3 + ["--lam", "abc"], {}),
             (RUN_C3 + ["--c", "abc"], {}),
             (RUN_C3 + ["--nebula-white", "1,2,9", "--k", "3"], {}),
+            (RUN_C3 + ["--nebula-white", "1,2,3,4"], {}),
+            (RUN_C3 + ["--nebula-white", "2,1,3"], {}),
             (RUN_C3 + ["--k", "2"], {}),
             (RUN_C3 + ["--k", "4"], {}),
             (["exponent", "--sizes", "a,b"], {}),
@@ -304,6 +307,7 @@ class TestMalformedInput:
             '{"parts": [[1], [2], []]}',
             '{"parts": [[1], [2], [2]]}',
             '{"parts": [[1], [2]]}',
+            '{"parts": [[1], [2, 3], []]}',  # unequal part sizes
             '{"parts": [[1], [2], [3]]}',  # parses, fails strong verification
         ],
     )
@@ -377,6 +381,29 @@ class TestRunAlgorithmCommand:
             "--structure", str(structure),
         )
         assert code == 0
+
+    def test_structure_file_checked_once(self, capsys, monkeypatch, victim_file, tmp_path):
+        expected = blocks(7, 30)
+        structure = tmp_path / "structure.json"
+        structure.write_text(
+            json.dumps({"parts": [[v + 1 for v in sorted(p)] for p in expected]})
+        )
+        checked = []
+
+        def counting(host, subsets, c, lam, strong=False):
+            if strong and [frozenset(s) for s in subsets] == expected:
+                checked.append(strong)
+            return verify_structure(host, subsets, c, lam, strong=strong)
+
+        monkeypatch.setattr(structures, "verify_structure", counting)
+        monkeypatch.setattr(algorithm, "verify_structure", counting)
+        code, _ = run_cli(
+            capsys, "run-algorithm", victim_file, "--case", "LR", "--t", "7",
+            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
+            "--structure", str(structure),
+        )
+        assert code == 0
+        assert len(checked) == 1
 
     def test_no_structure_exit(self, capsys, tmp_path):
         path = tmp_path / "small.txt"

@@ -163,6 +163,18 @@ class TestRegularPairSampled:
         verdict = regular_pair_sampled(host, range(8), range(8, 16), Fraction(1, 4), seed=1)
         assert verdict.passed and verdict.trials == 200
 
+    def test_failing_verdict_counts_draws_made(self):
+        # half of A beats all of B and half loses to it, so most draws deviate
+        edges = [(u, v) for u in range(16) for v in range(u + 1, 16) if not 4 <= u < 8 <= v]
+        host = core.from_edges(16, edges + [(v, u) for u in range(4, 8) for v in range(8, 16)])
+        a, b = range(8), range(8, 16)
+        verdict = regular_pair_sampled(host, a, b, Fraction(1, 10), seed=3)
+        assert not verdict.passed and 1 < verdict.trials < 200
+        again = regular_pair_sampled(host, a, b, Fraction(1, 10), trials=verdict.trials, seed=3)
+        assert again == verdict
+        fewer = regular_pair_sampled(host, a, b, Fraction(1, 10), trials=verdict.trials - 1, seed=3)
+        assert fewer.passed
+
     def test_epsilon_one_passes(self):
         host = random_tournament(12, random.Random(8))
         assert regular_pair_sampled(host, range(6), range(6, 12), 1, seed=2).passed
@@ -193,6 +205,11 @@ class TestVerifyPartition:
         host = random_tournament(6, random.Random(12))
         with pytest.raises(ValueError):
             verify_regular_partition(host, [0], [range(3), range(2, 6)], Fraction(1, 2))
+
+    def test_unknown_method_rejected(self):
+        host = forward_block_host(2, 4, seed=9)
+        with pytest.raises(ValueError, match="'sampeld'"):
+            verify_regular_partition(host, [], [range(4), range(4, 8)], Fraction(1, 4), "sampeld")
 
 
 class TestEmbedding:
@@ -320,6 +337,15 @@ class TestPipeline:
         assert result.stage in ("found-h", "embedding-inconclusive", "partition")
         if result.stage == "found-h":
             assert result.detail.validate(host, cyclic_triangle())
+
+    @pytest.mark.parametrize("p_target", [0, -1])
+    def test_target_below_one_rejected(self, p_target):
+        host = forward_block_host(2, 6, seed=19)
+        with pytest.raises(ValueError, match=f"got {p_target}"):
+            strong_structure_pipeline(
+                host, [], [range(6), range(6, 12)], cyclic_triangle(),
+                p_target=p_target, lam=Fraction(1, 5), eta=Fraction(1, 4),
+            )
 
     def test_all_bad_reaches_final_stages(self):
         host = forward_block_host(2, 10, seed=19)
