@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .core import Ordering, Tournament, check_ordering, mask_vertices
 from .errors import BudgetError
 
-ORDERING_SEARCH_BUDGET = 10
+ORDERING_SEARCH_BUDGET = 12
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,18 @@ def _galaxy_positions_ok(stars: list[tuple[int, Sequence[int]]]) -> bool:
     return True
 
 
-def _admissible(comps: Sequence[StarComponent], kind: str, complete: bool) -> bool:
+def _admissible(
+    comps: Sequence[StarComponent], kind: str, complete: bool, gap: bool = False
+) -> bool:
     """The rule of an ordering kind on classified backward components.
 
     With ``complete`` the components are those of a whole ordering, and the
     answer is the kind's predicate.  Otherwise they are those of a prefix,
     whose backward graph is final among the placed vertices, and False means
     that no extension of the prefix satisfies the predicate.  The complete
-    rule is the stricter one.
+    rule is the stricter one.  With ``gap`` other vertices may still arrive
+    before the prefix's last vertex, so the right-kind 2-vertex clause is not
+    applied.
 
     Two-vertex components have an arbitrary center: a galaxy ordering needs
     some choice of their centers to satisfy the positional rule.
@@ -164,9 +168,10 @@ def _admissible(comps: Sequence[StarComponent], kind: str, complete: bool) -> bo
         if want is not None:
             # a right star's hub arrives last and attaches to all leaves at
             # once, so no prefix of a right nebula ordering holds a 2-vertex
-            # component
+            # component; across a gap, the last vertex can still become the
+            # hub of a leaf placed before it
             if size > 3 or (size == 3 and c.kind is not want) or (
-                size == 2 and (complete or want is StarKind.RIGHT)
+                size == 2 and (complete or (want is StarKind.RIGHT and not gap))
             ):
                 return False
         elif kind == "galaxy" and size >= 3:
@@ -224,15 +229,39 @@ PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
 }
 
 
+def _children(t: Tournament, placed: list[int], kind: str) -> Optional[list[list[int]]]:
+    """The one-step extensions of the prefix ``placed`` that the prefix rule
+    admits, by increasing added vertex; None when the look-ahead kills
+    ``placed``, because some extension breaks the rule with a gap."""
+    children = []
+    for v in range(t.n):
+        if v in placed:
+            continue
+        child = placed + [v]
+        comps = classify_components_partial(backward_graph(t, child), child)
+        if not _admissible(comps, kind, False, gap=True):
+            return None
+        if _admissible(comps, kind, len(child) == t.n):
+            children.append(child)
+    return children
+
+
 def find_ordering(
     t: Tournament,
     predicate: Callable[[Tournament, Ordering], bool],
     budget: int = ORDERING_SEARCH_BUDGET,
 ) -> Optional[Ordering]:
-    """Exhaustive ordering search with prefix pruning.
+    """Exhaustive ordering search with look-ahead.
 
     ``predicate`` must be one of ``PREDICATES``; the search applies its rule
-    to every prefix and never calls it.  Returns the lexicographically first
+    to every prefix and never calls it.  A prefix is pruned when its own
+    backward graph breaks the rule, and also when some one-step extension
+    ``placed + [w]`` does, bar the right-kind 2-vertex clause.  This is sound
+    because ``w``'s back edges into the placed set are ``rows[w] & placed``
+    wherever ``w`` lands, the placed vertices and ``w`` keep their relative
+    order, components only merge, and a merged component keeps every broken
+    clause; only the 2-vertex clause can be repaired, by a vertex placed
+    between the prefix and ``w``.  Returns the lexicographically first
     ordering satisfying the predicate, or None after exhausting all n!
     candidates (pruned).
     """
@@ -242,20 +271,16 @@ def find_ordering(
     if t.n > budget:
         raise BudgetError(f"ordering search limited to n <= {budget}, got {t.n}")
 
-    def descend(placed: list[int], remaining: list[int]) -> Optional[Ordering]:
-        if not remaining:
+    def descend(placed: list[int]) -> Optional[Ordering]:
+        if len(placed) == t.n:
             return tuple(placed)
-        for v in remaining:
-            placed.append(v)
-            comps = classify_components_partial(backward_graph(t, placed), placed)
-            if _admissible(comps, kind, len(placed) == t.n):
-                found = descend(placed, [w for w in remaining if w != v])
-                if found is not None:
-                    return found
-            placed.pop()
+        for child in _children(t, placed, kind) or ():
+            found = descend(child)
+            if found is not None:
+                return found
         return None
 
-    return descend([], list(range(t.n)))
+    return descend([])
 
 
 def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None,

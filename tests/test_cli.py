@@ -114,7 +114,7 @@ class TestClassifyCommand:
 
     def test_search_mode_budget_exit(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
-        path.write_text(write_matrix(core.random_tournament(12, random.Random(2))))
+        path.write_text(write_matrix(core.random_tournament(13, random.Random(2))))
         code = cli.main(["classify", str(path), "--ordering", "search"])
         capsys.readouterr()
         assert code == 3
