@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from .core import TR_BUDGET, Tournament, largest_transitive, random_tournament
@@ -89,18 +89,41 @@ def contains(host: Tournament, pattern: Tournament) -> Optional[Embedding]:
 def brute_force_contains(
     host: Tournament, pattern: Tournament, budget: int = BRUTE_FORCE_BUDGET
 ) -> Optional[Embedding]:
-    """Oracle for ``contains``: scan every vertex subset and every bijection."""
+    """Oracle for ``contains``: scan every vertex subset of the pattern's size.
+
+    An isomorphism preserves each vertex's score in the induced
+    subtournament. So a subset whose sorted induced scores differ from the
+    pattern's is skipped, and on the rest only the bijections that map each
+    pattern vertex to a subset vertex of equal score are tried, as a product
+    of permutations within score classes, each tested on the row bits. The
+    budget still counts all C(n, h) * h! bijections.
+    """
     h, n = pattern.n, host.n
     if h > n:
         return None
     work = math.comb(n, h) * math.factorial(h)
     if work > budget:
         raise BudgetError(f"brute force needs {work} checks, budget is {budget}")
+    pat_scores = [row.bit_count() for row in pattern.rows]
+    target = sorted(pat_scores)
+    classes = {s: [a for a in range(h) if pat_scores[a] == s] for s in target}
+    pat_out = [[b for b in range(h) if row >> b & 1] for row in pattern.rows]
     for subset in combinations(range(n), h):
-        for image in permutations(subset):
-            emb = Embedding(image)
-            if emb.validate(host, pattern):
-                return emb
+        mask = sum(1 << v for v in subset)
+        scores = [(host.rows[v] & mask).bit_count() for v in subset]
+        if sorted(scores) != target:
+            continue
+        choices = [permutations([v for v, sv in zip(subset, scores) if sv == s]) for s in classes]
+        image = [0] * h
+        for choice in product(*choices):
+            for slot, perm in zip(classes.values(), choice):
+                for a, v in zip(slot, perm):
+                    image[a] = v
+            if all(
+                host.rows[image[a]] & mask == sum(1 << image[b] for b in pat_out[a])
+                for a in range(h)
+            ):
+                return Embedding(tuple(image))
     return None
 
 

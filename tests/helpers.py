@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 
 from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
+from nebulab.containment import Embedding
 from nebulab.product import PlacementNebula
 
 
@@ -28,6 +29,17 @@ def relabel(t: core.Tournament, perm: list[int]) -> core.Tournament:
     for u, v in t.edges():
         rows[perm[u]] |= 1 << perm[v]
     return core.Tournament(t.n, tuple(rows))
+
+
+def definition_contains(host: core.Tournament, pattern: core.Tournament):
+    """Definition-level containment oracle: the first embedding, over every
+    vertex subset and every bijection onto it, that passes validate."""
+    for subset in combinations(range(host.n), pattern.n):
+        for image in permutations(subset):
+            emb = Embedding(image)
+            if emb.validate(host, pattern):
+                return emb
+    return None
 
 
 def tr_sweep(t: core.Tournament) -> int:

@@ -261,6 +261,57 @@ def assert_clean_exit(capsys, argv, expected):
     assert "Traceback" not in captured.err
 
 
+class TestFreeCommand:
+    @pytest.fixture
+    def workdir(self, capsys, tmp_path, monkeypatch):
+        # relative paths, so that the report bytes do not depend on tmp_path
+        monkeypatch.chdir(tmp_path)
+        for n in (4, 9, 13):
+            (tmp_path / f"t{n}.txt").write_text(write_matrix(core.transitive_tournament(n)))
+        (tmp_path / "c3.txt").write_text(write_backedges(core.cyclic_triangle(), (0, 1, 2)))
+        code, _ = run_cli(
+            capsys, "product", "--kind", "left", "--slots", "1,3,5;2,4,6", "--out", "left6.txt"
+        )
+        assert code == 0
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "host, member, check",
+        [
+            ("left6.txt", "c3.txt", "embedding-validates"),
+            # C(9,6) * 6! = 60,480 bijections, below the 200,000 threshold
+            ("t9.txt", "left6.txt", "brute-force-agrees"),
+            # C(13,6) * 6! = 1,235,520, above it
+            ("t13.txt", "left6.txt", "absence-noted"),
+        ],
+    )
+    def test_validation_branch(self, capsys, workdir, host, member, check):
+        code, report = run_cli(capsys, "free", host, member)
+        assert code == 0
+        checks = [(v["check"], v["passed"]) for v in report["validation"]]
+        assert checks == [(f"{check}:{member}", True)]
+        assert report["results"]["free"] is (check != "embedding-validates")
+
+    def test_report_bytes_pinned(self, capsys, workdir):
+        assert cli.main(["free", "t13.txt", "t4.txt", "c3.txt", "left6.txt"]) == 0
+        pinned = (
+            '{"command": "free", "config": {"host": "t13.txt", '
+            '"members": ["t4.txt", "c3.txt", "left6.txt"]}, '
+            '"results": {"findings": ['
+            '{"contained": true, "embedding": [1, 2, 3, 4], "member": "t4.txt"}, '
+            '{"contained": false, "embedding": null, "member": "c3.txt"}, '
+            '{"contained": false, "embedding": null, "member": "left6.txt"}], "free": false}, '
+            '"schema": "nebulab-report/1", "seed": null, "timing": null, '
+            '"validation": [{"check": "embedding-validates:t4.txt", "passed": true}, '
+            '{"check": "brute-force-agrees:c3.txt", "passed": true}, '
+            '{"check": "absence-noted:left6.txt", '
+            '"detail": "brute-force oracle above budget; exact backtracking trusted", '
+            '"passed": true}]}'
+        )
+        expected = json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv, env",

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import definition_contains
 from nebulab import core, examples
 from nebulab.containment import (
     brute_force_contains,
@@ -78,6 +81,75 @@ class TestContains:
                 random_tournament(10, random.Random(1)),
                 budget=1000,
             )
+
+
+def tournaments(min_n: int, max_n: int):
+    return st.builds(
+        lambda n, seed: random_tournament(n, random.Random(seed)),
+        st.integers(min_n, max_n),
+        st.integers(0, 2**32),
+    )
+
+
+@st.composite
+def host_pattern_pairs(draw, patterns):
+    """A pattern drawn from ``patterns`` and a random host of at most 8
+    vertices, sometimes with a relabelled copy of the pattern planted on
+    random vertices."""
+    pattern = draw(patterns)
+    host = draw(tournaments(1, 8))
+    h = pattern.n
+    if h > host.n or not draw(st.booleans()):
+        return host, pattern
+    place = draw(st.permutations(range(host.n)))[:h]
+    rows = list(host.rows)
+    for a in range(h):
+        for b in range(h):
+            if a != b:
+                rows[place[a]] &= ~(1 << place[b])
+                if pattern.has_edge(a, b):
+                    rows[place[a]] |= 1 << place[b]
+    return core.Tournament(host.n, tuple(rows)), pattern
+
+
+REGULAR_PATTERNS = [cyclic_triangle()] + [
+    t for t in core.enumerate_tournaments(5) if all(r.bit_count() == 2 for r in t.rows)
+]
+
+
+def assert_agrees_with_definition(host, pattern):
+    emb = brute_force_contains(host, pattern)
+    assert (emb is None) == (definition_contains(host, pattern) is None)
+    assert emb is None or emb.validate(host, pattern)
+
+
+class TestBruteForce:
+    """The score-filtered scan against the definition: every subset, every
+    bijection, Embedding.validate."""
+
+    @given(host_pattern_pairs(tournaments(1, 5)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_and_planted_hosts(self, case):
+        assert_agrees_with_definition(*case)
+
+    @given(host_pattern_pairs(st.sampled_from(REGULAR_PATTERNS)))
+    @settings(max_examples=100, deadline=None)
+    def test_regular_patterns(self, case):
+        # every score is equal, so no bijection of a passing subset is skipped
+        assert_agrees_with_definition(*case)
+
+    @given(host_pattern_pairs(st.integers(1, 5).map(transitive_tournament)))
+    @settings(max_examples=100, deadline=None)
+    def test_transitive_patterns(self, case):
+        # every score is distinct, so a passing subset has one candidate bijection
+        assert_agrees_with_definition(*case)
+
+    def test_every_class_pair(self):
+        patterns = [p for h in range(1, 5) for p in core.enumerate_tournaments(h)]
+        for n in range(1, 7):
+            for host in core.enumerate_tournaments(n):
+                for pattern in patterns:
+                    assert_agrees_with_definition(host, pattern)
 
 
 class TestIsFree:
