@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from .containment import Embedding
-from .core import TR_BUDGET, Tournament, largest_transitive, vertex_mask
+from .core import Tournament, vertex_mask
 from .errors import BudgetError, InvariantError, NebulabError, ParseError
 from .product import SMALL_STARS, PlacementNebula
 from .stars import StarKind
@@ -492,27 +492,3 @@ def find_strong_structure(
         if verify_structure(host, parts, c, lam, strong=True).passed:
             return parts
     return None
-
-
-def eh_induction_step(host: Tournament, pair: CompletePair) -> frozenset[int]:
-    """Combine transitive sets found in both halves of a complete pair.
-
-    Each half gets the exact solver under its budget and the log-size
-    extractor beyond it.  The union is transitive because A is complete to
-    B; this is re-checked.
-    """
-    from .regularity import stearns_transitive
-
-    if not pair.validate(host):
-        raise ValueError("pair is not complete from A to B")
-    from .core import induced, is_transitive
-
-    combined: set[int] = set()
-    for side in (pair.a, pair.b):
-        ordered = sorted(side)
-        sub = induced(host, ordered)
-        local = largest_transitive(sub) if sub.n <= TR_BUDGET else stearns_transitive(sub)
-        combined |= {ordered[i] for i in local}
-    if not is_transitive(induced(host, combined)):
-        raise InvariantError("combined transitive sets are not transitive")
-    return frozenset(combined)

@@ -44,7 +44,7 @@ def _parse_matrix(n: int, body: list[str]) -> Tournament:
     for i, line in enumerate(body):
         if len(line) != n or set(line) - {"0", "1"}:
             raise ParseError(f"row {i + 1} is not {n} binary digits")
-        rows.append(sum(1 << j for j, ch in enumerate(line) if ch == "1"))
+        rows.append(int(line[::-1], 2))
     try:
         return Tournament(n, tuple(rows))
     except ValueError as exc:
@@ -75,8 +75,7 @@ def _parse_backedges(n: int, body: list[str]) -> Tournament:
 
 def write_matrix(t: Tournament) -> str:
     lines = [f"tournament {t.n} matrix"]
-    for u in range(t.n):
-        lines.append("".join("1" if t.has_edge(u, v) else "0" for v in range(t.n)))
+    lines.extend(format(row, f"0{t.n}b")[::-1] for row in t.rows)
     return "\n".join(lines) + "\n"
 
 

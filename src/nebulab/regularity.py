@@ -58,13 +58,20 @@ def regular_pair_exact(
     eps,
     budget: int = EXACT_PAIR_BUDGET,
 ) -> PairVerdict:
-    """Exhaustive scan over all qualifying subset pairs.
+    """Exact check that scans one subset size per side, the witness sizes.
 
     Passes iff no X in A, Y in B with |X| >= eps|A|, |Y| >= eps|B| has
-    |d(X,Y) - d(A,B)| > eps; otherwise reports a violator.  For a fixed X and
-    |Y| = y the deviation |e(X,Y)|A||B| - e(A,B)|X|y| is convex in e(X,Y), so
-    only the y columns of B with the fewest and the most edges from X need a
-    check.
+    |d(X,Y) - d(A,B)| > eps; otherwise reports a violator.  Only the sets of
+    sizes x = max(1, ceil(eps|A|)) and y = max(1, ceil(eps|B|)) are scanned;
+    if x > |A| or y > |B| no pair qualifies and the pair passes.
+
+    Averaging lemma: fix X; the y columns of B with the most edges from X
+    have at least the average density of any larger Y, and the y with the
+    fewest have at most it.  The same holds for rows once Y is fixed, so
+    shrinking a violator's Y to y and then its X to x does not lower its
+    deviation from d(A,B).  For each X the deviation
+    |e(X,Y)|A||B| - e(A,B)xy| is convex in e(X,Y), so only the y lowest and
+    the y highest columns need a check.
     """
     a, b = sorted(set(a)), sorted(set(b))
     if set(a) & set(b):
@@ -72,32 +79,34 @@ def regular_pair_exact(
     if len(a) > budget or len(b) > budget:
         raise BudgetError(f"exact pair check limited to sides <= {budget}")
     eps = to_fraction(eps)
-    num, den = eps.numerator, eps.denominator
     na, nb = len(a), len(b)
+    x_size, y = _witness_size(eps, na), _witness_size(eps, nb)
+    if x_size > na or y > nb:
+        return PairVerdict(True, None)
     ab = na * nb
     # columns[k] has bit i set iff a[i] beats b[k]
     columns = [sum(1 << i for i, u in enumerate(a) if host.has_edge(u, v)) for v in b]
     e0 = sum(col.bit_count() for col in columns)
-    for xmask in range(1, 1 << na):
-        x_size = xmask.bit_count()
-        if x_size * den < num * na:
-            continue
+    mid = e0 * x_size * y
+    limit = eps.numerator * x_size * y * ab
+    for bits in combinations([1 << i for i in range(na)], x_size):
+        xmask = sum(bits)
         ranked = sorted(((col & xmask).bit_count(), k) for k, col in enumerate(columns))
-        low = high = 0
-        for y in range(1, nb + 1):
-            low += ranked[y - 1][0]
-            high += ranked[nb - y][0]
-            if y * den < num * nb:
-                continue
-            mid = e0 * x_size * y
-            if max(mid - low * ab, high * ab - mid) * den > num * x_size * y * ab:
-                extreme = ranked[:y] if mid - low * ab >= high * ab - mid else ranked[nb - y :]
-                x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
-                y_set = frozenset(b[k] for _, k in extreme)
-                return PairVerdict(
-                    False, ViolatingPair(x, y_set, density(host, x, y_set), Fraction(e0, ab))
-                )
+        below = mid - sum(count for count, _ in ranked[:y]) * ab
+        above = sum(count for count, _ in ranked[nb - y :]) * ab - mid
+        if max(below, above) * eps.denominator > limit:
+            extreme = ranked[:y] if below >= above else ranked[nb - y :]
+            x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
+            y_set = frozenset(b[k] for _, k in extreme)
+            return PairVerdict(
+                False, ViolatingPair(x, y_set, density(host, x, y_set), Fraction(e0, ab))
+            )
     return PairVerdict(True, None)
+
+
+def _witness_size(eps: Fraction, side: int) -> int:
+    """The smallest qualifying subset size, max(1, ceil(eps * side))."""
+    return max(1, -(-eps.numerator * side // eps.denominator))
 
 
 def regular_pair_sampled(
@@ -112,11 +121,9 @@ def regular_pair_sampled(
     definitive; a Pass only means no violator was sampled."""
     a, b = sorted(set(a)), sorted(set(b))
     eps = to_fraction(eps)
-    num, den = eps.numerator, eps.denominator
     rng = random.Random(seed)
     na, nb = len(a), len(b)
-    min_x = max(1, -(-num * na // den))
-    min_y = max(1, -(-num * nb // den))
+    min_x, min_y = _witness_size(eps, na), _witness_size(eps, nb)
     d_ab = density(host, a, b)
     for drawn in range(1, trials + 1):
         x = frozenset(rng.sample(a, rng.randint(min_x, na)))

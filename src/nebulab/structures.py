@@ -129,17 +129,6 @@ def make_triple(s1, s2, s3) -> Triple:
     return Triple((vertex_mask(s1), vertex_mask(s2), vertex_mask(s3)))
 
 
-def neighborhood(host: Tournament, sigma: Triple, v: int, j: int) -> frozenset[int]:
-    """N(v, j): in-neighbours of v inside S_j when j is later than v's set,
-    out-neighbours when earlier."""
-    i = next((k for k in (1, 2, 3) if sigma.masks[k - 1] >> v & 1), None)
-    if i is None:
-        raise ValueError(f"vertex {v} is in no set of the triple")
-    if j == i or j not in (1, 2, 3):
-        raise ValueError(f"invalid target index {j} for vertex in S_{i}")
-    return frozenset(mask_vertices(_neighbour_mask(host, v, sigma.masks[j - 1], j < i)))
-
-
 @dataclass(frozen=True)
 class CompletePair:
     a: frozenset[int]

@@ -10,6 +10,7 @@ from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
 from nebulab.containment import Embedding
 from nebulab.product import PlacementNebula
+from nebulab.structures import Triple
 
 
 def all_labeled_tournaments(n: int):
@@ -40,6 +41,14 @@ def definition_contains(host: core.Tournament, pattern: core.Tournament):
             if emb.validate(host, pattern):
                 return emb
     return None
+
+
+def loop_write_matrix(t: core.Tournament) -> str:
+    """Reference matrix writer: one character per ordered pair."""
+    lines = [f"tournament {t.n} matrix"]
+    for u in range(t.n):
+        lines.append("".join("1" if t.has_edge(u, v) else "0" for v in range(t.n)))
+    return "\n".join(lines) + "\n"
 
 
 def tr_sweep(t: core.Tournament) -> int:
@@ -172,6 +181,15 @@ def forward_block_host(part_count: int, part_size: int, seed: int) -> core.Tourn
             else:
                 rows[u] |= 1 << v
     return core.Tournament(n, tuple(rows))
+
+
+def neighborhood(host: core.Tournament, sigma: Triple, v: int, j: int) -> frozenset[int]:
+    """N(v, j): the in-neighbours of v inside S_j when j is later than v's
+    set, its out-neighbours when earlier."""
+    i = next(k for k in (1, 2, 3) if sigma.masks[k - 1] >> v & 1)
+    target = sigma.masks[j - 1]
+    met = target & ~host.rows[v] if j > i else target & host.rows[v]
+    return frozenset(core.mask_vertices(met))
 
 
 def set_density(t: core.Tournament, a, b) -> Fraction:

@@ -21,7 +21,6 @@ from nebulab.algorithm import (
     NoCliqueOutcome,
     check_state,
     color_hyperedges,
-    eh_induction_step,
     find_monochromatic_clique,
     find_strong_structure,
     initial_state,
@@ -32,7 +31,7 @@ from nebulab.algorithm import (
 from nebulab.errors import InvariantError, NebulabError, ParseError
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.stars import StarKind
-from nebulab.structures import CompletePair, verify_structure
+from nebulab.structures import verify_structure
 
 LAM = Fraction(3, 10)
 
@@ -422,31 +421,3 @@ class TestStructureFinder:
     def test_infeasible_returns_none(self):
         host = core.random_tournament(12, random.Random(13))
         assert find_strong_structure(host, 4, 10, Fraction(1, 4), LAM) is None
-
-
-class TestInductionStep:
-    def test_two_transitive_sides(self):
-        host = core.transitive_tournament(8)
-        pair = CompletePair(frozenset(range(4)), frozenset(range(4, 8)))
-        combined = eh_induction_step(host, pair)
-        assert combined == frozenset(range(8))
-
-    def test_two_singletons(self):
-        host = core.transitive_tournament(2)
-        pair = CompletePair(frozenset({0}), frozenset({1}))
-        assert eh_induction_step(host, pair) == frozenset({0, 1})
-
-    def test_run_then_combine_on_block_host(self):
-        host = noise_host(7, 30, span=10, seed=14)
-        parts = blocks(7, 30)
-        cfg = single_star_config("LR", 7, 30, LAM)
-        result = run(host, parts, cfg)
-        assert isinstance(result.outcome, CompletePairOutcome)
-        combined = eh_induction_step(host, result.outcome.pair)
-        assert core.is_transitive(core.induced(host, combined))
-        assert len(combined) >= 8  # two log-size chains joined
-
-    def test_invalid_pair_rejected(self):
-        host = core.cyclic_triangle()
-        with pytest.raises(ValueError):
-            eh_induction_step(host, CompletePair(frozenset({0}), frozenset({1, 2})))

