@@ -37,53 +37,66 @@ class Embedding:
 def contains(host: Tournament, pattern: Tournament) -> Optional[Embedding]:
     """Search for an induced copy of ``pattern`` in ``host`` (exact).
 
-    Backtracking over a static pattern-vertex order, most unbalanced degrees
-    first, with bitset candidate filtering; every pattern pair constrains the
-    candidates because tournaments are complete.
+    Backtracking over a static pattern-vertex order, with bitset candidate
+    filtering; every pattern pair constrains the candidates because
+    tournaments are complete.  Search-order contract, on which the first
+    embedding found depends: pattern vertices are placed most
+    degree-unbalanced first (largest |2 out - (h - 1)|, ties by index), and
+    each one tries its host candidates in increasing vertex order.
     """
-    h, n = pattern.n, host.n
+    mapping = _embed(host.n, host.rows, _prepare(pattern))
+    return None if mapping is None else Embedding(mapping)
+
+
+def _prepare(pattern: Tournament):
+    """The search order of ``contains``, each level's degree needs and forward-edge flags."""
+    h = pattern.n
+    pat_out = [row.bit_count() for row in pattern.rows]
+    order = sorted(range(h), key=lambda v: (-abs(2 * pat_out[v] - (h - 1)), v))
+    needs = [(pat_out[v], h - 1 - pat_out[v]) for v in order]
+    forward = [[pattern.rows[hv] >> hu & 1 for hu in order[i + 1 :]] for i, hv in enumerate(order)]
+    return order, needs, forward
+
+
+def _embed(n: int, rows: Sequence[int], prepared) -> Optional[tuple[int, ...]]:
+    """The search of ``contains`` on raw host rows; the first mapping found, or None."""
+    order, needs, forward = prepared
+    h = len(order)
     if h > n:
         return None
-    host_out = [host.out_degree(v) for v in range(n)]
-    pat_out = [pattern.out_degree(v) for v in range(h)]
-    order = sorted(range(h), key=lambda v: (-abs(2 * pat_out[v] - (h - 1)), v))
-    base = []
-    for hv in order:
-        need_out, need_in = pat_out[hv], h - 1 - pat_out[hv]
-        mask = 0
-        for tv in range(n):
-            if host_out[tv] >= need_out and n - 1 - host_out[tv] >= need_in:
-                mask |= 1 << tv
-        base.append(mask)
-
+    ins = [((1 << n) - 1) ^ row ^ (1 << v) for v, row in enumerate(rows)]
+    by_out = [0] * n
+    for v, row in enumerate(rows):
+        by_out[row.bit_count()] |= 1 << v
+    base = [sum(by_out[need_out : n - need_in]) for need_out, need_in in needs]
+    # tables[level][k][tv]: the host vertices allowed at level + 1 + k once tv is placed
+    tables = [[rows if edge else ins for edge in flags] for flags in forward]
     assignment = [0] * h
 
     def descend(level: int, cands: list[int], used: int) -> bool:
+        # cands[k] holds the candidates of level + k
         if level == h:
             return True
-        bits = cands[level] & ~used
+        bits = cands[0] & ~used
+        pairs = list(zip(cands[1:], tables[level]))
         while bits:
-            tv = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            hv = order[level]
-            next_cands = list(cands)
-            ok = True
-            for later in range(level + 1, h):
-                hu = order[later]
-                allowed = host.rows[tv] if pattern.has_edge(hv, hu) else host.in_mask(tv)
-                next_cands[later] &= allowed
-                if not next_cands[later] & ~(used | 1 << tv):
-                    ok = False
+            low = bits & -bits
+            bits ^= low
+            tv = low.bit_length() - 1
+            free = ~(used | low)
+            later = []
+            for cand, table in pairs:
+                cand &= table[tv]
+                if not cand & free:
                     break
-            if ok:
-                assignment[hv] = tv
-                if descend(level + 1, next_cands, used | 1 << tv):
+                later.append(cand)
+            else:
+                assignment[order[level]] = tv
+                if descend(level + 1, later, used | low):
                     return True
         return False
 
-    if descend(0, base, 0):
-        return Embedding(tuple(assignment))
-    return None
+    return tuple(assignment) if descend(0, base, 0) else None
 
 
 def brute_force_contains(
@@ -140,21 +153,20 @@ def random_free_tournament(
     """Rejection sampling with a local repair step.
 
     When a forbidden copy is found, the edges among its image are
-    re-randomized and the tournament is retried; None after max_tries.
+    re-randomized in place and the rows are retried; None after max_tries.
+    Only the returned sample is built, and so checked, as a ``Tournament``.
     """
     rng = random.Random(seed)
-    t = random_tournament(n, rng)
+    rows = list(random_tournament(n, rng).rows)
+    prepared = [_prepare(member) for member in family]
     for _ in range(max_tries):
-        found = None
-        for member in family:
-            emb = contains(t, member)
-            if emb is not None:
-                found = emb
+        for p in prepared:
+            found = _embed(n, rows, p)
+            if found is not None:
                 break
-        if found is None:
-            return t
-        rows = list(t.rows)
-        image = sorted(found.mapping)
+        else:
+            return Tournament(n, tuple(rows))
+        image = sorted(found)
         for i, u in enumerate(image):
             for v in image[i + 1 :]:
                 rows[u] &= ~(1 << v)
@@ -163,7 +175,6 @@ def random_free_tournament(
                     rows[u] |= 1 << v
                 else:
                     rows[v] |= 1 << u
-        t = Tournament(n, tuple(rows))
     return None
 
 

@@ -118,12 +118,15 @@ def regular_pair_sampled(
     seed: int = 0,
 ) -> PairVerdict:
     """Randomized surrogate: a Fail carries a concrete violator and is
-    definitive; a Pass only means no violator was sampled."""
+    definitive; a Pass only means no violator was sampled.  As in the exact
+    check, a side shorter than its witness size passes the pair with no draw."""
     a, b = sorted(set(a)), sorted(set(b))
     eps = to_fraction(eps)
     rng = random.Random(seed)
     na, nb = len(a), len(b)
     min_x, min_y = _witness_size(eps, na), _witness_size(eps, nb)
+    if min_x > na or min_y > nb:
+        return PairVerdict(True, None)
     d_ab = density(host, a, b)
     for drawn in range(1, trials + 1):
         x = frozenset(rng.sample(a, rng.randint(min_x, na)))

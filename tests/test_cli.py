@@ -531,3 +531,26 @@ class TestDeterminism:
         )
         expected = json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+    def test_exponent_left6_bytes_pinned(self, capsys, tmp_path, monkeypatch):
+        # a family that reaches contains and the sampler's repair step
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(
+            capsys, "product", "--kind", "left", "--slots", "1,3,5;2,4,6", "--out", "left6.txt"
+        )
+        assert code == 0
+        argv = ["exponent", "--family", "left6.txt", "--sizes", "8,12,16",
+                "--samples", "5", "--seed", "1"]
+        assert cli.main(argv) == 0
+        pinned = (
+            '{"command": "exponent", "config": {"family": ["left6.txt"], "samples": 5, '
+            '"sizes": [8, 12, 16]}, "results": {"band": [0.7927600319390552, 1.1929704057235084], '
+            '"failure_rates": [[8, 0.0], [12, 0.0], [16, 0.8]], "flagged_sizes": [16], '
+            '"samples": [[8, 5], [8, 6], [8, 6], [8, 6], [8, 5], [12, 8], [12, 9], [12, 9], '
+            '[12, 8], [12, 8], [16, 11]], "slope": 0.9928652188312818}, '
+            '"schema": "nebulab-report/1", "seed": 1, "timing": null, '
+            '"validation": [{"check": "slope-refit", "passed": true}, '
+            '{"check": "failure-flags", "passed": true}]}'
+        )
+        expected = json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,7 +16,10 @@ from nebulab.containment import (
 )
 from nebulab.core import cyclic_triangle, random_tournament, transitive_tournament
 from nebulab.errors import BudgetError
-from nebulab.product import small_central_star
+from nebulab.product import build_nebula, small_central_star
+from nebulab.stars import StarKind
+
+LEFT6 = build_nebula(StarKind.LEFT, [(1, 3, 5), (2, 4, 6)])[1]
 
 
 class TestContains:
@@ -73,6 +77,42 @@ class TestContains:
             lhs = contains(host, pattern) is not None
             rhs = contains(core.complement(host), core.complement(pattern)) is not None
             assert lhs == rhs
+
+    def test_mappings_pinned(self):
+        # the first embedding found follows the search-order contract of
+        # ``contains``; these tuples are the parent search's answers
+        pattern5 = random_tournament(5, random.Random(99))
+        patterns = (LEFT6, core.complement(LEFT6), pattern5)
+        pinned = {
+            (0, 10): [(3, 1, 0, 6, 8, 4), (2, 8, 1, 4, 6, 3), (0, 6, 3, 9, 8)],
+            (1, 12): [(1, 11, 0, 10, 6, 5), (8, 10, 4, 5, 0, 3), (0, 4, 1, 6, 9)],
+            (2, 14): [(10, 4, 1, 11, 9, 0), (2, 3, 0, 10, 9, 1), (0, 8, 13, 3, 4)],
+            (3, 16): [(3, 8, 0, 7, 9, 1), (13, 14, 0, 15, 8, 2), (0, 12, 1, 3, 6)],
+        }
+        for (seed, n), mappings in pinned.items():
+            host = random_tournament(n, random.Random(seed))
+            assert [contains(host, p).mapping for p in patterns] == mappings
+
+    def test_differential_large_hosts(self):
+        # hosts of 10-16 vertices, a third of them LEFT6-free samples, against
+        # the brute-force oracle; its budget unit overcounts the score-filtered
+        # scan, so it is lifted here
+        rng = random.Random(12)
+        patterns = [LEFT6, core.complement(LEFT6)]
+        patterns += [random_tournament(rng.randint(5, 7), rng) for _ in range(6)]
+        for case in range(72):
+            n = rng.randint(10, 16)
+            if case % 3 == 0:
+                host = random_free_tournament(n, [LEFT6], seed=case, max_tries=200)
+                if host is None:
+                    host = random_tournament(n, rng)
+            else:
+                host = random_tournament(n, rng)
+            pattern = patterns[case % len(patterns)]
+            emb = contains(host, pattern)
+            brute = brute_force_contains(host, pattern, budget=math.inf)
+            assert (emb is None) == (brute is None), (case, n)
+            assert emb is None or emb.validate(host, pattern)
 
     def test_brute_budget(self):
         with pytest.raises(BudgetError):
@@ -186,6 +226,14 @@ class TestRandomFree:
         assert random_free_tournament(9, family, seed=3) == random_free_tournament(
             9, family, seed=3
         )
+
+    def test_sample_rows_pinned(self):
+        t = random_free_tournament(16, [LEFT6], seed=0)
+        assert t.rows == (
+            0, 21, 1, 6247, 24813, 4359, 14375, 12399,
+            12511, 32255, 14847, 20919, 23, 6191, 46575, 16383,
+        )
+        assert is_free(t, [LEFT6])
 
     def test_result_verifies_free(self):
         family = [examples.left_example(), core.complement(examples.left_example())]

@@ -17,6 +17,7 @@ from nebulab import core
 from nebulab.core import cyclic_triangle, density, random_tournament
 from nebulab.errors import BudgetError
 from nebulab.regularity import (
+    PairVerdict,
     PipelineReport,
     StageFailure,
     _turan_u,
@@ -183,6 +184,27 @@ class TestRegularPairSampled:
     def test_epsilon_one_passes(self):
         host = random_tournament(12, random.Random(8))
         assert regular_pair_sampled(host, range(6), range(6, 12), 1, seed=2).passed
+
+    @pytest.mark.parametrize(
+        "a, b, eps",
+        [
+            (range(4), range(4, 8), Fraction(3, 2)),  # x = 6 > |A| = 4
+            ([], range(4, 8), Fraction(1, 4)),
+            (range(4), [], Fraction(1, 4)),
+        ],
+    )
+    def test_no_qualifying_subset_passes(self, a, b, eps):
+        # as in the exact check, no pair qualifies, so nothing is drawn
+        host = random_tournament(8, random.Random(13))
+        assert regular_pair_sampled(host, a, b, eps, seed=1) == PairVerdict(True, None, trials=0)
+        assert regular_pair_exact(host, a, b, eps).passed
+
+    def test_epsilon_above_one_partition(self):
+        host = random_tournament(8, random.Random(13))
+        parts = [range(4), range(4, 8)]
+        exact = verify_regular_partition(host, [], parts, Fraction(3, 2))
+        sampled = verify_regular_partition(host, [], parts, Fraction(3, 2), method="sampled")
+        assert sampled.passed and sampled.irregular_pairs == exact.irregular_pairs == ()
 
 
 class TestVerifyPartition:
