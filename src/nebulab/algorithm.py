@@ -398,12 +398,10 @@ def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) ->
                             raise InvariantError(
                                 f"stored vertex {triple[m]} outside its slot part"
                             )
-                    for a in range(3):
-                        for b in range(3):
-                            if a != b and host.has_edge(triple[a], triple[b]) != star.has_edge(a, b):
-                                raise InvariantError(
-                                    f"stored triple {triple} does not induce the {kind.value} star"
-                                )
+                    if not Embedding(triple).validate(host, star):
+                        raise InvariantError(
+                            f"stored triple {triple} does not induce the {kind.value} star"
+                        )
     if stored.bit_count() != count:
         raise InvariantError("stored triples are not vertex-disjoint")
     if stored != state.used:

@@ -7,9 +7,10 @@ found a failing check (verify-examples, or enumerate's class-count or
 round-trip check), 2 = malformed file or argument, including one that parses
 but breaks a library precondition (the library raises ParseError: slot
 triples outside --k, --k above --t, or --structure parts that fail strong
-verification), 3 = search budget exceeded (also: C(t,k) part subsets above
-the phase algorithm's budget, no structure found, or too few samples to fit
-a slope), 4 = internal invariant violation.
+verification), a --replay trace that cannot be read or parsed, or an output
+path that cannot be written, 3 = search budget exceeded (also: C(t,k) part
+subsets above the phase algorithm's budget, no structure found, or too few
+samples to fit a slope), 4 = internal invariant violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
 NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
@@ -72,6 +73,13 @@ def _read_tournament(path: str) -> core.Tournament:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return files.parse_tournament(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _one_based(vertices) -> list[int]:
@@ -384,7 +392,7 @@ def cmd_product(args) -> tuple[dict, int]:
         },
     ]
     if args.out:
-        Path(args.out).write_text(files.write_matrix(t))
+        _write_text(args.out, files.write_matrix(t))
     report = reports.make_report(
         "product",
         {"kind": args.kind, "slots": args.slots, "out": args.out},
@@ -407,7 +415,7 @@ def cmd_complement(args) -> tuple[dict, int]:
         },
     ]
     if args.out:
-        Path(args.out).write_text(files.write_matrix(comp))
+        _write_text(args.out, files.write_matrix(comp))
     report = reports.make_report(
         "complement",
         {"file": args.file, "out": args.out},
@@ -438,6 +446,17 @@ def _read_structure(path: str, n: int) -> list[frozenset[int]]:
     return [frozenset(v - 1 for v in block) for block in blocks]
 
 
+def _read_trace(path: str) -> list:
+    """The records of a --trace file, one JSON value per nonblank line."""
+    try:
+        with open(path) as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path} is not a JSON-lines trace: {exc}") from None
+
+
 def _outcome_payload(outcome) -> dict:
     if isinstance(outcome, algorithm.CompletePairOutcome):
         return {
@@ -466,6 +485,7 @@ def _outcome_payload(outcome) -> dict:
 
 def cmd_run_algorithm(args) -> tuple[dict, int]:
     host = _read_tournament(args.host)
+    saved = _read_trace(args.replay) if args.replay else None
     spec = algorithm.CASES[args.case]
     nebulae = {
         spec.white: _nebula_from_arg(spec.white, args.nebula_white, args.k),
@@ -490,9 +510,8 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
         parts = _read_structure(args.structure, host.n)
     result = algorithm.run(host, parts, config)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            for record in result.trace:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        lines = [json.dumps(record, sort_keys=True) + "\n" for record in result.trace]
+        _write_text(args.trace, "".join(lines))
     validation = [
         {
             "check": "phase-bound",
@@ -511,9 +530,7 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
             }
         )
     replay_code = 0
-    if args.replay:
-        with open(args.replay) as fh:
-            saved = [json.loads(line) for line in fh if line.strip()]
+    if saved is not None:
         current = [json.loads(json.dumps(r, sort_keys=True)) for r in result.trace]
         match = saved == current
         validation.append({"check": "replay-matches", "passed": match})
@@ -593,11 +610,14 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     written = []
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParseError(f"cannot make the directory {out_dir}: {exc}") from exc
         for idx, t in enumerate(kept):
-            path = out_dir / f"class_{idx:05d}.txt"
-            path.write_text(files.write_matrix(t))
-            written.append(str(path))
+            path = str(out_dir / f"class_{idx:05d}.txt")
+            _write_text(path, files.write_matrix(t))
+            written.append(path)
     validation = [
         {
             "check": "class-count-table",

@@ -44,33 +44,62 @@ def contains(host: Tournament, pattern: Tournament) -> Optional[Embedding]:
     degree-unbalanced first (largest |2 out - (h - 1)|, ties by index), and
     each one tries its host candidates in increasing vertex order.
     """
-    mapping = _embed(host.n, host.rows, _prepare(pattern))
+    mapping = _embed(host.rows, _prepare(pattern), _degree_masks(host.rows, pattern))
     return None if mapping is None else Embedding(mapping)
 
 
-def _prepare(pattern: Tournament):
-    """The search order of ``contains``, each level's degree needs and forward-edge flags."""
+def contains_in_parts(
+    host: Tournament, pattern: Tournament, parts: Sequence[int]
+) -> Optional[Embedding]:
+    """The lex-first induced copy of ``pattern`` with pattern vertex i in the
+    host vertex mask ``parts[i]``, or None (exact).
+
+    Pattern vertices are placed in index order, each trying its part's
+    vertices in increasing order, so the first copy found is the lex-first.
+    """
+    if len(parts) != pattern.n:
+        raise ValueError("need exactly one part per pattern vertex")
+    mapping = _embed(host.rows, _prepare(pattern, range(pattern.n)), parts)
+    return None if mapping is None else Embedding(mapping)
+
+
+def _prepare(pattern: Tournament, order: Optional[Sequence[int]] = None):
+    """A search order and, per level, the flip towards each later level: 0
+    where the pattern edge points to the later vertex, -1 where it points
+    back, so ``row ^ flip`` is a placed vertex's out- or in-neighbourhood.
+    The default order is the one of ``contains``."""
     h = pattern.n
-    pat_out = [row.bit_count() for row in pattern.rows]
-    order = sorted(range(h), key=lambda v: (-abs(2 * pat_out[v] - (h - 1)), v))
-    needs = [(pat_out[v], h - 1 - pat_out[v]) for v in order]
-    forward = [[pattern.rows[hv] >> hu & 1 for hu in order[i + 1 :]] for i, hv in enumerate(order)]
-    return order, needs, forward
+    if order is None:
+        outs = [row.bit_count() for row in pattern.rows]
+        order = sorted(range(h), key=lambda v: (-abs(2 * outs[v] - (h - 1)), v))
+    flips = [
+        [(pattern.rows[hv] >> hu & 1) - 1 for hu in order[i + 1 :]]
+        for i, hv in enumerate(order)
+    ]
+    return tuple(order), flips
 
 
-def _embed(n: int, rows: Sequence[int], prepared) -> Optional[tuple[int, ...]]:
-    """The search of ``contains`` on raw host rows; the first mapping found, or None."""
-    order, needs, forward = prepared
-    h = len(order)
-    if h > n:
-        return None
-    ins = [((1 << n) - 1) ^ row ^ (1 << v) for v, row in enumerate(rows)]
+def _degree_masks(rows: Sequence[int], pattern: Tournament) -> list[int]:
+    """Per pattern vertex, the host vertices with at least its out- and in-degree."""
+    n, h = len(rows), pattern.n
     by_out = [0] * n
     for v, row in enumerate(rows):
         by_out[row.bit_count()] |= 1 << v
-    base = [sum(by_out[need_out : n - need_in]) for need_out, need_in in needs]
-    # tables[level][k][tv]: the host vertices allowed at level + 1 + k once tv is placed
-    tables = [[rows if edge else ins for edge in flags] for flags in forward]
+    outs = [row.bit_count() for row in pattern.rows]
+    return [sum(by_out[out : max(out, n - (h - 1 - out))]) for out in outs]
+
+
+def _embed(rows: Sequence[int], prepared, masks: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The first mapping found on raw host rows with pattern vertex v among
+    the host vertices of ``masks[v]``, or None.
+
+    Forward checking: placing a vertex narrows every later level's
+    candidates, and a branch dies as soon as one of them runs out.
+    """
+    order, flips = prepared
+    h = len(order)
+    if h > len(rows):
+        return None
     assignment = [0] * h
 
     def descend(level: int, cands: list[int], used: int) -> bool:
@@ -78,15 +107,16 @@ def _embed(n: int, rows: Sequence[int], prepared) -> Optional[tuple[int, ...]]:
         if level == h:
             return True
         bits = cands[0] & ~used
-        pairs = list(zip(cands[1:], tables[level]))
+        pairs = list(zip(cands[1:], flips[level]))
         while bits:
             low = bits & -bits
             bits ^= low
             tv = low.bit_length() - 1
+            row = rows[tv]
             free = ~(used | low)
             later = []
-            for cand, table in pairs:
-                cand &= table[tv]
+            for cand, flip in pairs:
+                cand &= row ^ flip
                 if not cand & free:
                     break
                 later.append(cand)
@@ -96,7 +126,7 @@ def _embed(n: int, rows: Sequence[int], prepared) -> Optional[tuple[int, ...]]:
                     return True
         return False
 
-    return tuple(assignment) if descend(0, base, 0) else None
+    return tuple(assignment) if descend(0, [masks[v] for v in order], 0) else None
 
 
 def brute_force_contains(
@@ -158,10 +188,10 @@ def random_free_tournament(
     """
     rng = random.Random(seed)
     rows = list(random_tournament(n, rng).rows)
-    prepared = [_prepare(member) for member in family]
+    prepared = [(member, _prepare(member)) for member in family]
     for _ in range(max_tries):
-        for p in prepared:
-            found = _embed(n, rows, p)
+        for member, p in prepared:
+            found = _embed(rows, p, _degree_masks(rows, member))
             if found is not None:
                 break
         else:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
-from .containment import Embedding
+from .containment import contains_in_parts
 from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
 from .errors import BudgetError, InvariantError
 from .structures import (
@@ -195,53 +195,6 @@ def verify_regular_partition(
     )
 
 
-def embed_via_regular_parts(
-    host: Tournament,
-    parts: Sequence[Sequence[int]],
-    pattern: Tournament,
-    lam_density,
-) -> Optional[Embedding]:
-    """Greedy one-vertex-per-part embedding with candidate tracking.
-
-    Each part hosts one pattern vertex; candidates are filtered by the
-    orientation toward every placed vertex, and the pick maximizes the worst
-    remaining candidate count.  Returns None when candidates run out; the
-    guarantee threshold eta(k, lambda) is never computed, so None is
-    inconclusive.
-    """
-    if len(parts) != pattern.n:
-        raise ValueError("need exactly one part per pattern vertex")
-    lam_f = to_fraction(lam_density)
-    part_sets = [sorted(set(p)) for p in parts]
-    for i, j in combinations(range(len(part_sets)), 2):
-        d = density(host, part_sets[i], part_sets[j])
-        if min(d, 1 - d) < lam_f:
-            raise ValueError(f"parts {i},{j} miss the density floor {lam_f}")
-    candidates = [vertex_mask(p) for p in part_sets]
-
-    def allowed(i: int, v: int, j: int) -> int:
-        """Candidates of part j oriented toward v as pattern edge (i, j) asks."""
-        return candidates[j] & (host.rows[v] if pattern.has_edge(i, j) else ~host.rows[v])
-
-    chosen: list[int] = []
-    for i in range(pattern.n):
-        best_v, best_score = None, None
-        for v in mask_vertices(candidates[i]):
-            futures = [allowed(i, v, j).bit_count() for j in range(i + 1, pattern.n)]
-            if 0 in futures:
-                continue
-            score = min(futures, default=0)
-            if best_score is None or score > best_score:
-                best_v, best_score = v, score
-        if best_v is None:
-            return None
-        chosen.append(best_v)
-        for j in range(i + 1, pattern.n):
-            candidates[j] = allowed(i, best_v, j)
-    emb = Embedding(tuple(chosen))
-    return emb if emb.validate(host, pattern) else None
-
-
 def stearns_transitive(t: Tournament) -> list[int]:
     """Transitive chain of size at least floor(log2 n) + 1.
 
@@ -289,22 +242,7 @@ class PipelineReport:
     f_sizes: tuple[int, ...]
     finals: tuple[tuple[int, ...], ...]
     c: Fraction
-    turan_u: Optional[int]
     bullets: dict
-
-
-def _turan_u(eta: Fraction, k_target: int) -> Optional[int]:
-    """Smallest u >= 2 with C(u',2) - eta*u'^2 > (k-2)/(2(k-1)) * u'^2 for all u' >= u.
-
-    Dividing by u^2 gives a > 1/(2u) with a = 1/2 - eta - (k-2)/(2(k-1)),
-    which holds exactly for u > 1/(2a); None when k < 2 or a <= 0.
-    """
-    if k_target < 2:
-        return None
-    a = Fraction(1, 2) - eta - Fraction(k_target - 2, 2 * (k_target - 1))
-    if a <= 0:
-        return None
-    return max(2, math.floor(1 / (2 * a)) + 1)
 
 
 def strong_structure_pipeline(
@@ -317,13 +255,16 @@ def strong_structure_pipeline(
     eta,
 ) -> Union[PipelineReport, StageFailure]:
     """Stages: regular-part selection, good/bad labelling, the clique/stable
-    dichotomy, the derived part tournament, log-size chain extraction, and
-    the per-vertex density filtering that equalizes the final sets.
+    dichotomy (with no stable family, an exact search for a copy of the
+    pattern with vertex i in the i-th part of a good clique), the derived
+    part tournament, log-size chain extraction, and the per-vertex density
+    filtering that equalizes the final sets.
 
     Returns a StageFailure at partition, turan-selection, ramsey-dichotomy,
-    found-h, embedding-inconclusive or lambda-range; past the dichotomy the
-    stages cannot fail (see the comments at each), and the final strong
-    re-check raises InvariantError should it ever fail.
+    found-h (carrying the copy), h-absent-from-good-parts (no such copy
+    exists) or lambda-range; past the dichotomy the stages cannot fail (see
+    the comments at each), and the final strong re-check raises
+    InvariantError should it ever fail.
     """
     if p_target < 1:
         raise ValueError(f"target P must be at least 1, got {p_target}")
@@ -356,7 +297,6 @@ def strong_structure_pipeline(
             f"largest pairwise-regular family has {0 if selected is None else len(selected)}"
             f" parts, need at least {needed}",
         )
-    turan_u = _turan_u(eta_f, len(selected))
 
     densities = {
         (i, j): density(host, part_sets[i], part_sets[j]) for i, j in combinations(selected, 2)
@@ -386,15 +326,15 @@ def strong_structure_pipeline(
                 "ramsey-dichotomy",
                 f"no {needed} pairwise-bad parts and no {pattern.n} pairwise-good parts",
             )
-        h_parts = [part_sets[selected[i]] for i in h_clique]
-        emb = embed_via_regular_parts(host, h_parts, pattern, big_lam)
+        h_parts = [vertex_mask(part_sets[selected[i]]) for i in h_clique]
+        emb = contains_in_parts(host, pattern, h_parts)
         if emb is not None:
             return StageFailure(
                 "found-h", "good clique embeds the forbidden pattern", emb
             )
         return StageFailure(
-            "embedding-inconclusive",
-            "good clique exists but the greedy embedding failed",
+            "h-absent-from-good-parts",
+            "no copy of the pattern has vertex i in the i-th good part",
         )
     if big_lam >= Fraction(1, 2):
         return StageFailure("lambda-range", f"lambda/(4P) = {big_lam} must be below 1/2")
@@ -453,7 +393,6 @@ def strong_structure_pipeline(
         f_sizes=tuple(len(f) for f in f_sets),
         finals=finals,
         c=c,
-        turan_u=turan_u,
         bullets=bullets,
     )
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
 
-from .containment import Embedding
+from .containment import Embedding, contains_in_parts
 from .core import Tournament, mask_vertices, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
 from .product import SMALL_STARS, Placement, ProductResult, product
@@ -142,32 +142,32 @@ class CompletePair:
 
 @dataclass(frozen=True)
 class TripleClass:
-    """(i, j) verdict: coverage of S_j reaches half no later than S_l's."""
+    """(i, j) verdict: coverage of S_j reaches half no later than S_l's.
+
+    ``prefixes_j`` and ``prefixes_l`` hold the cumulative coverages of S_j and
+    S_l along S_i in ascending order, as masks."""
 
     i: int
     j: int
     l: int
-    ordering: tuple[int, ...]
     k_j: int
     k_l: int
-    coverage_j: tuple[int, ...]
-    coverage_l: tuple[int, ...]
+    prefixes_j: tuple[int, ...]
+    prefixes_l: tuple[int, ...]
 
 
 TripleVerdict = Union[CompletePair, TripleClass]
 
 
-def _coverage_profile(
-    host: Tournament, sigma: Triple, i: int, j: int, ordering: Sequence[int]
-) -> list[int]:
-    """Cumulative unions of N(v, j) along the ordering of S_i, as masks."""
+def _coverage_profile(host: Tournament, sigma: Triple, i: int, j: int) -> tuple[int, ...]:
+    """Cumulative unions of N(v, j) along S_i in ascending order, as masks."""
     target = sigma.masks[j - 1]
     union = 0
     prefixes = []
-    for v in ordering:
+    for v in mask_vertices(sigma.masks[i - 1]):
         union |= _neighbour_mask(host, v, target, j < i)
         prefixes.append(union)
-    return prefixes
+    return tuple(prefixes)
 
 
 def _complete_pair(first: int, second: int) -> CompletePair:
@@ -187,23 +187,21 @@ def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVe
         raise ValueError(f"invalid triple indices ({i},{j})")
     l = 6 - i - j
     source = sigma.masks[i - 1]
-    ordering = tuple(mask_vertices(source))
     profiles = {}
     for target in (j, l):
-        prefixes = _coverage_profile(host, sigma, i, target, ordering)
+        prefixes = _coverage_profile(host, sigma, i, target)
         size = sigma.masks[target - 1].bit_count()
         if 2 * prefixes[-1].bit_count() < size:
             untouched = sigma.masks[target - 1] & ~prefixes[-1]
             if target > i:
                 return _complete_pair(source, untouched)
             return _complete_pair(untouched, source)
-        profile = tuple(m.bit_count() for m in prefixes)
-        k = next(k for k, cov in enumerate(profile, 1) if 2 * cov >= size)
-        profiles[target] = (k, profile)
+        k = next(k for k, cov in enumerate(prefixes, 1) if 2 * cov.bit_count() >= size)
+        profiles[target] = (k, prefixes)
     (k_j, prof_j), (k_l, prof_l) = profiles[j], profiles[l]
     if k_j <= k_l:
-        return TripleClass(i, j, l, ordering, k_j, k_l, prof_j, prof_l)
-    return TripleClass(i, l, j, ordering, k_l, k_j, prof_l, prof_j)
+        return TripleClass(i, j, l, k_j, k_l, prof_j, prof_l)
+    return TripleClass(i, l, j, k_l, k_j, prof_l, prof_j)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +211,8 @@ def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVe
 
 @dataclass(frozen=True)
 class WitnessTriple:
-    """(v1, v2, v3) with v_m in S_m and the pattern's three edges present."""
+    """(v1, v2, v3) with v_m in S_m inducing the pattern's three-vertex star,
+    star vertex m - 1 at v_m."""
 
     vertices: tuple[int, int, int]
     pattern: StarKind
@@ -222,16 +221,8 @@ class WitnessTriple:
         vs = self.vertices
         if any(not sigma.masks[m] >> vs[m] & 1 for m in range(3)):
             return False
-        return all(
-            host.has_edge(vs[a - 1], vs[b - 1]) for a, b in PATTERN_EDGES[self.pattern]
-        )
+        return Embedding(vs).validate(host, SMALL_STARS[self.pattern]()[0])
 
-
-# pattern edges as (source position, target position), positions 1..3: the
-# edges of the three-vertex stars under their slot ordering
-PATTERN_EDGES = {
-    kind: tuple((u + 1, v + 1) for u, v in star()[0].edges()) for kind, star in SMALL_STARS.items()
-}
 
 # (i, j) -> (pattern, A side, B side); 'cov' takes the coverage prefix set in
 # S_index, 'compl' its complement; A is complete to B
@@ -245,29 +236,12 @@ WITNESS_TABLE: dict[tuple[int, int], tuple[StarKind, tuple[str, int], tuple[str,
 }
 
 
-def _find_pattern_triple(
-    host: Tournament, sigma: Triple, pattern: StarKind
-) -> Optional[WitnessTriple]:
-    """The lex-first (v1, v2, v3) inducing the pattern, or None."""
-    edges = PATTERN_EDGES[pattern]
-
-    def fitting(v: int, a: int, b: int) -> int:
-        """Vertices of S_b oriented toward v (at position a) as the pattern asks."""
-        return _neighbour_mask(host, v, sigma.masks[b - 1], (a, b) in edges)
-
-    for v1 in mask_vertices(sigma.masks[0]):
-        for v2 in mask_vertices(fitting(v1, 1, 2)):
-            third = fitting(v1, 1, 3) & fitting(v2, 2, 3)
-            if third:
-                return WitnessTriple((v1, v2, (third & -third).bit_length() - 1), pattern)
-    return None
-
-
 def witness(
     host: Tournament, sigma: Triple, verdict: TripleClass
 ) -> Union[WitnessTriple, CompletePair]:
-    """Extract the star pattern promised by an (i,j)-verdict, or a half-sized
-    complete pair built from the coverage prefixes when no pattern exists.
+    """Extract the star pattern promised by an (i,j)-verdict, the lex-first
+    (v1, v2, v3), or a half-sized complete pair built from the verdict's
+    coverage prefixes when no pattern exists.
 
     The pair construction needs a step k at which the j-coverage has reached
     half while the l-coverage has not exceeded it; when the two coverages
@@ -278,14 +252,12 @@ def witness(
     if key not in WITNESS_TABLE:
         raise ValueError(f"no witness pattern for verdict {key}")
     pattern, a_spec, b_spec = WITNESS_TABLE[key]
-    found = _find_pattern_triple(host, sigma, pattern)
+    found = contains_in_parts(host, SMALL_STARS[pattern]()[0], sigma.masks)
     if found is not None:
-        return found
-    prefixes_j = _coverage_profile(host, sigma, verdict.i, verdict.j, verdict.ordering)
-    prefixes_l = _coverage_profile(host, sigma, verdict.i, verdict.l, verdict.ordering)
+        return WitnessTriple(found.mapping, pattern)
     size_j = sigma.masks[verdict.j - 1].bit_count()
     size_l = sigma.masks[verdict.l - 1].bit_count()
-    for cov_j, cov_l in zip(prefixes_j, prefixes_l):
+    for cov_j, cov_l in zip(verdict.prefixes_j, verdict.prefixes_l):
         if 2 * cov_j.bit_count() >= size_j and 2 * cov_l.bit_count() <= size_l:
             sides = []
             for role, index in (a_spec, b_spec):

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
 from nebulab.containment import Embedding
-from nebulab.product import PlacementNebula
+from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.structures import Triple
 
 
@@ -40,6 +40,24 @@ def definition_contains(host: core.Tournament, pattern: core.Tournament):
             emb = Embedding(image)
             if emb.validate(host, pattern):
                 return emb
+    return None
+
+
+def pattern_triple(host: core.Tournament, sigma: Triple, kind) -> tuple[int, int, int] | None:
+    """Hand-unrolled witness oracle: the lex-first (v1, v2, v3) with v_m in
+    S_m inducing the kind's three-vertex star, star vertex m - 1 at v_m."""
+    star = SMALL_STARS[kind]()[0]
+
+    def fitting(v: int, a: int, b: int) -> int:
+        """Vertices of S_(b+1) oriented toward v, at star vertex a, as the star asks."""
+        target = sigma.masks[b]
+        return target & host.rows[v] if star.has_edge(a, b) else target & ~host.rows[v]
+
+    for v1 in core.mask_vertices(sigma.masks[0]):
+        for v2 in core.mask_vertices(fitting(v1, 0, 1)):
+            third = fitting(v1, 0, 2) & fitting(v2, 1, 2)
+            if third:
+                return v1, v2, (third & -third).bit_length() - 1
     return None
 
 

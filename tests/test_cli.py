@@ -280,6 +280,8 @@ class TestOtherCommands:
 
 # a valid run-algorithm invocation on the cyclic triangle: three one-vertex parts
 RUN_C3 = ["run-algorithm", "C3", "--case", "LR", "--t", "3", "--part-size", "1"]
+# a run-algorithm invocation that completes: the transitive triangle, auto structure
+RUN_T3 = ["run-algorithm", "T3", "--case", "LR", "--t", "3", "--part-size", "1"]
 
 
 def assert_clean_exit(capsys, argv, expected):
@@ -291,6 +293,7 @@ def assert_clean_exit(capsys, argv, expected):
     assert code == expected
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 class TestFreeCommand:
@@ -410,6 +413,30 @@ class TestMalformedInput:
     def test_budget_exit_without_traceback(self, capsys, c3_file, argv):
         argv = [c3_file if arg == "C3" else arg for arg in argv]
         assert_clean_exit(capsys, argv, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            RUN_T3 + ["--replay", "MISSING/trace.jsonl"],
+            RUN_T3 + ["--replay", "BAD"],  # a malformed JSON line
+            RUN_T3 + ["--trace", "MISSING/trace.jsonl"],
+            ["product", "--kind", "left", "--slots", "1,2,3", "--out", "MISSING/p.txt"],
+            ["complement", "C3", "--out", "MISSING/c.txt"],
+            ["enumerate", "--n", "3", "--out", "C3"],  # names an existing file
+        ],
+    )
+    def test_file_error_exit(self, capsys, monkeypatch, tmp_path, c3_file, argv):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"phase": 0}\n{"phase": \n')
+        t3 = tmp_path / "t3.txt"
+        t3.write_text(write_matrix(core.transitive_tournament(3)))
+        names = {"C3": c3_file, "T3": str(t3), "BAD": str(bad)}
+        argv = [names.get(arg, arg.replace("MISSING", str(tmp_path / "none"))) for arg in argv]
+        if "--replay" in argv:
+            # the replay file is read before any phase runs
+            monkeypatch.setattr(algorithm, "run", lambda *args: pytest.fail("phases ran"))
+        err = assert_clean_exit(capsys, argv, 2)
+        assert err.count("\n") == 1
 
     def test_exponent_without_enough_samples_exit(self, capsys):
         assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 from helpers import definition_contains
 from nebulab import core, examples
 from nebulab.containment import (
+    Embedding,
     brute_force_contains,
     contains,
+    contains_in_parts,
     empirical_eh_exponent,
     is_free,
     random_free_tournament,
@@ -190,6 +193,38 @@ class TestBruteForce:
             for host in core.enumerate_tournaments(n):
                 for pattern in patterns:
                     assert_agrees_with_definition(host, pattern)
+
+
+def parts_oracle(host, pattern, parts):
+    """Definition-level oracle for ``contains_in_parts``: the first mapping,
+    over the product of the parts in lex order, that passes validate."""
+    for image in itertools.product(*(core.mask_vertices(part) for part in parts)):
+        if Embedding(image).validate(host, pattern):
+            return Embedding(image)
+    return None
+
+
+@st.composite
+def host_pattern_parts(draw):
+    """A host of at most 9 vertices, a pattern of at most 4 and one random
+    vertex mask per pattern vertex (masks may overlap or be empty)."""
+    host = draw(tournaments(1, 9))
+    pattern = draw(tournaments(1, 4))
+    full = (1 << host.n) - 1
+    parts = [draw(st.integers(0, full)) for _ in range(pattern.n)]
+    return host, pattern, parts
+
+
+class TestContainsInParts:
+    @given(host_pattern_parts())
+    @settings(max_examples=400, deadline=None)
+    def test_lex_first_against_product_oracle(self, case):
+        host, pattern, parts = case
+        assert contains_in_parts(host, pattern, parts) == parts_oracle(host, pattern, parts)
+
+    def test_part_count_must_match(self):
+        with pytest.raises(ValueError, match="one part per pattern vertex"):
+            contains_in_parts(cyclic_triangle(), cyclic_triangle(), [7, 7])
 
 
 class TestIsFree:

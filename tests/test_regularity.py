@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 import nebulab
 from helpers import forward_block_host, set_density, structure_oracle
 from nebulab import core
-from nebulab.core import cyclic_triangle, density, random_tournament
+from nebulab.containment import contains_in_parts
+from nebulab.core import cyclic_triangle, density, random_tournament, vertex_mask
 from nebulab.errors import BudgetError
 from nebulab.regularity import (
     PairVerdict,
     PipelineReport,
     StageFailure,
-    _turan_u,
-    embed_via_regular_parts,
     regular_pair_exact,
     regular_pair_sampled,
     stearns_transitive,
@@ -240,69 +239,20 @@ class TestVerifyPartition:
 
 
 class TestEmbedding:
+    """The pipeline's found-h search: one pattern vertex per regular part."""
+
     def test_half_density_triangle(self):
-        found = 0
+        parts = [vertex_mask(range(8)), vertex_mask(range(8, 16)), vertex_mask(range(16, 24))]
         for seed in range(10):
-            rng = random.Random(seed)
-            host = random_tournament(24, rng)
-            parts = [range(8), range(8, 16), range(16, 24)]
-            try:
-                emb = embed_via_regular_parts(host, parts, cyclic_triangle(), Fraction(1, 5))
-            except ValueError:
-                continue
-            if emb is not None:
-                assert emb.validate(host, cyclic_triangle())
-                found += 1
-        assert found >= 5
+            host = random_tournament(24, random.Random(seed))
+            emb = contains_in_parts(host, cyclic_triangle(), parts)
+            assert emb is not None and emb.validate(host, cyclic_triangle())
+            assert all(part >> v & 1 for part, v in zip(parts, emb.mapping))
 
     def test_single_vertex(self):
         host = random_tournament(4, random.Random(13))
-        emb = embed_via_regular_parts(host, [range(4)], core.Tournament(1, (0,)), Fraction(0))
-        assert emb is not None
-
-    def test_zero_density_rejected(self):
-        host = forward_block_host(2, 4, seed=14)
-        with pytest.raises(ValueError, match="density floor"):
-            embed_via_regular_parts(
-                host,
-                [range(4), range(4, 8)],
-                core.transitive_tournament(2),
-                Fraction(1, 5),
-            )
-
-
-def scanned_turan_u(eta, k_target, cap):
-    """The definition scanned downward from ``cap``: the least u >= 2 such
-    that every u' in u..cap satisfies C(u',2) - eta*u'^2 > (k-2)/(2(k-1))*u'^2,
-    None if ``cap`` itself fails."""
-    if k_target < 2:
-        return None
-    rhs_coeff = Fraction(k_target - 2, 2 * (k_target - 1))
-    u = None
-    for cand in range(cap, 1, -1):
-        if Fraction(cand * (cand - 1), 2) - eta * cand * cand > rhs_coeff * cand * cand:
-            u = cand
-        else:
-            break
-    return u
-
-
-class TestTuranU:
-    def test_closed_form_matches_scan(self):
-        cap = 200
-        etas = {Fraction(p, q) for q in range(1, 25) for p in range(0, q + 1)}
-        etas |= {Fraction(-1, 8), Fraction(1, 1000), Fraction(499, 1000)}  # u = 501 > cap
-        for eta in sorted(etas):
-            for k_target in range(0, 9):
-                u = _turan_u(eta, k_target)
-                expected = scanned_turan_u(eta, k_target, cap)
-                assert (u if u is None or u <= cap else None) == expected, (eta, k_target)
-
-    def test_known_values(self):
-        assert _turan_u(Fraction(1, 4), 2) == 3
-        assert _turan_u(Fraction(0), 2) == 2
-        assert _turan_u(Fraction(1, 2), 2) is None
-        assert _turan_u(Fraction(1, 4), 1) is None
+        emb = contains_in_parts(host, core.Tournament(1, (0,)), [vertex_mask(range(4))])
+        assert emb is not None and emb.mapping == (0,)
 
 
 class TestStearns:
@@ -361,9 +311,33 @@ class TestPipeline:
             lam=Fraction(1, 2), eta=Fraction(1, 2),
         )
         assert isinstance(result, StageFailure)
-        assert result.stage in ("found-h", "embedding-inconclusive", "partition")
+        assert result.stage in ("found-h", "h-absent-from-good-parts", "partition")
         if result.stage == "found-h":
             assert result.detail.validate(host, cyclic_triangle())
+
+    def test_absent_pattern_is_definite(self):
+        # every pair of parts has density 1/2, so all are good; the first half
+        # of part 0 loses to parts 1 and 2 and the second half beats them, so
+        # no triangle with one vertex per part is cyclic
+        rng = random.Random(20)
+        edges = []
+        for u, v in itertools.combinations(range(24), 2):
+            if u // 8 == v // 8 or (u // 8, v // 8) == (1, 2):
+                edges.append((u, v) if rng.random() < 0.5 else (v, u))
+            else:
+                edges.append((v, u) if u % 8 < 4 else (u, v))
+        host = core.from_edges(24, edges)
+        parts = [range(8), range(8, 16), range(16, 24)]
+        result = strong_structure_pipeline(
+            host, [], parts, cyclic_triangle(), p_target=2,
+            lam=Fraction(1, 2), eta=Fraction(1, 2),
+        )
+        assert isinstance(result, StageFailure)
+        assert result.stage == "h-absent-from-good-parts"
+        assert all(
+            core.is_transitive(core.induced(host, triple))
+            for triple in itertools.product(*parts)
+        )
 
     @pytest.mark.parametrize("p_target", [0, -1])
     def test_target_below_one_rejected(self, p_target):

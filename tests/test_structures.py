@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import forward_block_host, neighborhood, set_density, structure_oracle
+from helpers import (
+    forward_block_host,
+    neighborhood,
+    pattern_triple,
+    set_density,
+    structure_oracle,
+)
 from nebulab import core
 from nebulab.core import from_backward_edges, random_tournament
 from nebulab.errors import CoverageTieError, LambdaTooLargeError
-from nebulab.product import small_central_star, small_left_star, small_right_star
+from nebulab.containment import contains_in_parts
+from nebulab.product import SMALL_STARS, small_central_star, small_left_star, small_right_star
 from nebulab.stars import StarKind
 from nebulab.structures import (
     CompletePair,
@@ -323,13 +330,36 @@ class TestWitness:
             if (verdict.i, verdict.j) not in dict.fromkeys(queries):
                 continue  # sibling verdict belongs to the other pattern
             result = witness(host, sigma, verdict)
+            expected = pattern_triple(host, sigma, pattern)
             if isinstance(result, WitnessTriple):
                 assert result.pattern is pattern
                 assert result.validate(host, sigma)
+                assert result.vertices == expected
             else:
                 assert result.validate(host)
+                assert expected is None
             validated += 1
         assert validated > 100
+
+    @pytest.mark.parametrize("kind", [StarKind.LEFT, StarKind.RIGHT, StarKind.CENTRAL])
+    def test_lex_first_triple_matches_unrolled_oracle(self, kind):
+        # small random parts, so that both found and absent triples occur
+        rng = random.Random(kind.value)
+        star = SMALL_STARS[kind]()[0]
+        absent = 0
+        for _ in range(300):
+            n = rng.randint(3, 40)
+            host = random_tournament(n, rng)
+            a, b, c = (rng.randint(1, n // 3) for _ in range(3))
+            verts = rng.sample(range(n), a + b + c)
+            sigma = make_triple(verts[:a], verts[a : a + b], verts[a + b :])
+            expected = pattern_triple(host, sigma, kind)
+            found = contains_in_parts(host, star, sigma.masks)
+            assert (None if found is None else found.mapping) == expected
+            absent += expected is None
+            if expected is not None:
+                assert WitnessTriple(expected, kind).validate(host, sigma)
+        assert 0 < absent < 300
 
 
 class TestNormality:
