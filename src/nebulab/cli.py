@@ -70,7 +70,7 @@ def _positive_ints(text: str) -> list[int]:
 def _read_tournament(path: str) -> core.Tournament:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return files.parse_tournament(text)
 
@@ -104,20 +104,15 @@ def _independent_component_check(
         if pos[u] > pos[v]:
             adj[u].add(v)
             adj[v].add(u)
-    seen: set[int] = set()
-    rebuilt = []
+    rebuilt: list[frozenset[int]] = []
     for v in range(t.n):
-        if v in seen:
+        if any(v in c for c in rebuilt):
             continue
-        comp = {v}
-        frontier = [v]
+        comp, frontier = {v}, [v]
         while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        seen |= comp
+            new = adj[frontier.pop()] - comp
+            comp |= new
+            frontier += new
         rebuilt.append(frozenset(comp))
     expected = sorted((c.vertices for c in comps), key=min)
     passed = sorted(rebuilt, key=min) == expected

@@ -10,11 +10,11 @@ three-vertex-kind predicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .core import Ordering, Tournament, check_ordering, mask_vertices
+from .core import Ordering, Tournament, check_ordering, mask_vertices, vertex_mask
 from .errors import BudgetError
 
 ORDERING_SEARCH_BUDGET = 12
@@ -47,6 +47,7 @@ class StarComponent:
     center: Optional[int]
     kind: StarKind
     positions: tuple[int, ...]
+    mask: int = field(compare=False, repr=False)  # ``vertices`` as a bitmask
 
 
 def backward_graph(t: Tournament, order: Sequence[int]) -> BackwardEdgeGraph:
@@ -81,40 +82,39 @@ def classify_components_partial(
     Positions are indices into ``placed``; components come in increasing
     order of their least vertex.
     """
-    pos = {v: i for i, v in enumerate(placed)}
-    adj = graph.adj
-    remaining = 0
-    for v in placed:
-        remaining |= 1 << v
+    remaining = vertex_mask(placed)
     out = []
     while remaining:
-        comp = frontier = remaining & -remaining
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & remaining & ~comp
-            comp |= new
-            frontier |= new
+        comp, grown = 0, remaining & -remaining
+        while grown != comp:
+            comp = grown
+            for u in mask_vertices(comp):
+                grown |= graph.adj[u] & remaining
         remaining &= ~comp
-        verts = mask_vertices(comp)
-        comp_pos = tuple(sorted(pos[v] for v in verts))
-        center, kind = None, StarKind.SINGLETON
-        if len(verts) == 2:
-            center, kind = verts[0], StarKind.GENERAL
-        elif len(verts) > 2:
-            hub = max(verts, key=lambda v: adj[v].bit_count())
-            if adj[hub].bit_count() != len(verts) - 1 or any(
-                adj[v].bit_count() != 1 for v in verts if v != hub
-            ):
-                kind = StarKind.NON_STAR
-            elif pos[hub] == comp_pos[0]:
-                center, kind = hub, StarKind.LEFT
-            elif pos[hub] == comp_pos[-1]:
-                center, kind = hub, StarKind.RIGHT
-            else:
-                center, kind = hub, StarKind.CENTRAL
-        out.append(StarComponent(frozenset(verts), center, kind, comp_pos))
+        out.append(_classify(comp, graph.adj, placed))
     return out
+
+
+def _classify(comp: int, adj: Sequence[int], placed: Sequence[int]) -> StarComponent:
+    """The star rule on the backward component with vertex mask ``comp``."""
+    verts = mask_vertices(comp)
+    comp_pos = tuple(i for i, v in enumerate(placed) if comp >> v & 1)
+    center, kind = None, StarKind.SINGLETON
+    if len(verts) == 2:
+        center, kind = verts[0], StarKind.GENERAL
+    elif len(verts) > 2:
+        hub = max(verts, key=lambda v: adj[v].bit_count())
+        if adj[hub].bit_count() != len(verts) - 1 or any(
+            adj[v].bit_count() != 1 for v in verts if v != hub
+        ):
+            kind = StarKind.NON_STAR
+        elif placed[comp_pos[0]] == hub:
+            center, kind = hub, StarKind.LEFT
+        elif placed[comp_pos[-1]] == hub:
+            center, kind = hub, StarKind.RIGHT
+        else:
+            center, kind = hub, StarKind.CENTRAL
+    return StarComponent(frozenset(verts), center, kind, comp_pos, comp)
 
 
 @dataclass(frozen=True)
@@ -129,17 +129,12 @@ _THREE_STAR_KINDS = {"left": StarKind.LEFT, "right": StarKind.RIGHT, "central": 
 
 
 def _galaxy_positions_ok(stars: list[tuple[int, Sequence[int]]]) -> bool:
-    """No star center may sit strictly between two leaves of another star.
-
-    Stars are given as (center position, leaf positions).
-    """
-    for i, (center, _) in enumerate(stars):
-        for j, (_, leaves) in enumerate(stars):
-            if i == j or len(leaves) < 2:
-                continue
-            if min(leaves) < center < max(leaves):
-                return False
-    return True
+    """No star center may sit strictly between two leaves of another star;
+    stars are given as (center position, leaf positions)."""
+    return not any(
+        i != j and len(leaves) >= 2 and min(leaves) < center < max(leaves)
+        for i, (center, _) in enumerate(stars) for j, (_, leaves) in enumerate(stars)
+    )
 
 
 def _admissible(
@@ -229,21 +224,42 @@ PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
 }
 
 
+def _extensions(t: Tournament, kind: str, placed: list[int], adj: list[int],
+                comps: list[StarComponent]) -> Optional[list[tuple]]:
+    """``_children`` of an admitted prefix from its state, each child as
+    (child, its ``adj``, its components)."""
+    mask, out = vertex_mask(placed), []
+    complete = len(placed) + 1 == t.n
+    for v in range(t.n):
+        if mask >> v & 1:
+            continue
+        back = t.rows[v] & mask
+        child, child_adj = placed + [v], list(adj)
+        child_adj[v] = back
+        for u in mask_vertices(back):
+            child_adj[u] |= 1 << v
+        joined, child_comps = 1 << v, []
+        for c in comps:
+            if c.mask & back:
+                joined |= c.mask
+            else:
+                child_comps.append(c)
+        child_comps.append(_classify(joined, child_adj, child))
+        checked = child_comps if complete or kind == "galaxy" else child_comps[-1:]
+        if not _admissible(checked, kind, False, gap=True):
+            return None
+        if _admissible(checked, kind, complete):
+            out.append((child, child_adj, child_comps))
+    return out
+
+
 def _children(t: Tournament, placed: list[int], kind: str) -> Optional[list[list[int]]]:
     """The one-step extensions of the prefix ``placed`` that the prefix rule
     admits, by increasing added vertex; None when the look-ahead kills
     ``placed``, because some extension breaks the rule with a gap."""
-    children = []
-    for v in range(t.n):
-        if v in placed:
-            continue
-        child = placed + [v]
-        comps = classify_components_partial(backward_graph(t, child), child)
-        if not _admissible(comps, kind, False, gap=True):
-            return None
-        if _admissible(comps, kind, len(child) == t.n):
-            children.append(child)
-    return children
+    g = backward_graph(t, placed)
+    found = _extensions(t, kind, placed, list(g.adj), classify_components_partial(g, placed))
+    return None if found is None else [child for child, _, _ in found]
 
 
 def find_ordering(
@@ -264,6 +280,14 @@ def find_ordering(
     between the prefix and ``w``.  Returns the lexicographically first
     ordering satisfying the predicate, or None after exhausting all n!
     candidates (pruned).
+
+    A prefix carries its ``adj`` masks and components.  Its child ``placed +
+    [v]`` merges v with the components that ``rows[v] & placed`` touches and
+    classifies only that one.  The nebula, left, right and central rules are
+    per component, and every kept component passed the prefix rule, which is
+    stricter than the gap rule, so both checks of a child read the merged one
+    alone.  Galaxy, whose positional rule couples stars, and a child that
+    completes the ordering, where the 2-vertex clause applies to all, read all.
     """
     kind = next((k for k, p in PREDICATES.items() if p is predicate), None)
     if kind is None:
@@ -271,16 +295,16 @@ def find_ordering(
     if t.n > budget:
         raise BudgetError(f"ordering search limited to n <= {budget}, got {t.n}")
 
-    def descend(placed: list[int]) -> Optional[Ordering]:
+    def descend(placed: list[int], adj: list[int], comps: list) -> Optional[Ordering]:
         if len(placed) == t.n:
             return tuple(placed)
-        for child in _children(t, placed, kind) or ():
-            found = descend(child)
+        for child in _extensions(t, kind, placed, adj, comps) or ():
+            found = descend(*child)
             if found is not None:
                 return found
         return None
 
-    return descend([])
+    return descend([], [0] * t.n, [])
 
 
 def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None,

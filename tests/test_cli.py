@@ -438,6 +438,15 @@ class TestMalformedInput:
         err = assert_clean_exit(capsys, argv, 2)
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["tr", "BAD"], ["free", "C3", "BAD"]])
+    def test_non_utf8_file_exit(self, capsys, tmp_path, c3_file, argv):
+        # a host or member file whose bytes do not decode is a malformed file
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00tournament 3 matrix\n")
+        names = {"C3": c3_file, "BAD": str(bad)}
+        err = assert_clean_exit(capsys, [names.get(arg, arg) for arg in argv], 2)
+        assert err.count("\n") == 1
+
     def test_exponent_without_enough_samples_exit(self, capsys):
         assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)
 

@@ -14,8 +14,10 @@ from nebulab.stars import (
     PREDICATES,
     StarKind,
     _children,
+    _extensions,
     backward_graph,
     classify_components,
+    classify_components_partial,
     find_ordering,
     is_central_nebula_ordering,
     is_galaxy_ordering,
@@ -263,6 +265,76 @@ class TestFindOrdering:
                 )
                 assert find_ordering(t, predicate) == brute, (kind, t.rows)
 
+    def test_answers_pinned(self):
+        # random hosts (no ordering: the search exhausts), relabelled product
+        # nebulae and the same with one edge flipped; these are the answers of
+        # the search that rebuilt every child's components
+        pinned = {
+            ("random", 9): {},
+            ("random", 10): {},
+            ("random", 11): {},
+            ("random", 12): {},
+            ("product", "left", 3): {
+                "galaxy": (1, 5, 8, 3, 6, 7, 0, 4, 2), "left": (1, 5, 8, 6, 3, 7, 0, 4, 2),
+                "nebula": (1, 3, 8, 7, 5, 6, 0, 4, 2)},
+            ("flipped", "left", 3): {
+                "galaxy": (1, 5, 8, 3, 6, 7, 0, 4, 2), "nebula": (1, 5, 8, 3, 6, 7, 0, 4, 2)},
+            ("product", "left", 4): {
+                "galaxy": (2, 0, 11, 6, 4, 7, 10, 5, 1, 8, 9, 3),
+                "left": (2, 0, 11, 6, 4, 7, 10, 5, 1, 8, 9, 3),
+                "nebula": (2, 0, 11, 6, 4, 7, 10, 5, 1, 8, 9, 3)},
+            ("flipped", "left", 4): {
+                "galaxy": (2, 0, 11, 6, 4, 7, 10, 5, 1, 8, 9, 3),
+                "nebula": (2, 0, 6, 7, 10, 11, 4, 5, 1, 8, 9, 3)},
+            ("product", "right", 3): {
+                "galaxy": (8, 5, 4, 2, 3, 1, 0, 6, 7), "nebula": (8, 5, 4, 2, 0, 3, 6, 1, 7),
+                "right": (8, 5, 4, 3, 6, 1, 2, 0, 7)},
+            ("flipped", "right", 3): {},
+            ("product", "right", 4): {
+                "galaxy": (9, 2, 5, 11, 7, 0, 1, 8, 4, 10, 6, 3),
+                "nebula": (9, 2, 5, 11, 7, 0, 1, 8, 4, 10, 3, 6),
+                "right": (9, 2, 5, 11, 7, 0, 1, 8, 4, 10, 3, 6)},
+            ("flipped", "right", 4): {},
+            ("product", "central", 3): {
+                "central": (2, 8, 3, 4, 6, 0, 7, 5, 1), "galaxy": (2, 4, 6, 8, 3, 0, 7, 1, 5),
+                "nebula": (2, 4, 6, 8, 3, 0, 7, 1, 5)},
+            ("flipped", "central", 3): {
+                "galaxy": (2, 8, 4, 3, 0, 6, 7, 1, 5), "nebula": (2, 8, 3, 4, 0, 6, 7, 1, 5)},
+            ("product", "central", 4): {
+                "central": (3, 11, 2, 9, 0, 8, 6, 1, 5, 10, 7, 4),
+                "nebula": (3, 11, 2, 9, 0, 6, 8, 1, 5, 7, 10, 4)},
+            ("flipped", "central", 4): {
+                "central": (3, 11, 2, 9, 6, 0, 1, 8, 5, 10, 7, 4),
+                "nebula": (3, 11, 2, 9, 0, 1, 6, 8, 5, 7, 10, 4)},
+        }
+        for key, answers in pinned.items():
+            t = _pinned_host(*key)
+            for kind, predicate in PREDICATES.items():
+                assert find_ordering(t, predicate) == answers.get(kind), (key, kind)
+
+
+def _pinned_host(label, *key):
+    """A seeded host for the pinned search answers: a random tournament on
+    ``key[0]`` vertices, or a relabelled product nebula of ``key[1]`` stars of
+    kind ``key[0]``, with one edge flipped when ``label`` is "flipped"."""
+    if label == "random":
+        n = key[0]
+        return core.random_tournament(n, random.Random(100 * n))
+    star, count = key
+    rng = random.Random(f"{star}{count}")
+    slots = list(range(1, 3 * count + 1))
+    rng.shuffle(slots)
+    placements = sorted(tuple(sorted(slots[3 * i : 3 * i + 3])) for i in range(count))
+    t = build_nebula(StarKind(star), placements)[1]
+    t = relabel(t, rng.sample(range(t.n), t.n))
+    if label == "flipped":
+        u, v = rng.sample(range(t.n), 2)
+        rows = list(t.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        t = core.Tournament(t.n, tuple(rows))
+    return t
+
 
 def definition_holds(t, order, kind):
     """Definition-level oracle: the kind's rule read off the backward edge
@@ -371,6 +443,21 @@ class TestSingleRule:
                 assert tuple(placed) not in live, (kind, placed)
             else:
                 stack.extend(children)
+
+    @given(planted_hosts(8), st.sampled_from(sorted(PREDICATES)))
+    @settings(max_examples=100, deadline=None)
+    def test_carried_state_matches_a_rebuild(self, host, kind):
+        # walk the search tree: every prefix the search admits carries the
+        # backward graph and the components that a rebuild from it finds
+        t, _ = host
+        stack = [([], [0] * t.n, [])]
+        while stack:
+            placed, adj, comps = stack.pop()
+            graph = backward_graph(t, placed)
+            assert adj == list(graph.adj)
+            assert set(comps) == set(classify_components_partial(graph, placed))
+            assert all(c.mask == core.vertex_mask(c.vertices) for c in comps)
+            stack.extend(_extensions(t, kind, placed, adj, comps) or ())
 
     def test_look_ahead_sees_a_galaxy_clash_before_it_is_placed(self):
         # the prefix holds the left star 1-2, 1-3 and the singletons 0, 4;
