@@ -7,8 +7,9 @@ found a failing check (verify-examples, or enumerate's class-count or
 round-trip check), 2 = malformed file or argument, including one that parses
 but breaks a library precondition (the library raises ParseError: slot
 triples outside --k, --k above --t, or --structure parts that fail strong
-verification), a --replay trace that cannot be read or parsed, or an output
-path that cannot be written, 3 = search budget exceeded (also: C(t,k) part
+verification), a --replay trace that cannot be read or parsed, an output
+path that cannot be written, or an enumerate --out directory holding a class
+file this run would not write, 3 = search budget exceeded (also: C(t,k) part
 subsets above the phase algorithm's budget, no structure found, or too few
 samples to fit a slope), 4 = internal invariant violation.
 
@@ -605,12 +606,18 @@ def cmd_enumerate(args) -> tuple[dict, int]:
     written = []
     if args.out:
         out_dir = Path(args.out)
+        names = [f"class_{idx:05d}.txt" for idx in range(len(kept))]
+        # class files of another run would be read as classes of this one
+        stale = sorted({p.name for p in out_dir.glob("class_*.txt") if p.name[6:-4].isdigit()}
+                       - set(names))
+        if stale:
+            raise ParseError(f"{out_dir} holds {stale[0]}, a class file this run would not write")
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ParseError(f"cannot make the directory {out_dir}: {exc}") from exc
-        for idx, t in enumerate(kept):
-            path = str(out_dir / f"class_{idx:05d}.txt")
+        for name, t in zip(names, kept):
+            path = str(out_dir / name)
             _write_text(path, files.write_matrix(t))
             written.append(path)
     validation = [

@@ -246,26 +246,6 @@ def mask_vertices(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Isomorphism-invariant minimal adjacency encoding.
-
-    The encoding lists, for each position q = 1..n-1, the column of bits
-    edge(placed[i] -> placed[q]) for i < q.  The vertex orderings compared are
-    the leaves of an individualization-refinement search (McKay-Piperno,
-    "Practical graph isomorphism II", 2014): refine the partition of the
-    vertices by out-degree into every cell until it is equitable, then
-    individualize each vertex of the first non-singleton cell in turn and
-    recurse until every cell is a singleton.  The refinement never looks at
-    labels, so any relabelling maps the set of leaves onto itself, and the
-    lexicographically minimal column sequence over the leaves is an
-    isomorphism invariant.
-    """
-
-    n: int
-    data: bytes
-
-
 def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
     """Split an ordered partition (cell bitmasks) until it is equitable.
 
@@ -352,10 +332,23 @@ def _rows_from_columns(n: int, cols: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> CanonicalForm:
+def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> bytes:
+    """Isomorphism-invariant minimal adjacency encoding: byte n, then the columns.
+
+    The encoding lists, for each position q = 1..n-1, the column of bits
+    edge(placed[i] -> placed[q]) for i < q.  The vertex orderings compared are
+    the leaves of an individualization-refinement search (McKay-Piperno,
+    "Practical graph isomorphism II", 2014): refine the partition of the
+    vertices by out-degree into every cell until it is equitable, then
+    individualize each vertex of the first non-singleton cell in turn and
+    recurse until every cell is a singleton.  The refinement never looks at
+    labels, so any relabelling maps the set of leaves onto itself, and the
+    lexicographically minimal column sequence over the leaves is an
+    isomorphism invariant.
+    """
     if t.n > budget:
         raise BudgetError(f"canonical form limited to n <= {budget}, got {t.n}")
-    return CanonicalForm(t.n, _columns_to_bytes(t.n, _canonical_columns(t.rows)))
+    return _columns_to_bytes(t.n, _canonical_columns(t.rows))
 
 
 def isomorphic(t1: Tournament, t2: Tournament, budget: int = CANONICAL_BUDGET) -> bool:

@@ -17,13 +17,7 @@ from typing import Optional, Sequence, Union
 from .containment import contains_in_parts
 from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
 from .errors import BudgetError, InvariantError
-from .structures import (
-    UGraph,
-    dense_vertices,
-    turan_clique,
-    ugraph_from_edges,
-    verify_structure,
-)
+from .structures import dense_vertices, turan_clique, ugraph_from_edges, verify_structure
 
 EXACT_PAIR_BUDGET = 12
 
@@ -314,10 +308,7 @@ def strong_structure_pipeline(
         ],
     )
     full = (1 << len(selected)) - 1
-    complement_graph = UGraph(
-        len(selected),
-        tuple(full & ~row & ~(1 << v) for v, row in enumerate(good_graph.adj)),
-    )
+    complement_graph = tuple(full & ~row & ~(1 << v) for v, row in enumerate(good_graph))
     stable_local = turan_clique(complement_graph, needed)
     if stable_local is None:
         h_clique = turan_clique(good_graph, pattern.n)

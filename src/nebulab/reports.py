@@ -1,31 +1,16 @@
 """Report documents: deterministic JSON with a mandatory validation section.
 
-Documents are byte-deterministic for a fixed invocation and seed: keys are
-sorted, Fractions render as strings, and wall-clock timing stays None unless
-explicitly requested (it is the one excluded field).
+Payloads must already be JSON values.  Documents are byte-deterministic for a
+fixed invocation and seed: keys are sorted, and wall-clock timing stays None
+unless explicitly requested (it is the one excluded field).
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 SCHEMA = "nebulab-report/1"
-
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(_jsonable(k)): _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def make_report(
@@ -40,10 +25,10 @@ def make_report(
     return {
         "schema": SCHEMA,
         "command": command,
-        "config": _jsonable(config),
+        "config": config,
         "seed": seed,
-        "results": _jsonable(results),
-        "validation": _jsonable(validation),
+        "results": results,
+        "validation": validation,
         "timing": None,
     }
 

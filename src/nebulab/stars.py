@@ -10,7 +10,7 @@ three-vertex-kind predicates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -18,18 +18,6 @@ from .core import Ordering, Tournament, check_ordering, mask_vertices, vertex_ma
 from .errors import BudgetError
 
 ORDERING_SEARCH_BUDGET = 12
-
-
-@dataclass(frozen=True)
-class BackwardEdgeGraph:
-    """Undirected graph of the backward pairs of a tournament under an ordering.
-
-    ``adj[v]`` is the bitmask of the vertices joined to ``v`` by a backward
-    edge; it is symmetric, and 0 for a vertex the ordering has not placed.
-    """
-
-    n: int
-    adj: tuple[int, ...]
 
 
 class StarKind(Enum):
@@ -43,16 +31,20 @@ class StarKind(Enum):
 
 @dataclass(frozen=True)
 class StarComponent:
-    vertices: frozenset[int]
+    mask: int  # the component's vertex set, bit v for vertex v
     center: Optional[int]
     kind: StarKind
     positions: tuple[int, ...]
-    mask: int = field(compare=False, repr=False)  # ``vertices`` as a bitmask
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(mask_vertices(self.mask))
 
 
-def backward_graph(t: Tournament, order: Sequence[int]) -> BackwardEdgeGraph:
-    """B(T, order) for an ordering or a prefix of one: two placed vertices are
-    adjacent iff the later one beats the earlier one."""
+def backward_graph(t: Tournament, order: Sequence[int]) -> tuple[int, ...]:
+    """B(T, order) for an ordering or a prefix of one, as symmetric adjacency
+    masks: two placed vertices are adjacent iff the later one beats the
+    earlier one, and the mask of a vertex not yet placed is 0."""
     adj = [0] * t.n
     placed = 0
     for v in order:
@@ -65,18 +57,16 @@ def backward_graph(t: Tournament, order: Sequence[int]) -> BackwardEdgeGraph:
         for u in mask_vertices(back):
             adj[u] |= 1 << v
         placed |= 1 << v
-    return BackwardEdgeGraph(t.n, tuple(adj))
+    return tuple(adj)
 
 
-def classify_components(graph: BackwardEdgeGraph, order: Ordering) -> list[StarComponent]:
+def classify_components(adj: Sequence[int], order: Ordering) -> list[StarComponent]:
     """Partition the vertex set into classified backward components."""
-    check_ordering(order, graph.n)
-    return classify_components_partial(graph, order)
+    check_ordering(order, len(adj))
+    return classify_components_partial(adj, order)
 
 
-def classify_components_partial(
-    graph: BackwardEdgeGraph, placed: Sequence[int]
-) -> list[StarComponent]:
+def classify_components_partial(adj: Sequence[int], placed: Sequence[int]) -> list[StarComponent]:
     """Classify the backward components among the ``placed`` vertices.
 
     Positions are indices into ``placed``; components come in increasing
@@ -89,9 +79,9 @@ def classify_components_partial(
         while grown != comp:
             comp = grown
             for u in mask_vertices(comp):
-                grown |= graph.adj[u] & remaining
+                grown |= adj[u] & remaining
         remaining &= ~comp
-        out.append(_classify(comp, graph.adj, placed))
+        out.append(_classify(comp, adj, placed))
     return out
 
 
@@ -114,7 +104,7 @@ def _classify(comp: int, adj: Sequence[int], placed: Sequence[int]) -> StarCompo
             center, kind = hub, StarKind.RIGHT
         else:
             center, kind = hub, StarKind.CENTRAL
-    return StarComponent(frozenset(verts), center, kind, comp_pos, comp)
+    return StarComponent(comp, center, kind, comp_pos)
 
 
 @dataclass(frozen=True)
@@ -226,8 +216,11 @@ PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
 
 def _extensions(t: Tournament, kind: str, placed: list[int], adj: list[int],
                 comps: list[StarComponent]) -> Optional[list[tuple]]:
-    """``_children`` of an admitted prefix from its state, each child as
-    (child, its ``adj``, its components)."""
+    """The one-step extensions of the admitted prefix ``placed`` (backward
+    masks ``adj``, components ``comps``) that the prefix rule admits, as
+    (child, its ``adj``, its components) by increasing added vertex; None when
+    the look-ahead kills ``placed``, because some extension breaks the rule
+    with a gap."""
     mask, out = vertex_mask(placed), []
     complete = len(placed) + 1 == t.n
     for v in range(t.n):
@@ -251,15 +244,6 @@ def _extensions(t: Tournament, kind: str, placed: list[int], adj: list[int],
         if _admissible(checked, kind, complete):
             out.append((child, child_adj, child_comps))
     return out
-
-
-def _children(t: Tournament, placed: list[int], kind: str) -> Optional[list[list[int]]]:
-    """The one-step extensions of the prefix ``placed`` that the prefix rule
-    admits, by increasing added vertex; None when the look-ahead kills
-    ``placed``, because some extension breaks the rule with a gap."""
-    g = backward_graph(t, placed)
-    found = _extensions(t, kind, placed, list(g.adj), classify_components_partial(g, placed))
-    return None if found is None else [child for child, _, _ in found]
 
 
 def find_ordering(

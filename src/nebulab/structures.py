@@ -418,30 +418,18 @@ def extract_product(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UGraph:
-    n: int
-    adj: tuple[int, ...]  # symmetric bitmask rows, no loops
-
-    def __post_init__(self) -> None:
-        for u in range(self.n):
-            if self.adj[u] >> u & 1:
-                raise ValueError("loops are not allowed")
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                    raise ValueError("adjacency must be symmetric")
-
-
-def ugraph_from_edges(n: int, edges) -> UGraph:
+def ugraph_from_edges(n: int, edges) -> tuple[int, ...]:
+    """The adjacency masks of the undirected graph on 0..n-1 with ``edges``."""
     adj = [0] * n
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return UGraph(n, tuple(adj))
+    return tuple(adj)
 
 
-def turan_clique(g: UGraph, p: int) -> Optional[tuple[int, ...]]:
-    """Exact search for a p-clique, lexicographically least, None if absent."""
+def turan_clique(adj: Sequence[int], p: int) -> Optional[tuple[int, ...]]:
+    """Exact search for a p-clique, lexicographically least, None if absent,
+    in the loopless graph with symmetric adjacency masks ``adj``."""
     if p <= 0:
         return ()
     best: list[Optional[tuple[int, ...]]] = [None]
@@ -454,10 +442,10 @@ def turan_clique(g: UGraph, p: int) -> Optional[tuple[int, ...]]:
             return False
         for v in mask_vertices(cand):
             chosen.append(v)
-            if descend(chosen, cand & g.adj[v] & ~((1 << (v + 1)) - 1)):
+            if descend(chosen, cand & adj[v] & ~((1 << (v + 1)) - 1)):
                 return True
             chosen.pop()
         return False
 
-    descend([], (1 << g.n) - 1)
+    descend([], (1 << len(adj)) - 1)
     return best[0]

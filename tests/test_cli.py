@@ -233,6 +233,18 @@ class TestOtherCommands:
         assert code == 0 and report["results"]["total"] == 12
         assert len(report["results"]["files"]) == 12
 
+    def test_enumerate_refuses_stale_class_files(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(capsys, "enumerate", "--n", "5", "--out", str(out))[0] == 0
+        before = {p.name: p.read_text() for p in out.iterdir()}
+        err = assert_clean_exit(capsys, ["enumerate", "--n", "4", "--out", str(out)], 2)
+        assert "class_00004.txt" in err
+        assert len(before) == 12
+        assert {p.name: p.read_text() for p in out.iterdir()} == before
+        # a rerun writes the same names, so it replaces its own files
+        for _ in range(2):
+            assert run_cli(capsys, "enumerate", "--n", "4", "--out", str(tmp_path / "n4"))[0] == 0
+
     def test_enumerate_prime_filter(self, capsys):
         code, report = run_cli(capsys, "enumerate", "--n", "5", "--filter", "prime")
         assert code == 0

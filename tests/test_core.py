@@ -211,7 +211,7 @@ class TestCanonicalForms:
         assert not isomorphic(cyclic_triangle(), transitive_tournament(3))
 
     def test_four_vertex_class_count(self):
-        forms = {canonical_form(t).data for t in all_labeled_tournaments(4)}
+        forms = {canonical_form(t) for t in all_labeled_tournaments(4)}
         assert len(forms) == 4
 
     @given(st.integers(2, 12), st.integers(0, 10**6))
@@ -226,6 +226,18 @@ class TestCanonicalForms:
     def test_budget(self):
         with pytest.raises(BudgetError):
             canonical_form(rand_t(13, 0))
+
+    @pytest.mark.parametrize("t, encoding", [
+        (cyclic_triangle(), "0305"),
+        (transitive_tournament(4), "0400"),
+        (examples.left_example(), "0c004418840041202803"),
+        (examples.central_example(), "0c02a111010100404004"),
+        (rand_t(9, 2014), "090cd507190b"),
+    ])
+    def test_bytes_pinned(self, t, encoding):
+        # the encoding orders enumerate's classes, so it picks which class
+        # lands in which enumerate --out file
+        assert canonical_form(t) == bytes.fromhex(encoding)
 
 
 def _circulant(n, rng):
@@ -291,18 +303,18 @@ class TestEnumeration:
 
     def test_brute_force_counts_small(self):
         for n in range(2, 6):
-            brute = {canonical_form(t).data for t in all_labeled_tournaments(n)}
+            brute = {canonical_form(t) for t in all_labeled_tournaments(n)}
             assert sum(1 for _ in enumerate_tournaments(n)) == len(brute)
 
     def test_brute_force_count_six(self):
         # all 2^15 labeled tournaments on six vertices, ~6 s
-        brute = {canonical_form(t).data for t in all_labeled_tournaments(6)}
+        brute = {canonical_form(t) for t in all_labeled_tournaments(6)}
         assert len(brute) == 56
         assert sum(1 for _ in enumerate_tournaments(6)) == 56
 
     def test_representatives_pairwise_distinct(self):
         reps = list(enumerate_tournaments(5))
-        forms = [canonical_form(t).data for t in reps]
+        forms = [canonical_form(t) for t in reps]
         assert len(set(forms)) == len(forms)
 
     def test_seven_vertex_count(self):
@@ -317,7 +329,7 @@ class TestEnumeration:
                 perm = list(range(7))
                 rng.shuffle(perm)
                 assert canonical_form(relabel(t, perm)) == form
-            forms.add(form.data)
+            forms.add(form)
         assert len(forms) == 456
 
     def test_budget(self):

@@ -13,7 +13,6 @@ from nebulab.product import build_nebula
 from nebulab.stars import (
     PREDICATES,
     StarKind,
-    _children,
     _extensions,
     backward_graph,
     classify_components,
@@ -30,15 +29,24 @@ from nebulab.stars import (
 IDENTITY_12 = examples.IDENTITY_12
 
 
-def _pairs(g):
+def _pairs(adj):
     """The adjacent pairs of a backward graph, read off its mask rows."""
-    return {frozenset((u, v)) for u in range(g.n) for v in range(g.n) if g.adj[u] >> v & 1}
+    n = len(adj)
+    return {frozenset((u, v)) for u in range(n) for v in range(n) if adj[u] >> v & 1}
+
+
+def _children(t, placed, kind):
+    """The children of the prefix ``placed`` that the search admits, or None
+    when its look-ahead kills ``placed``; the prefix's state is rebuilt."""
+    adj = backward_graph(t, placed)
+    found = _extensions(t, kind, placed, list(adj), classify_components_partial(adj, placed))
+    return None if found is None else [child for child, _, _ in found]
 
 
 class TestBackwardGraph:
     def test_transitive_empty(self):
         g = backward_graph(transitive_tournament(5), tuple(range(5)))
-        assert g.adj == (0,) * 5
+        assert g == (0,) * 5
 
     def test_triangle_single_edge(self):
         g = backward_graph(cyclic_triangle(), (0, 1, 2))
@@ -62,7 +70,7 @@ class TestBackwardGraph:
             for k in range(n + 1):
                 placed = set(order[:k])
                 g = backward_graph(t, order[:k])
-                assert all(g.adj[u] >> v & 1 == g.adj[v] >> u & 1
+                assert all(g[u] >> v & 1 == g[v] >> u & 1
                            for u in range(n) for v in range(n))
                 assert _pairs(g) == {
                     frozenset(e) for e in back if placed.issuperset(e)
@@ -453,10 +461,9 @@ class TestSingleRule:
         stack = [([], [0] * t.n, [])]
         while stack:
             placed, adj, comps = stack.pop()
-            graph = backward_graph(t, placed)
-            assert adj == list(graph.adj)
-            assert set(comps) == set(classify_components_partial(graph, placed))
-            assert all(c.mask == core.vertex_mask(c.vertices) for c in comps)
+            rebuilt = backward_graph(t, placed)
+            assert adj == list(rebuilt)
+            assert set(comps) == set(classify_components_partial(rebuilt, placed))
             stack.extend(_extensions(t, kind, placed, adj, comps) or ())
 
     def test_look_ahead_sees_a_galaxy_clash_before_it_is_placed(self):

@@ -611,7 +611,7 @@ class TestTuranClique:
             brute = None
             for combo in itertools.combinations(range(n), p):
                 if all(
-                    g.adj[a] >> b & 1 for a, b in itertools.combinations(combo, 2)
+                    g[a] >> b & 1 for a, b in itertools.combinations(combo, 2)
                 ):
                     brute = combo
                     break
