@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import TR_BUDGET, Tournament, largest_transitive, random_tournament
 from .errors import BudgetError, NoDataError
@@ -168,10 +168,6 @@ def brute_force_contains(
             ):
                 return Embedding(tuple(image))
     return None
-
-
-def is_free(host: Tournament, family: Iterable[Tournament]) -> bool:
-    return all(contains(host, member) is None for member in family)
 
 
 def random_free_tournament(

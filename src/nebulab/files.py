@@ -12,7 +12,7 @@ write(parse(s)) == s for canonical output.
 
 from __future__ import annotations
 
-from .core import Tournament, backward_edges, from_backward_edges
+from .core import Tournament, from_backward_edges
 from .errors import ParseError
 
 
@@ -76,12 +76,4 @@ def _parse_backedges(n: int, body: list[str]) -> Tournament:
 def write_matrix(t: Tournament) -> str:
     lines = [f"tournament {t.n} matrix"]
     lines.extend(format(row, f"0{t.n}b")[::-1] for row in t.rows)
-    return "\n".join(lines) + "\n"
-
-
-def write_backedges(t: Tournament, order) -> str:
-    lines = [f"tournament {t.n} backedges"]
-    lines.append(" ".join(str(v + 1) for v in order))
-    for w, u in sorted(backward_edges(t, order)):
-        lines.append(f"{w + 1} {u + 1}")
     return "\n".join(lines) + "\n"

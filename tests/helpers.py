@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
-from nebulab.containment import Embedding
+from nebulab.containment import Embedding, contains
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.structures import Triple
 
@@ -59,6 +59,19 @@ def pattern_triple(host: core.Tournament, sigma: Triple, kind) -> tuple[int, int
             if third:
                 return v1, v2, (third & -third).bit_length() - 1
     return None
+
+
+def is_free(host: core.Tournament, family) -> bool:
+    return all(contains(host, member) is None for member in family)
+
+
+def write_backedges(t: core.Tournament, order) -> str:
+    """Backedges file body: the ordering, then one `later earlier` line per backward edge."""
+    lines = [f"tournament {t.n} backedges"]
+    lines.append(" ".join(str(v + 1) for v in order))
+    for w, u in sorted(core.backward_edges(t, order)):
+        lines.append(f"{w + 1} {u + 1}")
+    return "\n".join(lines) + "\n"
 
 
 def loop_write_matrix(t: core.Tournament) -> str:

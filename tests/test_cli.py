@@ -1,14 +1,22 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import blocks, loop_write_matrix, random_speed_tables, victim_host
+from helpers import (
+    blocks,
+    loop_write_matrix,
+    random_speed_tables,
+    tr_sweep,
+    victim_host,
+    write_backedges,
+)
 from nebulab import algorithm, cli, core, examples, stars, structures
-from nebulab.files import ParseError, parse_tournament, write_backedges, write_matrix
+from nebulab.files import ParseError, parse_tournament, write_matrix
 from nebulab.structures import verify_structure
 
 
@@ -198,6 +206,26 @@ class TestOtherCommands:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize("n, caught_by", [(12, "chain-dp-agrees"), (7, "subset-sweep-agrees")])
+    def test_tr_smaller_set_fails_a_check(self, capsys, tmp_path, monkeypatch, n, caught_by):
+        solver = core.largest_transitive
+        # drop one vertex: the set stays transitive but is no longer maximum
+        monkeypatch.setattr(core, "largest_transitive",
+                            lambda t, budget: frozenset(sorted(solver(t, budget))[1:]))
+        path = tmp_path / "t.txt"
+        path.write_text(write_matrix(core.random_tournament(n, random.Random(n))))
+        code, report = run_cli(capsys, "tr", str(path))
+        passed = {v["check"]: v["passed"] for v in report["validation"]}
+        assert code == 0 and passed["set-is-transitive"] is True
+        assert passed[caught_by] is False and passed["chain-dp-agrees"] is False
+
+    def test_tr_rederivations_match_definition(self):
+        rng = random.Random(4)
+        for n in range(1, 10):
+            for _ in range(12):
+                t = core.random_tournament(n, rng)
+                assert cli._sweep_tr(t.rows) == cli._chain_dp_tr(t) == tr_sweep(t)
+
     def test_free_transitive_vs_triangle(self, capsys, tmp_path, c3_file):
         path = tmp_path / "t5.txt"
         path.write_text(write_matrix(core.transitive_tournament(5)))
@@ -306,6 +334,43 @@ def assert_clean_exit(capsys, argv, expected):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     return captured.err
+
+
+class TestCachedParser:
+    """main reuses one parser; argparse's messages and defaults must not
+    depend on what earlier calls in the process did."""
+
+    def test_usage_error_after_success(self, capsys, c3_file):
+        assert run_cli(capsys, "tr", c3_file)[0] == 0
+        err = assert_clean_exit(capsys, ["tr"], 2)
+        assert err.startswith("usage: nebulab tr [-h] [--timing] file\n")
+
+    def test_unknown_command_lists_every_choice(self, capsys, c3_file):
+        assert run_cli(capsys, "tr", c3_file)[0] == 0
+        err = assert_clean_exit(capsys, ["nope"], 2)
+        listed = re.search(r"choose from (.*)\)", err).group(1)
+        assert {name.strip("'") for name in listed.split(", ")} == {
+            "classify", "verify-examples", "free", "tr", "product", "complement",
+            "run-algorithm", "exponent", "enumerate",
+        }
+
+    def test_help_repeats(self, capsys):
+        pages = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["tr", "--help"])
+            assert exc.value.code == 0
+            pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[1] and pages[0].startswith("usage: nebulab tr")
+
+    def test_family_default_not_shared(self, capsys, c3_file):
+        argv = ["exponent", "--sizes", "6,8", "--samples", "2", "--seed", "3"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert run_cli(capsys, *argv, "--family", c3_file)[0] == 0
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert cli.build_parser().parse_args(argv).family == []
 
 
 class TestFreeCommand:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import definition_contains
+from helpers import definition_contains, is_free
 from nebulab import core, examples
 from nebulab.containment import (
     Embedding,
@@ -14,7 +14,6 @@ from nebulab.containment import (
     contains,
     contains_in_parts,
     empirical_eh_exponent,
-    is_free,
     random_free_tournament,
 )
 from nebulab.core import cyclic_triangle, random_tournament, transitive_tournament
