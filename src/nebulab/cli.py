@@ -1,17 +1,19 @@
 """Command-line surface.
 
-Every command prints a JSON report document to stdout whose validation
-section re-derives the headline claims with independent checkers.  Exit
-codes: 0 = verdict computed (even a negative one), 1 = a self-check command
-found a failing check (verify-examples, or enumerate's class-count or
-round-trip check), 2 = malformed file or argument, including one that parses
-but breaks a library precondition (the library raises ParseError: slot
-triples outside --k, --k above --t, or --structure parts that fail strong
-verification), a --replay trace that cannot be read or parsed, an output
-path that cannot be written, or an enumerate --out directory holding a class
-file this run would not write, 3 = search budget exceeded (also: C(t,k) part
-subsets above the phase algorithm's budget, no structure found, or too few
-samples to fit a slope), 4 = internal invariant violation.
+Every command returns its config, results and validation entries; ``main``
+alone wraps them in the JSON report document it prints to stdout, and the
+validation section re-derives the headline claims with independent
+checkers.  Exit codes: 0 = every validation entry passed (a negative verdict
+is data and still exits 0), 1 = some validation entry failed (a --replay
+mismatch included), 2 = malformed file or argument, including one that
+parses but breaks a library precondition (the library raises ParseError:
+slot triples outside --k, --k above --t, or --structure parts that fail
+strong verification), a --replay trace that cannot be read or parsed, an
+output path that cannot be written, or an enumerate --out directory holding
+a class file this run would not write, 3 = search budget exceeded (also:
+enumerate above n = 9, where no class count is known, C(t,k) part subsets
+above the phase algorithm's budget, no structure found, or too few samples
+to fit a slope), 4 = internal invariant violation.
 
 Budgets honour environment overrides: NEBULAB_TR_BUDGET,
 NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
@@ -19,8 +21,9 @@ NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
 Audit traces (run-algorithm --trace) are line-delimited JSON records with
 sorted keys.  Every record carries "phase" and "action"; append records add
 the clique, the chosen vector entry, and the stored witness triple, terminal
-records name the outcome.  --replay re-runs the invocation and fails with
-exit code 4 unless the fresh trace matches the file byte for byte.
+records name the outcome.  --replay re-runs the invocation and adds a
+replay-matches entry, which fails (exit 1) unless the fresh trace equals the
+file record for record.
 
 ``main`` can be called again and again in one process: every call parses
 its argv with one parser, built on the first call and reused after that.
@@ -153,7 +156,7 @@ def _independent_component_check(
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> tuple[dict, int]:
+def cmd_classify(args) -> tuple[dict, dict, list[dict]]:
     t = _read_tournament(args.file)
     budget = _budget("NEBULAB_ORDERING_BUDGET", stars.ORDERING_SEARCH_BUDGET)
     given = tuple(range(t.n)) if args.ordering == "identity" else None
@@ -180,10 +183,8 @@ def cmd_classify(args) -> tuple[dict, int]:
             {"check": "exhaustive-search-exhausted", "passed": True,
              "detail": "no ordering satisfies the predicate within the budget"}
         )
-    report = reports.make_report(
-        "classify",
+    return (
         {"file": args.file, "ordering": args.ordering, "kind": args.kind},
-        None,
         {
             "verdict": verdict,
             "ordering": None if order is None else [v + 1 for v in order],
@@ -191,7 +192,6 @@ def cmd_classify(args) -> tuple[dict, int]:
         },
         validation,
     )
-    return report, 0
 
 
 def example_checklist() -> list[dict]:
@@ -285,20 +285,13 @@ def example_checklist() -> list[dict]:
     return checks
 
 
-def cmd_verify_examples(args) -> tuple[dict, int]:
+def cmd_verify_examples(args) -> tuple[dict, dict, list[dict]]:
     checks = example_checklist()
     failed = [c["check"] for c in checks if not c["passed"]]
-    report = reports.make_report(
-        "verify-examples",
-        {},
-        None,
-        {"passed": not failed, "failed_checks": failed},
-        checks,
-    )
-    return report, 0 if not failed else 1
+    return {}, {"passed": not failed, "failed_checks": failed}, checks
 
 
-def cmd_free(args) -> tuple[dict, int]:
+def cmd_free(args) -> tuple[dict, dict, list[dict]]:
     t = _read_tournament(args.host)
     family = [_read_tournament(path) for path in args.members]
     findings = []
@@ -313,10 +306,7 @@ def cmd_free(args) -> tuple[dict, int]:
         if emb is not None:
             free = False
             validation.append(
-                {
-                    "check": f"embedding-validates:{path}",
-                    "passed": emb.validate(t, member),
-                }
+                {"check": f"embedding-validates:{path}", "passed": emb.validate(t, member)}
             )
         else:
             try:
@@ -330,14 +320,11 @@ def cmd_free(args) -> tuple[dict, int]:
                 validation.append(
                     {"check": f"brute-force-agrees:{path}", "passed": brute is None}
                 )
-    report = reports.make_report(
-        "free",
+    return (
         {"host": args.host, "members": list(args.members)},
-        None,
         {"free": free, "findings": findings},
         validation,
     )
-    return report, 0
 
 
 def _sweep_tr(rows: tuple[int, ...]) -> int:
@@ -370,28 +357,17 @@ def _chain_dp_tr(t: core.Tournament) -> int:
     return size((1 << t.n) - 1)
 
 
-def cmd_tr(args) -> tuple[dict, int]:
+def cmd_tr(args) -> tuple[dict, dict, list[dict]]:
     t = _read_tournament(args.file)
     budget = _budget("NEBULAB_TR_BUDGET", core.TR_BUDGET)
     best = core.largest_transitive(t, budget=budget)
-    validation = [
-        {
-            "check": "set-is-transitive",
-            "passed": core.is_transitive(core.induced(t, best)),
-        }
-    ]
+    validation = [{"check": "set-is-transitive",
+                   "passed": core.is_transitive(core.induced(t, best))}]
     tr = len(best)
     if t.n <= 10:
         validation.append({"check": "subset-sweep-agrees", "passed": _sweep_tr(t.rows) == tr})
     validation.append({"check": "chain-dp-agrees", "passed": _chain_dp_tr(t) == tr})
-    report = reports.make_report(
-        "tr",
-        {"file": args.file},
-        None,
-        {"tr": tr, "vertices": _one_based(best)},
-        validation,
-    )
-    return report, 0
+    return {"file": args.file}, {"tr": tr, "vertices": _one_based(best)}, validation
 
 
 def _parse_slots(spec: str) -> tuple[tuple[int, ...], ...]:
@@ -402,7 +378,7 @@ def _parse_slots(spec: str) -> tuple[tuple[int, ...], ...]:
         raise ParseError(f"slot triples {spec!r} must hold integers") from None
 
 
-def cmd_product(args) -> tuple[dict, int]:
+def cmd_product(args) -> tuple[dict, dict, list[dict]]:
     kind = StarKind(args.kind)
     placements = _parse_slots(args.slots)
     nebula, t = product.build_nebula(kind, placements)
@@ -417,17 +393,14 @@ def cmd_product(args) -> tuple[dict, int]:
     ]
     if args.out:
         _write_text(args.out, files.write_matrix(t))
-    report = reports.make_report(
-        "product",
+    return (
         {"kind": args.kind, "slots": args.slots, "out": args.out},
-        None,
         {"order": t.n, "stars": nebula.star_count, "width": nebula.width},
         validation,
     )
-    return report, 0
 
 
-def cmd_complement(args) -> tuple[dict, int]:
+def cmd_complement(args) -> tuple[dict, dict, list[dict]]:
     t = _read_tournament(args.file)
     comp = core.complement(t)
     validation = [
@@ -440,14 +413,7 @@ def cmd_complement(args) -> tuple[dict, int]:
     ]
     if args.out:
         _write_text(args.out, files.write_matrix(comp))
-    report = reports.make_report(
-        "complement",
-        {"file": args.file, "out": args.out},
-        None,
-        {"order": comp.n},
-        validation,
-    )
-    return report, 0
+    return {"file": args.file, "out": args.out}, {"order": comp.n}, validation
 
 
 def _nebula_from_arg(kind: StarKind, spec: str | None, k: int) -> product.PlacementNebula:
@@ -507,7 +473,7 @@ def _outcome_payload(outcome) -> dict:
     return {"kind": "phase-limit", "phase": outcome.phase}
 
 
-def cmd_run_algorithm(args) -> tuple[dict, int]:
+def cmd_run_algorithm(args) -> tuple[dict, dict, list[dict]]:
     host = _read_tournament(args.host)
     saved = _read_trace(args.replay) if args.replay else None
     spec = algorithm.CASES[args.case]
@@ -536,32 +502,18 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
     if args.trace:
         lines = [json.dumps(record, sort_keys=True) + "\n" for record in result.trace]
         _write_text(args.trace, "".join(lines))
-    validation = [
-        {
-            "check": "phase-bound",
-            "passed": result.phases <= config.phase_bound(),
-        }
-    ]
+    validation = [{"check": "phase-bound", "passed": result.phases <= config.phase_bound()}]
     if isinstance(result.outcome, algorithm.CompletePairOutcome):
-        validation.append(
-            {"check": "pair-complete", "passed": result.outcome.pair.validate(host)}
-        )
+        validation.append({"check": "pair-complete", "passed": result.outcome.pair.validate(host)})
     if isinstance(result.outcome, algorithm.ForbiddenCopyOutcome):
-        validation.append(
-            {
-                "check": "copy-validates",
-                "passed": result.outcome.embedding.validate(host, result.outcome.pattern),
-            }
-        )
-    replay_code = 0
+        validation.append({
+            "check": "copy-validates",
+            "passed": result.outcome.embedding.validate(host, result.outcome.pattern),
+        })
     if saved is not None:
         current = [json.loads(json.dumps(r, sort_keys=True)) for r in result.trace]
-        match = saved == current
-        validation.append({"check": "replay-matches", "passed": match})
-        if not match:
-            replay_code = 4
-    report = reports.make_report(
-        "run-algorithm",
+        validation.append({"check": "replay-matches", "passed": saved == current})
+    return (
         {
             "host": args.host,
             "case": args.case,
@@ -572,14 +524,12 @@ def cmd_run_algorithm(args) -> tuple[dict, int]:
             "c": str(config.c),
             "structure": args.structure,
         },
-        args.seed,
         {"outcome": _outcome_payload(result.outcome), "phases": result.phases},
         validation,
     )
-    return report, replay_code
 
 
-def cmd_exponent(args) -> tuple[dict, int]:
+def cmd_exponent(args) -> tuple[dict, dict, list[dict]]:
     family = [_read_tournament(path) for path in args.family]
     rep = containment.empirical_eh_exponent(
         family, args.sizes, args.samples, args.seed,
@@ -600,10 +550,8 @@ def cmd_exponent(args) -> tuple[dict, int]:
                           if n not in rep.flagged_sizes),
         },
     ]
-    report = reports.make_report(
-        "exponent",
+    return (
         {"family": list(args.family), "sizes": args.sizes, "samples": args.samples},
-        args.seed,
         {
             "slope": rep.slope,
             "band": list(rep.band),
@@ -613,14 +561,17 @@ def cmd_exponent(args) -> tuple[dict, int]:
         },
         validation,
     )
-    return report, 0
 
 
 KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880, 9: 191536}
 
 
-def cmd_enumerate(args) -> tuple[dict, int]:
-    budget = _budget("NEBULAB_ENUMERATION_BUDGET", core.ENUMERATION_BUDGET)
+def cmd_enumerate(args) -> tuple[dict, dict, list[dict]]:
+    # the class-count check knows no count above n = 9: refuse before enumerating
+    budget = min(_budget("NEBULAB_ENUMERATION_BUDGET", core.ENUMERATION_BUDGET),
+                 max(KNOWN_CLASS_COUNTS))
+    if args.n > budget:
+        raise BudgetError(f"enumeration limited to n <= {budget}, got {args.n}")
     reps_list = list(core.enumerate_tournaments(args.n, budget=budget))
     kept = []
     for t in reps_list:
@@ -661,14 +612,11 @@ def cmd_enumerate(args) -> tuple[dict, int]:
             ),
         },
     ]
-    report = reports.make_report(
-        "enumerate",
+    return (
         {"n": args.n, "filter": args.filter, "out": args.out},
-        None,
         {"total": len(reps_list), "kept": len(kept), "files": written},
         validation,
     )
-    return report, 0 if all(v["passed"] for v in validation) else 1
 
 
 @functools.cache
@@ -741,30 +689,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the stderr label and exit code of each library error; the first match wins
+ERROR_EXITS = (
+    (ParseError, "parse error", 2),
+    (BudgetError, "budget exceeded", 3),
+    (NoDataError, "no data", 3),
+    (InvariantError, "invariant violation", 4),
+    (NebulabError, "diagnostic failure", 4),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        report, code = args.handler(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except NoDataError as exc:
-        print(f"no data: {exc}", file=sys.stderr)
-        return 3
-    except InvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 4
+        config, results, validation = args.handler(args)
     except NebulabError as exc:
-        print(f"diagnostic failure: {exc}", file=sys.stderr)
-        return 4
+        label, code = next((label, code) for cls, label, code in ERROR_EXITS
+                           if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
+    seed = getattr(args, "seed", None)  # only run-algorithm and exponent take --seed
+    report = reports.make_report(args.command, config, seed, results, validation)
     if args.timing:
         report["timing"] = time.monotonic() - started
     sys.stdout.write(reports.render(report))
-    return code
+    return 0 if all(v["passed"] for v in validation) else 1
 
 
 if __name__ == "__main__":

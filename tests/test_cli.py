@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +168,20 @@ class TestClassifyCommand:
         capsys.readouterr()
         assert code == 2
 
+    def test_wrong_component_kind_fails_a_check(self, capsys, monkeypatch, left_file):
+        verdict = stars.nebula_verdict
+
+        def mislabelled(*args, **kwargs):
+            found = verdict(*args, **kwargs)
+            first, *rest = found.components
+            wrong = dataclasses.replace(first, kind=stars.StarKind.NON_STAR)
+            return dataclasses.replace(found, components=(wrong, *rest))
+
+        monkeypatch.setattr(stars, "nebula_verdict", mislabelled)
+        code, report = run_cli(capsys, "classify", left_file, "--kind", "nebula")
+        passed = {v["check"]: v["passed"] for v in report["validation"]}
+        assert code == 1 and passed["components-rederived"] is False
+
 
 class TestVerifyExamples:
     def test_all_pass(self, capsys):
@@ -216,7 +232,8 @@ class TestOtherCommands:
         path.write_text(write_matrix(core.random_tournament(n, random.Random(n))))
         code, report = run_cli(capsys, "tr", str(path))
         passed = {v["check"]: v["passed"] for v in report["validation"]}
-        assert code == 0 and passed["set-is-transitive"] is True
+        # a failing entry is the one exit rule's exit 1
+        assert code == 1 and passed["set-is-transitive"] is True
         assert passed[caught_by] is False and passed["chain-dp-agrees"] is False
 
     def test_tr_rederivations_match_definition(self):
@@ -308,6 +325,15 @@ class TestOtherCommands:
         checks = {v["check"]: v for v in report["validation"]}
         assert checks["class-count-table"]["passed"] is False
         assert checks["class-count-table"]["detail"]["total_classes"] == 11
+
+    def test_enumerate_refuses_n_above_class_table(self, capsys, monkeypatch):
+        def never(n, budget):
+            pytest.fail(f"enumerated n = {n}, which has no known class count")
+
+        monkeypatch.setenv("NEBULAB_ENUMERATION_BUDGET", "10")
+        monkeypatch.setattr(cli.core, "enumerate_tournaments", never)
+        err = assert_clean_exit(capsys, ["enumerate", "--n", "10"], 3)
+        assert err == "budget exceeded: enumeration limited to n <= 9, got 10\n"
 
     def test_exponent_triangle_slope(self, capsys, c3_file):
         code, report = run_cli(
@@ -564,6 +590,19 @@ class TestRunAlgorithmCommand:
             for v in report["validation"]
         )
 
+    def test_replay_mismatch_exit(self, capsys, victim_file, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        args = [
+            "run-algorithm", victim_file, "--case", "LR", "--t", "7",
+            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
+        ]
+        assert run_cli(capsys, *args, "--trace", str(trace))[0] == 0
+        short = tmp_path / "short.jsonl"
+        short.write_text("".join(trace.read_text().splitlines(keepends=True)[:-1]))
+        code, report = run_cli(capsys, *args, "--replay", str(short))
+        passed = {v["check"]: v["passed"] for v in report["validation"]}
+        assert code == 1 and passed["replay-matches"] is False
+
     def test_structure_file(self, capsys, victim_file, tmp_path):
         structure = tmp_path / "structure.json"
         structure.write_text(
@@ -667,3 +706,49 @@ class TestDeterminism:
         )
         expected = json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+
+@pytest.fixture
+def criterion_9_invocations(tmp_path, left_file):
+    """The ten invocations of criterion 9 in tests/test_acceptance.py."""
+    c3 = tmp_path / "c3.txt"
+    c3.write_text(write_matrix(core.cyclic_triangle()))
+    b, d = random_speed_tables(7, random.Random(1))
+    victim = tmp_path / "victim.txt"
+    victim.write_text(write_matrix(victim_host(7, 30, b, d, seed=1)))
+    return [
+        ["classify", left_file, "--kind", "nebula"],
+        ["classify", str(c3), "--ordering", "search", "--kind", "nebula"],
+        ["verify-examples"],
+        ["free", left_file, str(c3)],
+        ["tr", str(c3)],
+        ["product", "--kind", "right", "--slots", "1,3,5;2,4,6"],
+        ["complement", str(c3)],
+        ["enumerate", "--n", "4", "--out", str(tmp_path / "enum")],
+        ["exponent", "--sizes", "6,8", "--samples", "2", "--seed", "7"],
+        ["run-algorithm", str(victim), "--case", "LR", "--t", "7",
+         "--part-size", "30", "--c", "1/7", "--lam", "3/10", "--seed", "3"],
+    ]
+
+
+class TestReportEnvelope:
+    def test_reports_match_schema(self, capsys, criterion_9_invocations):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(
+            (Path(__file__).parents[1] / "docs" / "report.schema.json").read_text()
+        )
+        for argv in criterion_9_invocations:
+            code, report = run_cli(capsys, *argv)
+            assert code == 0, argv
+            jsonschema.validate(report, schema)
+            assert report["command"] == argv[0]
+
+    def test_timing_sets_only_the_timing_field(self, capsys, criterion_9_invocations):
+        for argv in criterion_9_invocations:
+            assert cli.main(list(argv)) == 0
+            plain = capsys.readouterr().out
+            assert cli.main([*argv, "--timing"]) == 0
+            timed = json.loads(capsys.readouterr().out)
+            assert isinstance(timed["timing"], float) and timed["timing"] >= 0, argv
+            timed["timing"] = None
+            assert json.dumps(timed, indent=2, sort_keys=True) + "\n" == plain, argv
