@@ -158,17 +158,14 @@ class CompletePairOutcome:
     pair: CompletePair
     state_label: int  # 0: uncolored edge, 2: witness fallback
     phase: int
-    edge: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ForbiddenCopyOutcome:
     kind: StarKind
-    nebula: PlacementNebula
     pattern: Tournament
     embedding: Embedding
     phase: int
-    subset_index: int
 
 
 @dataclass(frozen=True)
@@ -248,10 +245,7 @@ def run_phase(
         label, payload = coloring[edge]
         if label == "uncolored":
             record.update(action="state-0", edge=list(edge))
-            return (
-                CompletePairOutcome(payload, 0, state.phase, edge),
-                record,
-            )
+            return CompletePairOutcome(payload, 0, state.phase), record
     record["white"] = sum(1 for v in coloring.values() if v[0] == "white")
     record["black"] = len(coloring) - record["white"]
     found = find_monochromatic_clique(coloring, config.t, config.k)
@@ -282,7 +276,7 @@ def run_phase(
     result = witness(host, sigma, verdict)
     if isinstance(result, CompletePair):
         record.update(action="state-2", edge=list(x))
-        return CompletePairOutcome(result, 2, state.phase, x), record
+        return CompletePairOutcome(result, 2, state.phase), record
     assert isinstance(result, WitnessTriple)
     vec[entry_index].append(result.vertices)
     taken = vertex_mask(result.vertices)
@@ -362,8 +356,7 @@ def nonsaturation_extract(
         host, omega_sets, components, lam=config.lam / theta
     )
     return ForbiddenCopyOutcome(
-        kind, nebula, extraction.product.tournament, extraction.embedding,
-        state.phase, subset_index,
+        kind, extraction.product.tournament, extraction.embedding, state.phase
     )
 
 

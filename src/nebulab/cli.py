@@ -104,8 +104,13 @@ def _component_payload(comp: stars.StarComponent) -> dict:
 
 def _independent_component_check(
     t: core.Tournament, order, comps: list[stars.StarComponent]
-) -> dict:
-    """Re-derive the backward components from a raw edge scan and compare."""
+) -> tuple[dict, bool]:
+    """Re-derive the backward components from a raw edge scan and compare.
+
+    Also returns the galaxy rule on the raw components: every component of 3
+    or more vertices is a left or right star, and each component can put its
+    center outside every such star's leaf span (a 2-vertex component may pick
+    either vertex, and with one leaf it constrains no other component)."""
     pos = {v: p for p, v in enumerate(order)}
     adj: dict[int, set[int]] = {v: set() for v in range(t.n)}
     for u, v in t.edges():
@@ -124,31 +129,44 @@ def _independent_component_check(
         rebuilt.append(frozenset(comp))
     expected = sorted((c.vertices for c in comps), key=min)
     passed = sorted(rebuilt, key=min) == expected
-    for c in comps:
-        members = c.vertices
+    kinds = {c.vertices: c.kind for c in comps}
+    centers: list = []  # galaxy: each component's possible centers
+    spans: list[tuple[int, int]] = []  # galaxy: leaf spans of the 3+-vertex stars
+    galaxy = True
+    for members in rebuilt:
         degs = {v: len(adj[v] & members) for v in members}
         if len(members) == 1:
-            ok = c.kind is stars.StarKind.SINGLETON
+            kind = stars.StarKind.SINGLETON
         elif len(members) == 2:
-            ok = c.kind is stars.StarKind.GENERAL
+            kind = stars.StarKind.GENERAL
+            centers.append(members)
         else:
             hubs = [v for v in members if degs[v] == len(members) - 1]
             leaves_ok = len(hubs) == 1 and all(
                 degs[v] == 1 for v in members if v != hubs[0]
             )
             if not leaves_ok:
-                ok = c.kind is stars.StarKind.NON_STAR
+                kind = stars.StarKind.NON_STAR
             else:
                 hub_pos = pos[hubs[0]]
                 leaf_pos = [pos[v] for v in members if v != hubs[0]]
-                if hub_pos < min(leaf_pos):
-                    ok = c.kind is stars.StarKind.LEFT
-                elif hub_pos > max(leaf_pos):
-                    ok = c.kind is stars.StarKind.RIGHT
+                lo, hi = min(leaf_pos), max(leaf_pos)
+                if hub_pos < lo:
+                    kind = stars.StarKind.LEFT
+                elif hub_pos > hi:
+                    kind = stars.StarKind.RIGHT
                 else:
-                    ok = c.kind is stars.StarKind.CENTRAL
-        passed = passed and ok
-    return {"check": "components-rederived", "passed": passed}
+                    kind = stars.StarKind.CENTRAL
+                centers.append(hubs)
+                spans.append((lo, hi))
+            galaxy = galaxy and kind in (stars.StarKind.LEFT, stars.StarKind.RIGHT)
+        passed = passed and kinds.get(members) is kind
+    # a left or right star's own center lies outside its own leaf span
+    galaxy = galaxy and all(
+        any(all(not lo < pos[v] < hi for lo, hi in spans) for v in options)
+        for options in centers
+    )
+    return {"check": "components-rederived", "passed": passed}, galaxy
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +182,20 @@ def cmd_classify(args) -> tuple[dict, dict, list[dict]]:
     order, verdict, comps = found.ordering, found.holds, found.components
     validation = []
     if order is not None:
-        validation.append(_independent_component_check(t, order, comps))
-        simple = all(c.kind is not stars.StarKind.NON_STAR for c in comps)
+        check, galaxy = _independent_component_check(t, order, comps)
+        validation.append(check)
         if args.kind == "nebula":
-            validation.append({"check": "verdict-vs-components", "passed": simple == verdict})
-        elif args.kind in ("left", "right", "central"):
+            expected = all(c.kind is not stars.StarKind.NON_STAR for c in comps)
+        elif args.kind == "galaxy":
+            expected = galaxy
+        else:
             want = StarKind(args.kind)
             expected = all(
                 c.kind is stars.StarKind.SINGLETON
                 or (c.kind is want and len(c.vertices) == 3)
                 for c in comps
             )
-            validation.append({"check": "verdict-vs-components", "passed": expected == verdict})
-        else:
-            validation.append({"check": "verdict-recorded", "passed": True})
+        validation.append({"check": "verdict-vs-components", "passed": expected == verdict})
     else:
         validation.append(
             {"check": "exhaustive-search-exhausted", "passed": True,

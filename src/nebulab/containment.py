@@ -210,7 +210,6 @@ class ExponentReport:
 
     samples: tuple[tuple[int, int], ...]  # (n, tr)
     slope: float
-    intercept: float
     band: tuple[float, float]  # slope +- 2 standard errors
     failure_rates: tuple[tuple[int, float], ...]
     flagged_sizes: tuple[int, ...]  # generation failure rate above one half
@@ -261,7 +260,6 @@ def empirical_eh_exponent(
     return ExponentReport(
         samples=tuple(samples),
         slope=slope,
-        intercept=intercept,
         band=(slope - 2 * se, slope + 2 * se),
         failure_rates=tuple(failure_rates),
         flagged_sizes=tuple(flagged),

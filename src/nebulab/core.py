@@ -52,9 +52,6 @@ class Tournament:
         full = (1 << self.n) - 1
         return full & ~self.rows[u] & ~(1 << u)
 
-    def out_degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in range(self.n):
@@ -349,12 +346,6 @@ def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> bytes:
     if t.n > budget:
         raise BudgetError(f"canonical form limited to n <= {budget}, got {t.n}")
     return _columns_to_bytes(t.n, _canonical_columns(t.rows))
-
-
-def isomorphic(t1: Tournament, t2: Tournament, budget: int = CANONICAL_BUDGET) -> bool:
-    if t1.n != t2.n:
-        return False
-    return canonical_form(t1, budget) == canonical_form(t2, budget)
 
 
 def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[Tournament]:

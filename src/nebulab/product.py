@@ -10,7 +10,6 @@ forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import Ordering, Tournament, backward_edges, from_backward_edges, from_edges
 from .errors import InvariantError, ParseError
@@ -44,14 +43,15 @@ SMALL_STARS = {
 @dataclass(frozen=True)
 class ProductResult:
     tournament: Tournament
-    ordering: Ordering
     # (part index, part vertex) -> product vertex
     vertex_map: dict[tuple[int, int], int]
-    slots: tuple[int, ...]
 
 
 def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
-    """Combine parts under their placements; slots fix everything exactly."""
+    """Combine parts under their placements; slots fix everything exactly.
+
+    Product vertices are numbered by slot rank, so the identity is the slot
+    ordering."""
     if not parts:
         raise ValueError("product needs at least one part")
     taken: dict[int, tuple[int, int]] = {}
@@ -75,7 +75,7 @@ def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
         for w, u in backward_edges(part, part_order):
             back.append((vertex_map[(idx, w)], vertex_map[(idx, u)]))
     tournament = from_backward_edges(n, tuple(range(n)), back)
-    return ProductResult(tournament, tuple(range(n)), vertex_map, tuple(order_slots))
+    return ProductResult(tournament, vertex_map)
 
 
 @dataclass(frozen=True)
@@ -111,19 +111,16 @@ class PlacementNebula:
     def star_count(self) -> int:
         return len(self.placements)
 
-    def parts(self) -> list[tuple[Tournament, Placement]]:
-        star, _ = SMALL_STARS[self.kind]()
-        return [(star, {m: slots[m] for m in range(3)}) for slots in self.placements]
-
     def build(self) -> ProductResult:
-        return product(self.parts())
+        star, _ = SMALL_STARS[self.kind]()
+        return product([(star, dict(enumerate(slots))) for slots in self.placements])
 
 
 def build_nebula(
-    kind: StarKind, placements: list[tuple[int, int, int]], width: Optional[int] = None
+    kind: StarKind, placements: list[tuple[int, int, int]]
 ) -> tuple[PlacementNebula, Tournament]:
-    if width is None:
-        width = max((s for triple in placements for s in triple), default=0)
+    """The nebula on the given slot triples, its width the largest slot."""
+    width = max((s for triple in placements for s in triple), default=0)
     nebula = PlacementNebula(kind, tuple(tuple(p) for p in placements), width)
     return nebula, nebula.build().tournament
 

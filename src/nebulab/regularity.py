@@ -138,7 +138,6 @@ class PartitionCertificate:
     equal_sizes: bool
     irregular_pairs: tuple[tuple[int, int], ...]
     irregular_bound: int
-    method: str
 
 
 def verify_regular_partition(
@@ -147,7 +146,6 @@ def verify_regular_partition(
     parts: Sequence[Sequence[int]],
     eps,
     method: str = "exact",
-    trials: int = 200,
     seed: int = 0,
 ) -> PartitionCertificate:
     """Check the three partition conditions and count irregular pairs, with
@@ -173,8 +171,7 @@ def verify_regular_partition(
             verdict = regular_pair_exact(host, all_parts[i], all_parts[j], eps_f)
         else:
             verdict = regular_pair_sampled(
-                host, all_parts[i], all_parts[j], eps_f, trials=trials,
-                seed=seed + 31 * i + j,
+                host, all_parts[i], all_parts[j], eps_f, seed=seed + 31 * i + j
             )
         if not verdict.passed:
             irregular.append((i, j))
@@ -185,7 +182,6 @@ def verify_regular_partition(
         equal_sizes,
         tuple(irregular),
         math.floor(eps_f * k * k),
-        method,
     )
 
 
@@ -227,8 +223,6 @@ class StageFailure:
 
 @dataclass(frozen=True)
 class PipelineReport:
-    selected: tuple[int, ...]
-    pair_labels: dict
     stable_parts: tuple[int, ...]
     t_hat_edges: tuple[tuple[int, int], ...]
     chain: tuple[int, ...]
@@ -295,16 +289,13 @@ def strong_structure_pipeline(
     densities = {
         (i, j): density(host, part_sets[i], part_sets[j]) for i, j in combinations(selected, 2)
     }
-    labels = {
-        pair: "good" if big_lam <= d <= 1 - big_lam else "bad" for pair, d in densities.items()
-    }
-
+    # a pair is good when its density lies in [Lambda, 1 - Lambda], bad otherwise
     good_graph = ugraph_from_edges(
         len(selected),
         [
             (selected.index(i), selected.index(j))
-            for (i, j), label in labels.items()
-            if label == "good"
+            for (i, j), d in densities.items()
+            if big_lam <= d <= 1 - big_lam
         ],
     )
     full = (1 << len(selected)) - 1
@@ -375,8 +366,6 @@ def strong_structure_pipeline(
         "c": c,
     }
     return PipelineReport(
-        selected=tuple(selected),
-        pair_labels=labels,
         stable_parts=stable,
         t_hat_edges=tuple(t_hat_edges),
         chain=chain,

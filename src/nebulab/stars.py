@@ -109,7 +109,6 @@ def _classify(comp: int, adj: Sequence[int], placed: Sequence[int]) -> StarCompo
 
 @dataclass(frozen=True)
 class NebulaVerdict:
-    kind: str
     holds: bool
     ordering: Optional[Ordering]
     components: tuple[StarComponent, ...]
@@ -298,6 +297,6 @@ def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None,
     if order is None:
         order = find_ordering(t, predicate, budget=budget)
         if order is None:
-            return NebulaVerdict(kind, False, None, ())
+            return NebulaVerdict(False, None, ())
     comps = tuple(classify_components(backward_graph(t, order), order))
-    return NebulaVerdict(kind, _admissible(comps, kind, True), order, comps)
+    return NebulaVerdict(_admissible(comps, kind, True), order, comps)

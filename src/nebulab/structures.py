@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 from .containment import Embedding, contains_in_parts
 from .core import Tournament, mask_vertices, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
-from .product import SMALL_STARS, Placement, ProductResult, product
+from .product import SMALL_STARS, ProductResult, product
 from .stars import StarKind
 
 
@@ -37,9 +37,6 @@ class Violation:
 class StructureCertificate:
     passed: bool
     violations: tuple[Violation, ...]
-    c: Fraction
-    lam: Fraction
-    strong: bool
 
 
 def _neighbour_mask(host: Tournament, v: int, target: int, out: bool) -> int:
@@ -100,7 +97,7 @@ def verify_structure(
                 met = _neighbour_mask(host, v, other, later).bit_count()
                 d = Fraction(met, other.bit_count())
                 violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
-    return StructureCertificate(not violations, tuple(violations), c, lam, strong)
+    return StructureCertificate(not violations, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +395,9 @@ def extract_product(
         raise LambdaTooLargeError(lam, threshold)
     chosen = [v - m * t for m, v in enumerate(clique)]
 
-    placements: list[tuple[Tournament, Placement]] = [
-        (comp.pattern, dict(comp.phi)) for comp in components
-    ]
-    prod = product([(pat, {v: slot + 1 for v, slot in pl.items()}) for pat, pl in placements])
+    prod = product([
+        (comp.pattern, {v: slot + 1 for v, slot in comp.phi.items()}) for comp in components
+    ])
     mapping = [0] * prod.tournament.n
     for m, comp in enumerate(components):
         for h in range(comp.pattern.n):

@@ -25,6 +25,10 @@ def all_labeled_tournaments(n: int):
         yield core.Tournament(n, tuple(rows))
 
 
+def isomorphic(t1: core.Tournament, t2: core.Tournament) -> bool:
+    return t1.n == t2.n and core.canonical_form(t1) == core.canonical_form(t2)
+
+
 def relabel(t: core.Tournament, perm: list[int]) -> core.Tournament:
     rows = [0] * t.n
     for u, v in t.edges():

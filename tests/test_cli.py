@@ -142,6 +142,10 @@ class TestClassifyCommand:
         path.write_text(write_matrix(core.transitive_tournament(5)))
         code, report = run_cli(capsys, "classify", str(path), "--kind", "galaxy")
         assert code == 0 and report["results"]["verdict"] is True
+        assert report["validation"] == [
+            {"check": "components-rederived", "passed": True},
+            {"check": "verdict-vs-components", "passed": True},
+        ]
 
     @pytest.mark.parametrize("kind", ["left", "right"])
     def test_search_without_ordering(self, capsys, c3_file, kind):
@@ -179,6 +183,88 @@ class TestClassifyCommand:
 
         monkeypatch.setattr(stars, "nebula_verdict", mislabelled)
         code, report = run_cli(capsys, "classify", left_file, "--kind", "nebula")
+        passed = {v["check"]: v["passed"] for v in report["validation"]}
+        assert code == 1 and passed["components-rederived"] is False
+
+    def test_galaxy_rule_matches_predicate(self):
+        # random hosts and transitive hosts with a few pairs reversed, each
+        # under a random ordering: the raw-edge galaxy rule is the predicate
+        rng = random.Random(4)
+        holds = 0
+        for trial in range(4800):
+            n = rng.randint(1, 10)
+            if trial % 2:
+                t = core.random_tournament(n, rng)
+            else:
+                rows = list(core.transitive_tournament(n).rows)
+                for _ in range(rng.randint(0, 3) if n > 1 else 0):
+                    u, v = rng.sample(range(n), 2)
+                    rows[u] ^= 1 << v
+                    rows[v] ^= 1 << u
+                t = core.Tournament(n, tuple(rows))
+            order = tuple(rng.sample(range(n), n))
+            comps = stars.classify_components(stars.backward_graph(t, order), order)
+            check, galaxy = cli._independent_component_check(t, order, comps)
+            assert check["passed"]
+            assert galaxy == stars.is_galaxy_ordering(t, order), (t.rows, order)
+            holds += galaxy
+        assert 1000 < holds < 3800
+
+    def test_wrong_galaxy_verdict_fails_a_check(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "t5.txt"
+        path.write_text(write_matrix(core.transitive_tournament(5)))
+        verdict = stars.nebula_verdict
+
+        def flipped(*args, **kwargs):
+            found = verdict(*args, **kwargs)
+            return dataclasses.replace(found, holds=not found.holds)
+
+        monkeypatch.setattr(stars, "nebula_verdict", flipped)
+        code, report = run_cli(capsys, "classify", str(path), "--kind", "galaxy")
+        passed = {v["check"]: v["passed"] for v in report["validation"]}
+        assert code == 1 and report["results"]["verdict"] is False
+        assert passed == {"components-rederived": True, "verdict-vs-components": False}
+
+    def test_right_product_classified(self, capsys, tmp_path):
+        path = tmp_path / "right6.txt"
+        code, _ = run_cli(capsys, "product", "--kind", "right", "--slots", "1,3,5;2,4,6",
+                          "--out", str(path))
+        assert code == 0
+        code, report = run_cli(capsys, "classify", str(path), "--kind", "right")
+        assert code == 0 and report["results"]["verdict"] is True
+        assert {c["kind"] for c in report["results"]["components"]} == {"right"}
+        assert all(v["passed"] for v in report["validation"])
+
+    @pytest.mark.parametrize("kind", ["nebula", "galaxy"])
+    def test_backward_path_is_no_star(self, capsys, tmp_path, kind):
+        # under the identity the backward graph is the path 1-2-3-4
+        t = core.from_backward_edges(4, (0, 1, 2, 3), [(1, 0), (2, 1), (3, 2)])
+        path = tmp_path / "path4.txt"
+        path.write_text(write_matrix(t))
+        code, report = run_cli(capsys, "classify", str(path), "--kind", kind)
+        assert code == 0 and report["results"]["verdict"] is False
+        assert report["results"]["components"] == [
+            {"vertices": [1, 2, 3, 4], "center": None, "kind": "non-star"}
+        ]
+        assert [v["check"] for v in report["validation"]] == [
+            "components-rederived", "verdict-vs-components"]
+        assert all(v["passed"] for v in report["validation"])
+
+    def test_right_star_relabelled_central_fails_a_check(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "right6.txt"
+        assert run_cli(capsys, "product", "--kind", "right", "--slots", "1,3,5;2,4,6",
+                       "--out", str(path))[0] == 0
+        verdict = stars.nebula_verdict
+
+        def mislabelled(*args, **kwargs):
+            found = verdict(*args, **kwargs)
+            first, *rest = found.components
+            assert first.kind is stars.StarKind.RIGHT
+            wrong = dataclasses.replace(first, kind=stars.StarKind.CENTRAL)
+            return dataclasses.replace(found, components=(wrong, *rest))
+
+        monkeypatch.setattr(stars, "nebula_verdict", mislabelled)
+        code, report = run_cli(capsys, "classify", str(path), "--kind", "right")
         passed = {v["check"]: v["passed"] for v in report["validation"]}
         assert code == 1 and passed["components-rederived"] is False
 
@@ -602,6 +688,24 @@ class TestRunAlgorithmCommand:
         code, report = run_cli(capsys, *args, "--replay", str(short))
         passed = {v["check"]: v["passed"] for v in report["validation"]}
         assert code == 1 and passed["replay-matches"] is False
+
+    def test_no_monochromatic_clique_payload(self, capsys, tmp_path):
+        # the host of test_engineered_no_clique: every triple is colored, no
+        # 4-subset is monochromatic
+        b = {(0, 1): 3, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2}
+        d = {(0, 1): 5, (0, 2): 5, (0, 3): 5, (1, 2): 5, (1, 3): 2, (2, 3): 5}
+        path = tmp_path / "no-clique.txt"
+        path.write_text(write_matrix(victim_host(4, 30, b, d, seed=7)))
+        code, report = run_cli(
+            capsys, "run-algorithm", str(path), "--case", "LR", "--k", "4", "--t", "4",
+            "--part-size", "30", "--c", "1/4", "--lam", "3/10",
+        )
+        assert code == 0
+        assert report["results"] == {
+            "outcome": {"kind": "no-monochromatic-clique", "phase": 0, "white": 3, "black": 1},
+            "phases": 0,
+        }
+        assert report["validation"] == [{"check": "phase-bound", "passed": True}]
 
     def test_structure_file(self, capsys, victim_file, tmp_path):
         structure = tmp_path / "structure.json"
