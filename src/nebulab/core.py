@@ -351,8 +351,14 @@ def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> bytes:
 def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[Tournament]:
     """One representative per isomorphism class, by iterated one-vertex extension.
 
-    Every extension of every class representative by a new vertex, given as
-    raw rows, is reduced to its canonical columns by the same search as
+    An extension of a class representative by a new vertex is kept only if no
+    vertex of the extended tournament has a higher score than the new one
+    (McKay's canonical deletion by a vertex invariant, "Isomorph-free
+    exhaustive generation", J. Algorithms 1998).  No class is lost: deleting
+    a top-score vertex of any class leaves a tournament isomorphic to some
+    representative, and the matching extension of that representative puts
+    the new vertex at top score.  Each kept extension, given as raw rows, is
+    reduced to its canonical columns by the same search as
     ``canonical_form``; the distinct column tuples are the classes of the next
     size.  Representatives are rebuilt from their canonical encodings, so the
     stream is deterministic and sorted by encoding.
@@ -367,7 +373,15 @@ def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[
         extended = set()
         for cols in reps:
             base = _rows_from_columns(size, cols)
+            # at_least[s]: the base vertices of score >= s
+            at_least = [sum(1 << v for v, row in enumerate(base) if row.bit_count() >= s)
+                        for s in range(size + 2)]
             for out_bits in range(1 << size):
+                # keep when the new vertex ties for top score: a base vertex above `top`
+                # outscores it, and one at `top` does so when it beats the new vertex
+                top = out_bits.bit_count()
+                if at_least[top + 1] | at_least[top] & ~out_bits:
+                    continue
                 rows = [
                     row if out_bits >> v & 1 else row | new_bit
                     for v, row in enumerate(base)

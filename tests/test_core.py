@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 import pytest
@@ -330,6 +331,30 @@ class TestEnumeration:
                 assert canonical_form(relabel(t, perm)) == form
             forms.add(form)
         assert len(forms) == 456
+
+    @pytest.mark.parametrize("n, digest", [
+        (7, "ef6ba19566eea1671ae4c4692371aa331b12f1078da66bdf6ef873928e1be581"),
+        (8, "35925ba3f8bf04f5f59040b28271ddddace9bd3ed7a26d36567a0901cb5f74f6"),
+    ])
+    def test_stream_digest(self, n, digest):
+        # pins which classes come out and in what order, hence each class_NNNNN.txt
+        stream = b"".join(canonical_form(t) for t in enumerate_tournaments(n))
+        assert hashlib.sha256(stream).hexdigest() == digest
+
+    def test_regular_classes_kept(self):
+        # every vertex of a regular class ties for top score
+        for n, count in ((5, 1), (7, 3)):
+            regular = [t for t in enumerate_tournaments(n)
+                       if all(row.bit_count() == (n - 1) // 2 for row in t.rows)]
+            assert len(regular) == count
+
+    def test_only_top_score_extensions_searched(self, monkeypatch):
+        searched = []
+        real = core._canonical_columns
+        monkeypatch.setattr(core, "_canonical_columns", lambda rows: searched.append(1) or real(rows))
+        assert sum(1 for _ in enumerate_tournaments(7)) == 456
+        # a ceiling; searching every one-vertex extension of the classes on 1..6 vertices takes 4,054
+        assert len(searched) <= 956
 
     def test_budget(self):
         with pytest.raises(BudgetError):
