@@ -468,15 +468,14 @@ def find_strong_structure(
     seed: int = 0,
 ) -> Optional[list[frozenset[int]]]:
     """Sampled search for a verifying strong structure: contiguous blocks
-    first, then 50 seeded random partitions."""
+    first, then up to 50 seeded random partitions, each drawn only once every
+    candidate before it has failed."""
     need = t * part_size
     if need > host.n:
         return None
-    candidates = [list(range(need))]
     rng = random.Random(seed)
-    for _ in range(50):
-        candidates.append(rng.sample(range(host.n), need))
-    for vertices in candidates:
+    for attempt in range(51):
+        vertices = rng.sample(range(host.n), need) if attempt else list(range(need))
         parts = [
             frozenset(vertices[i * part_size : (i + 1) * part_size]) for i in range(t)
         ]

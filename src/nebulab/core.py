@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetError
@@ -34,16 +35,24 @@ class Tournament:
             raise ValueError("tournament needs at least one vertex")
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
-        full = (1 << self.n) - 1
+        n = self.n
+        full = (1 << n) - 1
         for u, row in enumerate(self.rows):
             if row & ~full:
                 raise ValueError(f"row {u} has bits outside the vertex range")
             if row >> u & 1:
                 raise ValueError(f"self-edge at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.rows[u] >> v & 1) == (self.rows[v] >> u & 1):
-                    raise ValueError(f"pair ({u},{v}) is not oriented exactly once")
+        # The rows, last first, as one bit string: row u sits at bits u*n..u*n+n-1
+        # of int(grid, 2).  Its columns read the same way give the transpose, so
+        # a set bit of their XOR with the off-diagonal mask is a pair oriented
+        # twice or not at all, and the lowest one is the lex-first pair (u < v).
+        width = f"0{n}b"
+        grid = "".join([format(row, width) for row in reversed(self.rows)])
+        transpose = int("".join([grid[a::n] for a in range(n)]), 2)
+        bad = int(grid, 2) ^ transpose ^ _off_diagonal(n)
+        if bad:
+            u, v = divmod((bad & -bad).bit_length() - 1, n)
+            raise ValueError(f"pair ({u},{v}) is not oriented exactly once")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -57,6 +66,12 @@ class Tournament:
             for v in range(self.n):
                 if u != v and self.rows[u] >> v & 1:
                     yield (u, v)
+
+
+@cache
+def _off_diagonal(n: int) -> int:
+    """Bits u*n + v for every u != v below n."""
+    return ((1 << n * n) - 1) ^ sum(1 << u * (n + 1) for u in range(n))
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Tournament:

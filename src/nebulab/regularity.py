@@ -113,7 +113,10 @@ def regular_pair_sampled(
 ) -> PairVerdict:
     """Randomized surrogate: a Fail carries a concrete violator and is
     definitive; a Pass only means no violator was sampled.  As in the exact
-    check, a side shorter than its witness size passes the pair with no draw."""
+    check, a side shorter than its witness size passes the pair with no draw.
+
+    With d(A,B) = p/q in lowest terms, a trial's |e(X,Y)/(|X||Y|) - p/q| > eps
+    is tested as |e(X,Y) q - p |X||Y|| den(eps) > num(eps) |X||Y| q."""
     a, b = sorted(set(a)), sorted(set(b))
     eps = to_fraction(eps)
     rng = random.Random(seed)
@@ -122,12 +125,19 @@ def regular_pair_sampled(
     if min_x > na or min_y > nb:
         return PairVerdict(True, None)
     d_ab = density(host, a, b)
+    p, q = d_ab.numerator, d_ab.denominator
+    rows = host.rows
     for drawn in range(1, trials + 1):
-        x = frozenset(rng.sample(a, rng.randint(min_x, na)))
-        y = frozenset(rng.sample(b, rng.randint(min_y, nb)))
-        d_xy = density(host, x, y)
-        if abs(d_xy - d_ab) > eps:
-            return PairVerdict(False, ViolatingPair(x, y, d_xy, d_ab), trials=drawn)
+        xs = rng.sample(a, rng.randint(min_x, na))
+        ys = rng.sample(b, rng.randint(min_y, nb))
+        y_mask = vertex_mask(ys)
+        e_xy = sum([(rows[u] & y_mask).bit_count() for u in xs])
+        xy = len(xs) * len(ys)
+        if abs(e_xy * q - p * xy) * eps.denominator > eps.numerator * xy * q:
+            x, y = frozenset(xs), frozenset(ys)
+            return PairVerdict(
+                False, ViolatingPair(x, y, density(host, x, y), d_ab), trials=drawn
+            )
     return PairVerdict(True, None, trials=trials)
 
 

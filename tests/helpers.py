@@ -78,6 +78,16 @@ def write_backedges(t: core.Tournament, order) -> str:
     return "\n".join(lines) + "\n"
 
 
+def loop_pair_check(n: int, rows) -> str | None:
+    """Reference pair check, one pair at a time: the message Tournament(n, rows)
+    raises for the lex-first pair not oriented exactly once, or None."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (rows[u] >> v & 1) == (rows[v] >> u & 1):
+                return f"pair ({u},{v}) is not oriented exactly once"
+    return None
+
+
 def loop_write_matrix(t: core.Tournament) -> str:
     """Reference matrix writer: one character per ordered pair."""
     lines = [f"tournament {t.n} matrix"]

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,10 +10,11 @@ from helpers import (
     forward_block_host,
     noise_host,
     random_speed_tables,
+    relabel,
     single_star_config,
     victim_host,
 )
-from nebulab import core
+from nebulab import algorithm, core
 from nebulab.algorithm import (
     CASES,
     AlgorithmConfig,
@@ -421,3 +423,34 @@ class TestStructureFinder:
     def test_infeasible_returns_none(self):
         host = core.random_tournament(12, random.Random(13))
         assert find_strong_structure(host, 4, 10, Fraction(1, 4), LAM) is None
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The partitions find_strong_structure draws, in order."""
+        drawn = []
+
+        class CountingRandom(random.Random):
+            def sample(self, population, k):
+                drawn.append(super().sample(population, k))
+                return drawn[-1]
+
+        monkeypatch.setattr(algorithm, "random", SimpleNamespace(Random=CountingRandom))
+        return drawn
+
+    def test_no_draw_when_blocks_pass(self, draws):
+        host = noise_host(4, 10, span=4, seed=12)
+        parts = find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5)
+        assert parts == blocks(3, 10)
+        assert draws == []
+
+    def test_kth_random_partition_returned(self, draws):
+        # relabel so the structure sits on the third draw: the blocks and the
+        # first two draws fail, and only three partitions are drawn
+        rng = random.Random(5)
+        third = [rng.sample(range(40), 30) for _ in range(3)][-1]
+        perm = third + sorted(set(range(40)) - set(third))
+        host = relabel(noise_host(4, 10, span=4, seed=12), perm)
+        assert not verify_structure(host, blocks(3, 10), Fraction(1, 4), LAM, strong=True).passed
+        parts = find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5)
+        assert parts == [frozenset(third[i * 10 : (i + 1) * 10]) for i in range(3)]
+        assert len(draws) == 3 and draws[-1] == third

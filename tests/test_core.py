@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_labeled_tournaments, isomorphic, relabel, tr_sweep
+from helpers import all_labeled_tournaments, isomorphic, loop_pair_check, relabel, tr_sweep
 from nebulab import core, examples
 from nebulab.core import (
     Tournament,
@@ -66,10 +66,32 @@ class TestConstruction:
             from_backward_edges(3, (0, 1, 2), [(2, 0), (2, 0)])
 
     def test_antisymmetry_validated(self):
-        with pytest.raises(ValueError):
+        message = r"^pair \(0,1\) is not oriented exactly once$"
+        with pytest.raises(ValueError, match=message):
             Tournament(2, (1 << 1, 1 << 0))  # both directions
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             Tournament(2, (0, 0))  # neither
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 210])
+    def test_pair_check_matches_loop(self, n):
+        # 0-3 pairs set both ways or neither way; the first bad pair is named
+        rng = random.Random(n)
+        for _ in range(4 if n > 40 else 12):
+            rows = list(rand_t(n, rng.randrange(10**6)).rows)
+            for _ in range(rng.randint(0, 3) if n > 1 else 0):
+                u, v = rng.sample(range(n), 2)
+                if rng.random() < 0.5:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                else:
+                    rows[u] &= ~(1 << v)
+                    rows[v] &= ~(1 << u)
+            try:
+                Tournament(n, tuple(rows))
+                message = None
+            except ValueError as exc:
+                message = str(exc)
+            assert message == loop_pair_check(n, rows)
 
     @given(st.integers(1, 16), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)

@@ -21,6 +21,7 @@ from nebulab.regularity import (
     PairVerdict,
     PipelineReport,
     StageFailure,
+    ViolatingPair,
     regular_pair_exact,
     regular_pair_sampled,
     stearns_transitive,
@@ -150,7 +151,57 @@ def test_imports_without_numpy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def fraction_sampled(host, a, b, eps, trials, seed):
+    """Reference sampled check on exact fractions, with the same draws: the
+    verdict and every drawn pair's deviation |d(X,Y) - d(A,B)|."""
+    a, b = sorted(set(a)), sorted(set(b))
+    rng = random.Random(seed)
+    min_x, min_y = max(1, math.ceil(eps * len(a))), max(1, math.ceil(eps * len(b)))
+    d_ab = set_density(host, a, b)
+    deviations = []
+    for drawn in range(1, trials + 1):
+        x = frozenset(rng.sample(a, rng.randint(min_x, len(a))))
+        y = frozenset(rng.sample(b, rng.randint(min_y, len(b))))
+        d_xy = set_density(host, x, y)
+        deviations.append(abs(d_xy - d_ab))
+        if deviations[-1] > eps:
+            return PairVerdict(False, ViolatingPair(x, y, d_xy, d_ab), drawn), deviations
+    return PairVerdict(True, None, trials), deviations
+
+
+EPSILONS = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 8)]
+
+
 class TestRegularPairSampled:
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_matches_fraction_formula(self, eps):
+        rng = random.Random(eps.denominator)
+        for seed in range(40):
+            n = rng.randint(4, 24)
+            host = random_tournament(n, rng)
+            verts = rng.sample(range(n), n)
+            cut = rng.randint(1, n - 1)
+            a, b = verts[:cut], verts[cut : rng.randint(cut + 1, n)]
+            expected, _ = fraction_sampled(host, a, b, eps, 60, seed)
+            assert regular_pair_sampled(host, a, b, eps, trials=60, seed=seed) == expected
+
+    @pytest.mark.parametrize("eps", EPSILONS)
+    def test_deviation_equal_to_eps_passes(self, eps):
+        # |A| = k(k-1) for eps = 1/k, B = {b}, and b beats only a_0: a drawn X
+        # of the least size k-1 holding a_0 deviates by 1/(k-1) - 1/(k(k-1)) =
+        # eps exactly, and every other X by less
+        k = eps.denominator
+        na = k * (k - 1)
+        rows = list(core.transitive_tournament(na + 1).rows)
+        rows[0] ^= 1 << na
+        rows[na] |= 1
+        host = core.Tournament(na + 1, tuple(rows))
+        a, b = range(na), [na]
+        expected, deviations = fraction_sampled(host, a, b, eps, 2000, 0)
+        assert eps in deviations and max(deviations) == eps
+        assert regular_pair_sampled(host, a, b, eps, trials=2000, seed=0) == expected
+        assert expected.passed
+
     def test_fail_implies_exact_fail(self):
         rng = random.Random(6)
         for seed in range(15):
