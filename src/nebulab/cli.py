@@ -15,9 +15,6 @@ enumerate above n = 9, where no class count is known, C(t,k) part subsets
 above the phase algorithm's budget, no structure found, or too few samples
 to fit a slope), 4 = internal invariant violation.
 
-Budgets honour environment overrides: NEBULAB_TR_BUDGET,
-NEBULAB_ORDERING_BUDGET, NEBULAB_ENUMERATION_BUDGET.
-
 Audit traces (run-algorithm --trace) are line-delimited JSON records with
 sorted keys.  Every record carries "phase" and "action"; append records add
 the clique, the chosen vector entry, and the stored witness triple, terminal
@@ -36,7 +33,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -45,16 +41,6 @@ from pathlib import Path
 from . import algorithm, containment, core, examples, files, product, reports, stars
 from .errors import BudgetError, InvariantError, NebulabError, NoDataError, ParseError
 from .stars import StarKind
-
-
-def _budget(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -176,9 +162,8 @@ def _independent_component_check(
 
 def cmd_classify(args) -> tuple[dict, dict, list[dict]]:
     t = _read_tournament(args.file)
-    budget = _budget("NEBULAB_ORDERING_BUDGET", stars.ORDERING_SEARCH_BUDGET)
     given = tuple(range(t.n)) if args.ordering == "identity" else None
-    found = stars.nebula_verdict(t, args.kind, given, budget=budget)
+    found = stars.nebula_verdict(t, args.kind, given)
     order, verdict, comps = found.ordering, found.holds, found.components
     validation = []
     if order is not None:
@@ -328,7 +313,7 @@ def cmd_free(args) -> tuple[dict, dict, list[dict]]:
             )
         else:
             try:
-                brute = containment.brute_force_contains(t, member, budget=200_000)
+                brute = containment.brute_force_contains(t, member)
             except BudgetError:
                 validation.append(
                     {"check": f"absence-noted:{path}", "passed": True,
@@ -377,8 +362,7 @@ def _chain_dp_tr(t: core.Tournament) -> int:
 
 def cmd_tr(args) -> tuple[dict, dict, list[dict]]:
     t = _read_tournament(args.file)
-    budget = _budget("NEBULAB_TR_BUDGET", core.TR_BUDGET)
-    best = core.largest_transitive(t, budget=budget)
+    best = core.largest_transitive(t)
     validation = [{"check": "set-is-transitive",
                    "passed": core.is_transitive(core.induced(t, best))}]
     tr = len(best)
@@ -549,10 +533,7 @@ def cmd_run_algorithm(args) -> tuple[dict, dict, list[dict]]:
 
 def cmd_exponent(args) -> tuple[dict, dict, list[dict]]:
     family = [_read_tournament(path) for path in args.family]
-    rep = containment.empirical_eh_exponent(
-        family, args.sizes, args.samples, args.seed,
-        tr_budget=_budget("NEBULAB_TR_BUDGET", core.TR_BUDGET),
-    )
+    rep = containment.empirical_eh_exponent(family, args.sizes, args.samples, args.seed)
     # independent slope refit from the reported samples
     xs = [math.log(n) for n, _ in rep.samples]
     ys = [math.log(v) for _, v in rep.samples]
@@ -586,8 +567,7 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880, 9: 
 
 def cmd_enumerate(args) -> tuple[dict, dict, list[dict]]:
     # the class-count check knows no count above n = 9: refuse before enumerating
-    budget = min(_budget("NEBULAB_ENUMERATION_BUDGET", core.ENUMERATION_BUDGET),
-                 max(KNOWN_CLASS_COUNTS))
+    budget = max(KNOWN_CLASS_COUNTS)
     if args.n > budget:
         raise BudgetError(f"enumeration limited to n <= {budget}, got {args.n}")
     reps_list = list(core.enumerate_tournaments(args.n, budget=budget))

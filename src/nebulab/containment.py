@@ -8,10 +8,11 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
-from .core import TR_BUDGET, Tournament, largest_transitive, random_tournament
+from . import core
+from .core import Tournament, largest_transitive, random_tournament
 from .errors import BudgetError, NoDataError
 
-BRUTE_FORCE_BUDGET = 5_000_000
+BRUTE_FORCE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,7 @@ def _embed(rows: Sequence[int], prepared, masks: Sequence[int]) -> Optional[tupl
     return tuple(assignment) if descend(0, [masks[v] for v in order], 0) else None
 
 
-def brute_force_contains(
-    host: Tournament, pattern: Tournament, budget: int = BRUTE_FORCE_BUDGET
-) -> Optional[Embedding]:
+def brute_force_contains(host: Tournament, pattern: Tournament) -> Optional[Embedding]:
     """Oracle for ``contains``: scan every vertex subset of the pattern's size.
 
     An isomorphism preserves each vertex's score in the induced
@@ -145,8 +144,8 @@ def brute_force_contains(
     if h > n:
         return None
     work = math.comb(n, h) * math.factorial(h)
-    if work > budget:
-        raise BudgetError(f"brute force needs {work} checks, budget is {budget}")
+    if work > BRUTE_FORCE_BUDGET:
+        raise BudgetError(f"brute force needs {work} checks, budget is {BRUTE_FORCE_BUDGET}")
     pat_scores = [row.bit_count() for row in pattern.rows]
     target = sorted(pat_scores)
     classes = {s: [a for a in range(h) if pat_scores[a] == s] for s in target}
@@ -220,11 +219,10 @@ def empirical_eh_exponent(
     sizes: Sequence[int],
     samples_per_size: int,
     seed: int,
-    tr_budget: int = TR_BUDGET,
     max_tries: int = 200,
 ) -> ExponentReport:
-    if any(n > tr_budget for n in sizes):
-        raise BudgetError(f"sizes exceed the exact transitive budget {tr_budget}")
+    if any(n > core.TR_BUDGET for n in sizes):
+        raise BudgetError(f"sizes exceed the exact transitive budget {core.TR_BUDGET}")
     samples: list[tuple[int, int]] = []
     failure_rates: list[tuple[int, float]] = []
     flagged: list[int] = []
@@ -237,7 +235,7 @@ def empirical_eh_exponent(
             if t is None:
                 failures += 1
                 continue
-            samples.append((n, len(largest_transitive(t, budget=tr_budget))))
+            samples.append((n, len(largest_transitive(t))))
         rate = failures / samples_per_size
         failure_rates.append((n, rate))
         if rate > 0.5:

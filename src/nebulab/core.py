@@ -21,6 +21,7 @@ Ordering = tuple[int, ...]
 TR_BUDGET = 24
 CANONICAL_BUDGET = 12
 ENUMERATION_BUDGET = 8
+MODULE_SEARCH_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,14 @@ def is_transitive(t: Tournament) -> bool:
     return True
 
 
-def largest_transitive(t: Tournament, budget: int = TR_BUDGET) -> frozenset[int]:
+def largest_transitive(t: Tournament) -> frozenset[int]:
     """An exact maximum transitive vertex set, via memoized chain search.
 
     A transitive set ordered as v1,...,vk has every vi beating all later
     members, so best(mask) = max over v in mask of 1 + best(mask & out(v)).
     """
-    if t.n > budget:
-        raise BudgetError(f"exact transitive solver limited to n <= {budget}, got {t.n}")
+    if t.n > TR_BUDGET:
+        raise BudgetError(f"exact transitive solver limited to n <= {TR_BUDGET}, got {t.n}")
     memo: dict[int, int] = {0: 0}
 
     def best(mask: int) -> int:
@@ -344,7 +345,7 @@ def _rows_from_columns(n: int, cols: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> bytes:
+def canonical_form(t: Tournament) -> bytes:
     """Isomorphism-invariant minimal adjacency encoding: byte n, then the columns.
 
     The encoding lists, for each position q = 1..n-1, the column of bits
@@ -358,8 +359,8 @@ def canonical_form(t: Tournament, budget: int = CANONICAL_BUDGET) -> bytes:
     lexicographically minimal column sequence over the leaves is an
     isomorphism invariant.
     """
-    if t.n > budget:
-        raise BudgetError(f"canonical form limited to n <= {budget}, got {t.n}")
+    if t.n > CANONICAL_BUDGET:
+        raise BudgetError(f"canonical form limited to n <= {CANONICAL_BUDGET}, got {t.n}")
     return _columns_to_bytes(t.n, _canonical_columns(t.rows))
 
 
@@ -453,10 +454,10 @@ def is_prime(t: Tournament) -> bool:
     return find_module(t) is None
 
 
-def find_module_exhaustive(t: Tournament, budget: int = 16) -> Optional[frozenset[int]]:
+def find_module_exhaustive(t: Tournament) -> Optional[frozenset[int]]:
     """Oracle for find_module: scan every subset of size 2..n-1."""
-    if t.n > budget:
-        raise BudgetError(f"exhaustive module search limited to n <= {budget}")
+    if t.n > MODULE_SEARCH_BUDGET:
+        raise BudgetError(f"exhaustive module search limited to n <= {MODULE_SEARCH_BUDGET}")
     full = (1 << t.n) - 1
     for mask in range(3, full):
         size = mask.bit_count()

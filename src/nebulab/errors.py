@@ -10,7 +10,7 @@ class ParseError(NebulabError, ValueError):
 
 
 class BudgetError(NebulabError):
-    """An exact solver was asked to exceed its configured search budget."""
+    """An exact solver was asked to exceed its search budget."""
 
 
 class NoDataError(NebulabError):

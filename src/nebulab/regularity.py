@@ -50,7 +50,6 @@ def regular_pair_exact(
     a: Sequence[int],
     b: Sequence[int],
     eps,
-    budget: int = EXACT_PAIR_BUDGET,
 ) -> PairVerdict:
     """Exact check that scans one subset size per side, the witness sizes.
 
@@ -70,8 +69,8 @@ def regular_pair_exact(
     a, b = sorted(set(a)), sorted(set(b))
     if set(a) & set(b):
         raise ValueError("pair sets must be disjoint")
-    if len(a) > budget or len(b) > budget:
-        raise BudgetError(f"exact pair check limited to sides <= {budget}")
+    if len(a) > EXACT_PAIR_BUDGET or len(b) > EXACT_PAIR_BUDGET:
+        raise BudgetError(f"exact pair check limited to sides <= {EXACT_PAIR_BUDGET}")
     eps = to_fraction(eps)
     na, nb = len(a), len(b)
     x_size, y = _witness_size(eps, na), _witness_size(eps, nb)

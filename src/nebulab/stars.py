@@ -9,7 +9,6 @@ three-vertex-kind predicates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -140,11 +139,13 @@ def _admissible(
     applied.
 
     Two-vertex components have an arbitrary center: a galaxy ordering needs
-    some choice of their centers to satisfy the positional rule.
+    some choice of their centers to satisfy the positional rule.  With one
+    leaf such a component constrains no other, so each picks its center
+    alone: it needs an end outside every star's leaf span.
     """
     want = _THREE_STAR_KINDS.get(kind)
     stars: list[tuple[int, Sequence[int]]] = []  # galaxy: (center, leaves)
-    ambiguous: list[tuple[int, ...]] = []  # galaxy: two-vertex positions
+    pairs: list[tuple[int, ...]] = []  # galaxy: two-vertex positions
     for c in comps:
         size = len(c.positions)
         if c.kind is StarKind.NON_STAR:
@@ -166,14 +167,13 @@ def _admissible(
             else:
                 return False
         elif kind == "galaxy" and size == 2 and complete:
-            ambiguous.append(c.positions)
+            pairs.append(c.positions)
     if kind != "galaxy":
         return True
-    for choice in itertools.product((0, 1), repeat=len(ambiguous)):
-        chosen = [(p[flip], (p[1 - flip],)) for flip, p in zip(choice, ambiguous)]
-        if _galaxy_positions_ok(stars + chosen):
-            return True
-    return False
+    spans = [(min(leaves), max(leaves)) for _, leaves in stars]
+    return _galaxy_positions_ok(stars) and all(
+        any(all(not lo < end < hi for lo, hi in spans) for end in pair) for pair in pairs
+    )
 
 
 def _ordering_admissible(t: Tournament, order: Ordering, kind: str) -> bool:
@@ -248,7 +248,6 @@ def _extensions(t: Tournament, kind: str, placed: list[int], adj: list[int],
 def find_ordering(
     t: Tournament,
     predicate: Callable[[Tournament, Ordering], bool],
-    budget: int = ORDERING_SEARCH_BUDGET,
 ) -> Optional[Ordering]:
     """Exhaustive ordering search with look-ahead.
 
@@ -275,8 +274,8 @@ def find_ordering(
     kind = next((k for k, p in PREDICATES.items() if p is predicate), None)
     if kind is None:
         raise ValueError("find_ordering searches only for the predicates in PREDICATES")
-    if t.n > budget:
-        raise BudgetError(f"ordering search limited to n <= {budget}, got {t.n}")
+    if t.n > ORDERING_SEARCH_BUDGET:
+        raise BudgetError(f"ordering search limited to n <= {ORDERING_SEARCH_BUDGET}, got {t.n}")
 
     def descend(placed: list[int], adj: list[int], comps: list) -> Optional[Ordering]:
         if len(placed) == t.n:
@@ -290,12 +289,11 @@ def find_ordering(
     return descend([], [0] * t.n, [])
 
 
-def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None,
-                   budget: int = ORDERING_SEARCH_BUDGET) -> NebulaVerdict:
+def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None) -> NebulaVerdict:
     """Check or search for an ordering of the requested kind."""
     predicate = PREDICATES[kind]
     if order is None:
-        order = find_ordering(t, predicate, budget=budget)
+        order = find_ordering(t, predicate)
         if order is None:
             return NebulaVerdict(False, None, ())
     comps = tuple(classify_components(backward_graph(t, order), order))

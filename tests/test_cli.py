@@ -17,7 +17,8 @@ from helpers import (
     victim_host,
     write_backedges,
 )
-from nebulab import algorithm, cli, core, examples, stars, structures
+from nebulab import algorithm, cli, containment, core, examples, regularity, stars, structures
+from nebulab.errors import BudgetError
 from nebulab.files import ParseError, parse_tournament, write_matrix
 from nebulab.structures import verify_structure
 
@@ -301,7 +302,7 @@ class TestOtherCommands:
         assert all(v["passed"] for v in report["validation"])
 
     def test_tr_budget_exit(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("NEBULAB_TR_BUDGET", "4")
+        monkeypatch.setattr(core, "TR_BUDGET", 4)
         path = tmp_path / "t6.txt"
         path.write_text(write_matrix(core.random_tournament(6, random.Random(3))))
         code = cli.main(["tr", str(path)])
@@ -313,7 +314,7 @@ class TestOtherCommands:
         solver = core.largest_transitive
         # drop one vertex: the set stays transitive but is no longer maximum
         monkeypatch.setattr(core, "largest_transitive",
-                            lambda t, budget: frozenset(sorted(solver(t, budget))[1:]))
+                            lambda t: frozenset(sorted(solver(t))[1:]))
         path = tmp_path / "t.txt"
         path.write_text(write_matrix(core.random_tournament(n, random.Random(n))))
         code, report = run_cli(capsys, "tr", str(path))
@@ -416,7 +417,6 @@ class TestOtherCommands:
         def never(n, budget):
             pytest.fail(f"enumerated n = {n}, which has no known class count")
 
-        monkeypatch.setenv("NEBULAB_ENUMERATION_BUDGET", "10")
         monkeypatch.setattr(cli.core, "enumerate_tournaments", never)
         err = assert_clean_exit(capsys, ["enumerate", "--n", "10"], 3)
         assert err == "budget exceeded: enumeration limited to n <= 9, got 10\n"
@@ -446,6 +446,56 @@ def assert_clean_exit(capsys, argv, expected):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     return captured.err
+
+
+class TestSizeLimits:
+    """Each exact solver reads its size limit from one module constant when
+    it is called, so patching the constant moves the refusal."""
+
+    @pytest.mark.parametrize(
+        "module, name, argv, message",
+        [
+            (core, "TR_BUDGET", ["tr", "T6"],
+             "exact transitive solver limited to n <= 4, got 6"),
+            (core, "TR_BUDGET", ["exponent", "--sizes", "4,6", "--samples", "2"],
+             "sizes exceed the exact transitive budget 4"),
+            (stars, "ORDERING_SEARCH_BUDGET", ["classify", "T6", "--ordering", "search"],
+             "ordering search limited to n <= 4, got 6"),
+        ],
+    )
+    def test_command_refuses_above_constant(self, capsys, monkeypatch, tmp_path,
+                                            module, name, argv, message):
+        path = tmp_path / "t6.txt"
+        path.write_text(write_matrix(core.random_tournament(6, random.Random(6))))
+        monkeypatch.setattr(module, name, 4)
+        argv = [str(path) if arg == "T6" else arg for arg in argv]
+        assert assert_clean_exit(capsys, argv, 3) == f"budget exceeded: {message}\n"
+
+    @pytest.mark.parametrize(
+        "module, name, call",
+        [
+            (core, "TR_BUDGET", core.largest_transitive),
+            (core, "CANONICAL_BUDGET", core.canonical_form),
+            (core, "MODULE_SEARCH_BUDGET", core.find_module_exhaustive),
+            (stars, "ORDERING_SEARCH_BUDGET",
+             lambda t: stars.find_ordering(t, stars.is_nebula_ordering)),
+            (stars, "ORDERING_SEARCH_BUDGET", lambda t: stars.nebula_verdict(t, "nebula")),
+            (regularity, "EXACT_PAIR_BUDGET",
+             lambda t: regularity.regular_pair_exact(t, range(5), range(5, 6), 1)),
+            (core, "TR_BUDGET", lambda t: containment.empirical_eh_exponent([], [5, 6], 2, seed=0)),
+            (containment, "BRUTE_FORCE_BUDGET",
+             lambda t: containment.brute_force_contains(t, core.cyclic_triangle())),
+        ],
+        ids=["largest_transitive", "canonical_form", "find_module_exhaustive", "find_ordering",
+             "nebula_verdict", "regular_pair_exact", "empirical_eh_exponent",
+             "brute_force_contains"],
+    )
+    def test_solver_refuses_above_constant(self, monkeypatch, module, name, call):
+        t = core.random_tournament(6, random.Random(6))
+        call(t)
+        monkeypatch.setattr(module, name, 4)
+        with pytest.raises(BudgetError):
+            call(t)
 
 
 class TestCachedParser:
@@ -542,8 +592,6 @@ class TestMalformedInput:
         [
             (["enumerate", "--n", "0"], {}),
             (["enumerate", "--n", "-1"], {}),
-            (["enumerate", "--n", "4"], {"NEBULAB_ENUMERATION_BUDGET": "x"}),
-            (["tr", "C3"], {"NEBULAB_TR_BUDGET": "2.5"}),
             (["product", "--kind", "left", "--slots", "1,2,x"], {}),
             (["product", "--kind", "left", "--slots", "1,2,3;"], {}),
             (["product", "--kind", "left", "--slots", "3,2,1"], {}),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import relabel
-from nebulab import core, examples
+from nebulab import core, examples, stars
 from nebulab.core import cyclic_triangle, from_backward_edges, transitive_tournament
 from nebulab.errors import BudgetError
 from nebulab.product import build_nebula
@@ -207,6 +207,24 @@ class TestGalaxy:
             5, tuple(range(5)), [(3, 1), (2, 0), (4, 0)]
         )
         assert is_galaxy_ordering(t, tuple(range(5)))
+
+    def test_pairs_pick_centers_alone(self, monkeypatch):
+        # one left star whose leaf span encloses m pairs: each pair picks its
+        # center alone, not among all 2^m joint choices
+        def nested_pairs(m):
+            n = 2 * m + 3
+            edges = [(1, 0), (n - 1, 0)] + [(2 * i + 3, 2 * i + 2) for i in range(m)]
+            return from_backward_edges(n, range(n), edges)
+
+        calls = []
+        rule = stars._galaxy_positions_ok
+        monkeypatch.setattr(stars, "_galaxy_positions_ok",
+                            lambda placed: calls.append(placed) or rule(placed))
+        t = nested_pairs(16)
+        assert not is_galaxy_ordering(t, tuple(range(t.n)))
+        assert len(calls) <= 2 * 16 + 1
+        t = nested_pairs(30)
+        assert nebula_verdict(t, "galaxy", tuple(range(t.n))).holds is False
 
 
 class TestFindOrdering:
