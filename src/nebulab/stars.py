@@ -116,68 +116,48 @@ class NebulaVerdict:
 _THREE_STAR_KINDS = {"left": StarKind.LEFT, "right": StarKind.RIGHT, "central": StarKind.CENTRAL}
 
 
-def _galaxy_positions_ok(stars: list[tuple[int, Sequence[int]]]) -> bool:
-    """No star center may sit strictly between two leaves of another star;
-    stars are given as (center position, leaf positions)."""
-    return not any(
-        i != j and len(leaves) >= 2 and min(leaves) < center < max(leaves)
-        for i, (center, _) in enumerate(stars) for j, (_, leaves) in enumerate(stars)
-    )
+def _galaxy_positions_ok(stars: Sequence[tuple[int, int, int]]) -> bool:
+    """No star center sits strictly inside another star's leaf span; stars are
+    the (center, lo, hi) positions of left and right stars with 3 or more
+    vertices, whose own center lies outside their own span."""
+    return not any(lo < center < hi for center, _, _ in stars for _, lo, hi in stars)
 
 
-def _admissible(
-    comps: Sequence[StarComponent], kind: str, complete: bool, gap: bool = False
-) -> bool:
-    """The rule of an ordering kind on classified backward components.
+def _pairs_ok(stars: Sequence[tuple[int, int, int]], pairs: Sequence[Sequence[int]]) -> bool:
+    """Each 2-vertex component, given by its two positions, has an end outside
+    every star's leaf span.  With one leaf such a component constrains no
+    other, so each picks that end as its center alone."""
+    return all(any(all(not lo < end < hi for _, lo, hi in stars) for end in pair)
+               for pair in pairs)
 
-    With ``complete`` the components are those of a whole ordering, and the
-    answer is the kind's predicate.  Otherwise they are those of a prefix,
-    whose backward graph is final among the placed vertices, and False means
-    that no extension of the prefix satisfies the predicate.  The complete
-    rule is the stricter one.  With ``gap`` other vertices may still arrive
-    before the prefix's last vertex, so the right-kind 2-vertex clause is not
-    applied.
 
-    Two-vertex components have an arbitrary center: a galaxy ordering needs
-    some choice of their centers to satisfy the positional rule.  With one
-    leaf such a component constrains no other, so each picks its center
-    alone: it needs an end outside every star's leaf span.
-    """
+def _admissible(comps: Sequence[StarComponent], kind: str) -> bool:
+    """The predicate of an ordering kind on the classified backward components
+    of a whole ordering."""
     want = _THREE_STAR_KINDS.get(kind)
-    stars: list[tuple[int, Sequence[int]]] = []  # galaxy: (center, leaves)
+    stars: list[tuple[int, int, int]] = []  # galaxy: (center, lo, hi)
     pairs: list[tuple[int, ...]] = []  # galaxy: two-vertex positions
     for c in comps:
-        size = len(c.positions)
+        size, at = len(c.positions), c.positions
         if c.kind is StarKind.NON_STAR:
             return False
         if want is not None:
-            # a right star's hub arrives last and attaches to all leaves at
-            # once, so no prefix of a right nebula ordering holds a 2-vertex
-            # component; across a gap, the last vertex can still become the
-            # hub of a leaf placed before it
-            if size > 3 or (size == 3 and c.kind is not want) or (
-                size == 2 and (complete or (want is StarKind.RIGHT and not gap))
-            ):
+            if size > 1 and (size != 3 or c.kind is not want):
                 return False
+        elif kind == "galaxy" and size == 2:
+            pairs.append(at)
         elif kind == "galaxy" and size >= 3:
             if c.kind is StarKind.LEFT:
-                stars.append((c.positions[0], c.positions[1:]))
+                stars.append((at[0], at[1], at[-1]))
             elif c.kind is StarKind.RIGHT:
-                stars.append((c.positions[-1], c.positions[:-1]))
+                stars.append((at[-1], at[0], at[-2]))
             else:
                 return False
-        elif kind == "galaxy" and size == 2 and complete:
-            pairs.append(c.positions)
-    if kind != "galaxy":
-        return True
-    spans = [(min(leaves), max(leaves)) for _, leaves in stars]
-    return _galaxy_positions_ok(stars) and all(
-        any(all(not lo < end < hi for lo, hi in spans) for end in pair) for pair in pairs
-    )
+    return kind != "galaxy" or (_galaxy_positions_ok(stars) and _pairs_ok(stars, pairs))
 
 
 def _ordering_admissible(t: Tournament, order: Ordering, kind: str) -> bool:
-    return _admissible(classify_components(backward_graph(t, order), order), kind, True)
+    return _admissible(classify_components(backward_graph(t, order), order), kind)
 
 
 def is_nebula_ordering(t: Tournament, order: Ordering) -> bool:
@@ -213,35 +193,93 @@ PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
 }
 
 
-def _extensions(t: Tournament, kind: str, placed: list[int], adj: list[int],
-                comps: list[StarComponent]) -> Optional[list[tuple]]:
-    """The one-step extensions of the admitted prefix ``placed`` (backward
-    masks ``adj``, components ``comps``) that the prefix rule admits, as
-    (child, its ``adj``, its components) by increasing added vertex; None when
-    the look-ahead kills ``placed``, because some extension breaks the rule
-    with a gap."""
-    mask, out = vertex_mask(placed), []
-    complete = len(placed) + 1 == t.n
+# A search prefix carries each backward component as a plain tuple (mask, hub,
+# kind, lo, hi): its vertex mask, the center of a star with 3 or more vertices
+# (None otherwise), its StarKind, and the first and last positions of its
+# leaves, where every vertex of a singleton or a 2-vertex component counts as
+# a leaf (0 and 0 for a non-star).
+Carried = tuple[int, Optional[int], StarKind, int, int]
+
+# the search reads these for every child: a plain global is cheaper than an
+# attribute lookup on StarKind
+_SINGLETON, _PAIR, _NON_STAR = StarKind.SINGLETON, StarKind.GENERAL, StarKind.NON_STAR
+_LEFT, _RIGHT, _CENTRAL = StarKind.LEFT, StarKind.RIGHT, StarKind.CENTRAL
+
+
+def _append(comps: Sequence[Carried], pos: Sequence[int], v: int, back: int) -> Carried:
+    """The component that ``v`` forms when it is appended to a prefix with
+    components ``comps``, by the append rule of ``find_ordering``: ``back`` is
+    ``rows[v] & placed`` and ``pos`` holds the position of every placed vertex
+    and of ``v``."""
+    p = pos[v]
+    if not back:
+        return (1 << v, None, _SINGLETON, p, p)
+    if not back & (back - 1):
+        u = back.bit_length() - 1
+        mask, hub, kind, lo, hi = next(c for c in comps if c[0] & back)
+        mask |= 1 << v
+        if kind is _SINGLETON:
+            return (mask, None, _PAIR, lo, p)
+        if kind is _PAIR:  # u is one end; the other one and v become leaves
+            return (mask, u, _LEFT, hi, p) if pos[u] == lo else (mask, u, _CENTRAL, lo, p)
+        if hub == u:
+            return (mask, u, _CENTRAL if kind is _RIGHT else kind, lo, p)
+        return (mask, None, _NON_STAR, 0, 0)
+    joined, star, at = 1 << v, True, []
+    for c in comps:
+        if c[0] & back:
+            joined |= c[0]
+            star = star and c[2] is _SINGLETON
+            at.append(c[3])
+    if not star:
+        return (joined, None, _NON_STAR, 0, 0)
+    return (joined, v, _RIGHT, min(at), max(at))
+
+
+def _extend(t: Tournament, kind: str, pos: list[int], placed: int,
+            comps: Sequence[Carried]) -> Optional[list[tuple[int, list[Carried]]]]:
+    """The one-step extensions of the admitted prefix with vertex mask
+    ``placed`` and components ``comps`` that the prefix rule admits, as (added
+    vertex, child's components) by increasing added vertex; None when the
+    look-ahead kills the prefix, because some extension breaks the rule with a
+    gap.  ``pos`` holds the positions of the placed vertices, and each
+    added vertex's position is written into it."""
+    want = _THREE_STAR_KINDS.get(kind)
+    p = placed.bit_count()
+    complete = p + 1 == t.n
+    out = []
     for v in range(t.n):
-        if mask >> v & 1:
+        if placed >> v & 1:
             continue
-        back = t.rows[v] & mask
-        child, child_adj = placed + [v], list(adj)
-        child_adj[v] = back
-        for u in mask_vertices(back):
-            child_adj[u] |= 1 << v
-        joined, child_comps = 1 << v, []
-        for c in comps:
-            if c.mask & back:
-                joined |= c.mask
-            else:
-                child_comps.append(c)
-        child_comps.append(_classify(joined, child_adj, child))
-        checked = child_comps if complete or kind == "galaxy" else child_comps[-1:]
-        if not _admissible(checked, kind, False, gap=True):
+        back = t.rows[v] & placed
+        pos[v] = p
+        merged = _append(comps, pos, v, back)
+        mask, _, mkind, _, _ = merged
+        if mkind is _NON_STAR:
             return None
-        if _admissible(checked, kind, complete):
-            out.append((child, child_adj, child_comps))
+        size = mask.bit_count()
+        if want is not None:
+            if size > 3 or (size == 3 and mkind is not want):
+                return None
+            # a right star's hub arrives last and attaches to all leaves at
+            # once, so no prefix of a right nebula ordering holds a 2-vertex
+            # component; across a gap, the last vertex can still become the
+            # hub of a leaf placed before it
+            if size == 2 and want is _RIGHT:
+                continue
+        child = [c for c in comps if not c[0] & back]
+        child.append(merged)
+        if want is not None and complete and any(c[2] is _PAIR for c in child):
+            continue
+        if kind == "galaxy" and (size >= 3 or complete):
+            if mkind is _CENTRAL:
+                return None
+            stars = [(pos[c[1]], c[3], c[4]) for c in child if c[1] is not None]
+            if not _galaxy_positions_ok(stars):
+                return None
+            if complete and not _pairs_ok(stars, [c[3:] for c in child if c[2] is _PAIR]):
+                continue
+        out.append((v, child))
     return out
 
 
@@ -263,30 +301,54 @@ def find_ordering(
     ordering satisfying the predicate, or None after exhausting all n!
     candidates (pruned).
 
-    A prefix carries its ``adj`` masks and components.  Its child ``placed +
-    [v]`` merges v with the components that ``rows[v] & placed`` touches and
-    classifies only that one.  The nebula, left, right and central rules are
-    per component, and every kept component passed the prefix rule, which is
-    stricter than the gap rule, so both checks of a child read the merged one
-    alone.  Galaxy, whose positional rule couples stars, and a child that
-    completes the ordering, where the 2-vertex clause applies to all, read all.
+    A prefix carries one tuple per component (see ``Carried``), and the DFS
+    path one ``pos`` array.  A child ``placed + [v]`` takes the components
+    that ``back = rows[v] & placed`` does not touch as they are, and the kind
+    of the one that v joins from the append rule, with no reclassification:
+
+    - ``back`` empty: v is a singleton;
+    - ``back = {u}``: a singleton u makes a 2-vertex component; a pair
+      ``{u, w}`` makes a 3-star with hub u, left if u precedes w and central
+      otherwise; a star with hub u gains the leaf v, and left stays left,
+      central stays central and right becomes central; if u is a star leaf,
+      the result is not a star;
+    - ``|back| >= 2``: the result is a star only when every vertex of
+      ``back`` is a singleton, and then it is a right star with hub v, which
+      is last.
+
+    Proof: v is last and adjacent exactly to ``back``, and in a star with 3
+    or more vertices only the hub has degree 2 or more.  With ``back = {u}``,
+    v hangs off u: in a pair, u reaches degree 2 and is the hub, before or
+    after its leaf w; in a star, u must already be the hub, since a leaf u
+    would make a second vertex of degree 2, and v, last, keeps a first hub
+    first and puts a last one between leaves.  With ``|back| >= 2``, v has
+    degree 2 or more and must be the hub, so no vertex of ``back`` may have
+    another neighbour, and the hub, v, is last.  The nebula, left, right and
+    central rules are per component, and every kept component passed the
+    prefix rule, so both checks of a child read the merged one alone, bar the
+    2-vertex clause at completion.  Galaxy, whose positional rule couples
+    stars, rereads all stars whenever the merged component is one.
     """
     kind = next((k for k, p in PREDICATES.items() if p is predicate), None)
     if kind is None:
         raise ValueError("find_ordering searches only for the predicates in PREDICATES")
     if t.n > ORDERING_SEARCH_BUDGET:
         raise BudgetError(f"ordering search limited to n <= {ORDERING_SEARCH_BUDGET}, got {t.n}")
+    pos, order = [0] * t.n, []
 
-    def descend(placed: list[int], adj: list[int], comps: list) -> Optional[Ordering]:
-        if len(placed) == t.n:
-            return tuple(placed)
-        for child in _extensions(t, kind, placed, adj, comps) or ():
-            found = descend(*child)
+    def descend(placed: int, comps: list[Carried]) -> Optional[Ordering]:
+        if len(order) == t.n:
+            return tuple(order)
+        for v, child in _extend(t, kind, pos, placed, comps) or ():
+            pos[v] = len(order)
+            order.append(v)
+            found = descend(placed | 1 << v, child)
             if found is not None:
                 return found
+            order.pop()
         return None
 
-    return descend([], [0] * t.n, [])
+    return descend(0, [])
 
 
 def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None) -> NebulaVerdict:
@@ -297,4 +359,4 @@ def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None) -
         if order is None:
             return NebulaVerdict(False, None, ())
     comps = tuple(classify_components(backward_graph(t, order), order))
-    return NebulaVerdict(_admissible(comps, kind, True), order, comps)
+    return NebulaVerdict(_admissible(comps, kind), order, comps)

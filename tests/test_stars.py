@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from helpers import relabel
 from nebulab import core, examples, stars
-from nebulab.core import cyclic_triangle, from_backward_edges, transitive_tournament
+from nebulab.core import cyclic_triangle, from_backward_edges, transitive_tournament, vertex_mask
 from nebulab.errors import BudgetError
 from nebulab.product import build_nebula
 from nebulab.stars import (
     PREDICATES,
     StarKind,
-    _extensions,
     backward_graph,
     classify_components,
     classify_components_partial,
@@ -35,12 +34,32 @@ def _pairs(adj):
     return {frozenset((u, v)) for u in range(n) for v in range(n) if adj[u] >> v & 1}
 
 
+def _as_carried(comp, placed):
+    """A classified component of the prefix ``placed`` as the tuple that the
+    search carries for it: (mask, hub, kind, lo, hi)."""
+    if comp.kind is StarKind.NON_STAR:
+        return (comp.mask, None, comp.kind, 0, 0)
+    hub = comp.center if len(comp.positions) >= 3 else None
+    leaves = [p for p in comp.positions if placed[p] != hub]
+    return (comp.mask, hub, comp.kind, min(leaves), max(leaves))
+
+
+def _carried(t, placed):
+    """The search state of the prefix ``placed``, rebuilt from its classified
+    components: the positions and the carried component tuples."""
+    pos = [0] * t.n
+    for p, v in enumerate(placed):
+        pos[v] = p
+    comps = classify_components_partial(backward_graph(t, placed), placed)
+    return pos, [_as_carried(c, placed) for c in comps]
+
+
 def _children(t, placed, kind):
     """The children of the prefix ``placed`` that the search admits, or None
     when its look-ahead kills ``placed``; the prefix's state is rebuilt."""
-    adj = backward_graph(t, placed)
-    found = _extensions(t, kind, placed, list(adj), classify_components_partial(adj, placed))
-    return None if found is None else [child for child, _, _ in found]
+    pos, comps = _carried(t, placed)
+    found = stars._extend(t, kind, pos, vertex_mask(placed), comps)
+    return None if found is None else [placed + [v] for v, _ in found]
 
 
 class TestBackwardGraph:
@@ -474,15 +493,48 @@ class TestSingleRule:
     @settings(max_examples=100, deadline=None)
     def test_carried_state_matches_a_rebuild(self, host, kind):
         # walk the search tree: every prefix the search admits carries the
-        # backward graph and the components that a rebuild from it finds
+        # component tuples that a rebuild from its backward graph finds
         t, _ = host
-        stack = [([], [0] * t.n, [])]
+        stack = [([], [])]
         while stack:
-            placed, adj, comps = stack.pop()
-            rebuilt = backward_graph(t, placed)
-            assert adj == list(rebuilt)
-            assert set(comps) == set(classify_components_partial(rebuilt, placed))
-            stack.extend(_extensions(t, kind, placed, adj, comps) or ())
+            placed, comps = stack.pop()
+            pos, rebuilt = _carried(t, placed)
+            assert set(comps) == set(rebuilt)
+            found = stars._extend(t, kind, pos, vertex_mask(placed), comps)
+            stack.extend((placed + [v], child) for v, child in found or ())
+
+    @given(planted_hosts(8), st.sampled_from(sorted(PREDICATES)))
+    @settings(max_examples=100, deadline=None)
+    def test_append_rule_matches_a_reclassification(self, host, kind):
+        # walk the search tree: at every prefix the search admits, each vertex
+        # not yet placed, whether the prefix rule admits it or not, forms the
+        # component that _classify finds on the merged vertex set
+        t, _ = host
+        stack = [[]]
+        while stack:
+            placed = stack.pop()
+            pos, comps = _carried(t, placed)
+            for v in set(range(t.n)) - set(placed):
+                child = placed + [v]
+                adj = backward_graph(t, child)
+                pos[v] = len(placed)
+                got = stars._append(comps, pos, v, adj[v])
+                # component masks are disjoint, so their sum is their union
+                joined = (1 << v) | sum(c[0] for c in comps if c[0] & adj[v])
+                assert got == _as_carried(stars._classify(joined, adj, child), child)
+            stack.extend(_children(t, placed, kind) or ())
+
+    def test_search_never_reclassifies(self, monkeypatch):
+        # a child's kind comes from the append rule alone, also on a host
+        # whose searches all run to exhaustion
+        calls = []
+        rule = stars._classify
+        monkeypatch.setattr(stars, "_classify", lambda *args: calls.append(args) or rule(*args))
+        t = _pinned_host("random", 9)
+        for predicate in PREDICATES.values():
+            assert find_ordering(t, predicate) is None
+        assert calls == []
+        assert not is_nebula_ordering(t, tuple(range(t.n))) and calls
 
     def test_look_ahead_sees_a_galaxy_clash_before_it_is_placed(self):
         # the prefix holds the left star 1-2, 1-3 and the singletons 0, 4;
