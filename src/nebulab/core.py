@@ -417,20 +417,21 @@ def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[
 def _module_closure(t: Tournament, u: int, v: int) -> int:
     """Bitmask of the minimal homogeneous set containing {u, v}.
 
-    Grows the set by absorbing every splitter: a vertex with edges both into
-    and out of the current set can never stay outside a containing module.
+    A splitter, an outside vertex beaten by some member but not by all, never
+    stays outside a containing module.  ``beaten`` ORs the members' rows and
+    ``beaten_by_all`` ANDs them, so each round absorbs every splitter at once.
     """
+    rows = t.rows
     mask = 1 << u | 1 << v
-    changed = True
-    while changed:
-        changed = False
-        for w in range(t.n):
-            if mask >> w & 1:
-                continue
-            inside = t.rows[w] & mask
-            if inside != 0 and inside != mask:
-                mask |= 1 << w
-                changed = True
+    beaten, beaten_by_all = rows[u] | rows[v], rows[u] & rows[v]
+    while splitters := beaten & ~beaten_by_all & ~mask:
+        mask |= splitters
+        while splitters:
+            low = splitters & -splitters
+            splitters ^= low
+            row = rows[low.bit_length() - 1]
+            beaten |= row
+            beaten_by_all &= row
     return mask
 
 
@@ -455,18 +456,31 @@ def is_prime(t: Tournament) -> bool:
 
 
 def find_module_exhaustive(t: Tournament) -> Optional[frozenset[int]]:
-    """Oracle for find_module: scan every subset of size 2..n-1."""
+    """Oracle for find_module: decide every subset of size 2..n-1 at once.
+
+    Bit M of a 2^n-bit integer stands for vertex subset M, and ``has[i]`` holds
+    the subsets containing vertex i.  Vertex w splits the subsets that meet both
+    its out- and its in-neighbourhood and leave w out; what no vertex splits,
+    less the empty set, the singletons and the full set, are the modules.  The
+    lowest one is the first a scan of the subsets in increasing order meets.
+    """
     if t.n > MODULE_SEARCH_BUDGET:
         raise BudgetError(f"exhaustive module search limited to n <= {MODULE_SEARCH_BUDGET}")
-    full = (1 << t.n) - 1
-    for mask in range(3, full):
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        if all(
-            (t.rows[w] & mask) in (0, mask)
-            for w in range(t.n)
-            if not mask >> w & 1
-        ):
-            return frozenset(v for v in range(t.n) if mask >> v & 1)
-    return None
+    n, has, width = t.n, [], 1
+    for _ in range(n):  # double the subset range; the new vertex holds the upper half
+        has = [table | table << width for table in has] + [((1 << width) - 1) << width]
+        width *= 2
+
+    def meets(mask: int) -> int:
+        tables = 0
+        for i in range(n):
+            if mask >> i & 1:
+                tables |= has[i]
+        return tables
+
+    singletons = sum(1 << (1 << i) for i in range(n))
+    modules = ((1 << width) - 1) & ~(1 | singletons | 1 << width - 1)
+    for w in range(n):
+        modules &= ~(meets(t.rows[w]) & meets(t.in_mask(w)) & ~has[w])
+    first = (modules & -modules).bit_length() - 1
+    return frozenset(v for v in range(n) if first >> v & 1) if modules else None

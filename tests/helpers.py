@@ -47,6 +47,21 @@ def definition_contains(host: core.Tournament, pattern: core.Tournament):
     return None
 
 
+def is_module(t: core.Tournament, mask: int) -> bool:
+    """Definition-level homogeneity: every vertex outside ``mask`` beats all of
+    it or none of it."""
+    return all((t.rows[w] & mask) in (0, mask) for w in range(t.n) if not mask >> w & 1)
+
+
+def definition_module(t: core.Tournament) -> frozenset[int] | None:
+    """Per-subset module oracle: the first subset of size 2..n-1, in increasing
+    bitmask order, that is a module."""
+    for mask in range(3, (1 << t.n) - 1):
+        if mask.bit_count() >= 2 and is_module(t, mask):
+            return frozenset(v for v in range(t.n) if mask >> v & 1)
+    return None
+
+
 def pattern_triple(host: core.Tournament, sigma: Triple, kind) -> tuple[int, int, int] | None:
     """Hand-unrolled witness oracle: the lex-first (v1, v2, v3) with v_m in
     S_m inducing the kind's three-vertex star, star vertex m - 1 at v_m."""

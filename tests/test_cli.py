@@ -284,6 +284,15 @@ class TestVerifyExamples:
             "left-example-product-extension",
         } <= names
 
+    @pytest.mark.parametrize("search", ["find_module_exhaustive", "find_module"])
+    def test_reported_module_fails_primality(self, capsys, monkeypatch, search):
+        # either module search alone reporting a 2-vertex module fails both entries
+        monkeypatch.setattr(core, search, lambda t: frozenset({0, 1}))
+        code, report = run_cli(capsys, "verify-examples")
+        passed = {v["check"]: v["passed"] for v in report["validation"]}
+        assert code == 1 and report["results"]["passed"] is False
+        assert passed["left-example-prime"] is False and passed["central-example-prime"] is False
+
     def test_corrupted_example_named(self, monkeypatch):
         # flip one backward edge: the component table no longer matches
         broken = core.from_backward_edges(

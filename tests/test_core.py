@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_labeled_tournaments, isomorphic, loop_pair_check, relabel, tr_sweep
+from helpers import (
+    all_labeled_tournaments,
+    definition_module,
+    is_module,
+    isomorphic,
+    loop_pair_check,
+    relabel,
+    tr_sweep,
+)
 from nebulab import core, examples
 from nebulab.core import (
     Tournament,
@@ -407,9 +415,61 @@ class TestModules:
                 assert to_all or from_all
 
     def test_closure_matches_exhaustive(self):
+        # each pair's closure is the smallest module holding it, the full set included
         for n in range(2, 7):
             for t in enumerate_tournaments(n):
+                modules = [mask for mask in range(1, 1 << n) if is_module(t, mask)]
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        pair = 1 << u | 1 << v
+                        smallest = min((m for m in modules if m & pair == pair), key=int.bit_count)
+                        assert core._module_closure(t, u, v) == smallest
                 assert (find_module(t) is None) == (find_module_exhaustive(t) is None)
         for seed in range(40):
             t = rand_t(8, seed)
             assert (find_module(t) is None) == (find_module_exhaustive(t) is None)
+
+
+def planted_module(n: int, block: int, seed: int) -> Tournament:
+    """A random host on n - block + 1 vertices with one vertex substituted by a
+    transitive block of ``block`` vertices, relabelled at random: the block is a
+    module.  A block of two is a duplicated vertex."""
+    rng = random.Random(seed)
+    host = random_tournament(n - block + 1, rng)
+    # the block is host vertex 0 and the new vertices host.n..n-1
+    image = [0 if v >= host.n else v for v in range(n)]
+    rows = [0] * n
+    for a in range(n):
+        for b in range(n):
+            in_block = image[a] == image[b] == 0
+            if a != b and (a < b if in_block else host.has_edge(image[a], image[b])):
+                rows[a] |= 1 << b
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Tournament(n, tuple(rows)), perm)
+
+
+class TestExhaustiveModuleOracle:
+    """find_module_exhaustive returns the same set as the per-subset scan."""
+
+    def test_every_small_class(self):
+        for n in range(1, 7):
+            for t in enumerate_tournaments(n):
+                assert find_module_exhaustive(t) == definition_module(t)
+
+    def test_random_hosts(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            t = random_tournament(rng.randint(2, 12), rng)
+            assert find_module_exhaustive(t) == definition_module(t)
+
+    def test_planted_modules(self):
+        for n in range(4, 13):
+            for block in range(2, n):
+                t = planted_module(n, block, seed=100 * n + block)
+                module = find_module_exhaustive(t)
+                assert module is not None and module == definition_module(t)
+
+    def test_budget_edge(self):
+        t = rand_t(core.MODULE_SEARCH_BUDGET, 16)
+        assert find_module_exhaustive(t) == definition_module(t)
