@@ -26,6 +26,7 @@ from .stars import StarKind
 from .structures import (
     CompletePair,
     NormalPart,
+    StructureCertificate,
     Triple,
     TripleClass,
     WitnessTriple,
@@ -417,11 +418,14 @@ def run(
     host: Tournament,
     parts: Sequence[frozenset[int]],
     config: AlgorithmConfig,
+    cert: Optional[StructureCertificate] = None,
 ) -> RunResult:
     """Run phases until a terminal outcome, re-validating every payload.
 
     The parts must be t disjoint sets of W vertices forming a strong
-    (c, lambda)-structure; ParseError names the first rule they break.
+    (c, lambda)-structure; ParseError names the first rule they break.  A
+    passed ``cert`` of these parts under this host, c and lambda, as
+    ``find_strong_structure`` returns, stands in for the strong check.
     """
     parts = [frozenset(p) for p in parts]
     if len(parts) != config.t:
@@ -430,7 +434,9 @@ def run(
         raise ParseError(f"structure parts must all hold W = {config.part_size} vertices")
     if len(frozenset().union(*parts)) < config.t * config.part_size:
         raise ParseError("structure parts must be disjoint")
-    cert = verify_structure(host, parts, config.c, config.lam, strong=True)
+    if cert is None or (cert.passed, cert.parts, cert.under) != (
+            True, tuple(parts), (host, config.c, config.lam, True)):
+        cert = verify_structure(host, parts, config.c, config.lam, strong=True)
     if not cert.passed:
         first = cert.violations[0]
         detail = ", ".join(f"{key}={value}" for key, value in first.detail.items())
@@ -466,10 +472,10 @@ def find_strong_structure(
     c: Fraction,
     lam: Fraction,
     seed: int = 0,
-) -> Optional[list[frozenset[int]]]:
-    """Sampled search for a verifying strong structure: contiguous blocks
-    first, then up to 50 seeded random partitions, each drawn only once every
-    candidate before it has failed."""
+) -> Optional[StructureCertificate]:
+    """Sampled search for a verifying strong structure, returned as its passed
+    certificate: contiguous blocks first, then up to 50 seeded random
+    partitions, each drawn only once every candidate before it has failed."""
     need = t * part_size
     if need > host.n:
         return None
@@ -479,6 +485,7 @@ def find_strong_structure(
         parts = [
             frozenset(vertices[i * part_size : (i + 1) * part_size]) for i in range(t)
         ]
-        if verify_structure(host, parts, c, lam, strong=True).passed:
-            return parts
+        cert = verify_structure(host, parts, c, lam, strong=True)
+        if cert.passed:
+            return cert
     return None

@@ -493,14 +493,15 @@ def cmd_run_algorithm(args) -> tuple[dict, dict, list[dict]]:
         args.lam,
     )
     if args.structure == "auto":
-        parts = algorithm.find_strong_structure(
+        cert = algorithm.find_strong_structure(
             host, args.t, args.part_size, config.c, config.lam, seed=args.seed
         )
-        if parts is None:
+        if cert is None:
             raise BudgetError("no verifying strong structure found")
+        parts = list(cert.parts)
     else:
-        parts = _read_structure(args.structure, host.n)
-    result = algorithm.run(host, parts, config)
+        cert, parts = None, _read_structure(args.structure, host.n)
+    result = algorithm.run(host, parts, config, cert)
     if args.trace:
         lines = [json.dumps(record, sort_keys=True) + "\n" for record in result.trace]
         _write_text(args.trace, "".join(lines))

@@ -236,14 +236,15 @@ def _append(comps: Sequence[Carried], pos: Sequence[int], v: int, back: int) -> 
     return (joined, v, _RIGHT, min(at), max(at))
 
 
-def _extend(t: Tournament, kind: str, pos: list[int], placed: int,
-            comps: Sequence[Carried]) -> Optional[list[tuple[int, list[Carried]]]]:
+def _extend(t: Tournament, kind: str, pos: list[int], placed: int, edges: int, limit: int,
+            comps: Sequence[Carried]) -> Optional[list[tuple[int, int, list[Carried]]]]:
     """The one-step extensions of the admitted prefix with vertex mask
-    ``placed`` and components ``comps`` that the prefix rule admits, as (added
-    vertex, child's components) by increasing added vertex; None when the
-    look-ahead kills the prefix, because some extension breaks the rule with a
-    gap.  ``pos`` holds the positions of the placed vertices, and each
-    added vertex's position is written into it."""
+    ``placed``, components ``comps`` and ``edges`` committed backward edges
+    that the prefix rule admits and that commit at most ``limit``, as (added
+    vertex, child's edges, child's components) by increasing added vertex;
+    None when the look-ahead kills the prefix, because some extension breaks
+    the rule with a gap.  ``pos`` holds the positions of the placed vertices,
+    and each added vertex's position is written into it."""
     want = _THREE_STAR_KINDS.get(kind)
     p = placed.bit_count()
     complete = p + 1 == t.n
@@ -279,7 +280,10 @@ def _extend(t: Tournament, kind: str, pos: list[int], placed: int,
                 return None
             if complete and not _pairs_ok(stars, [c[3:] for c in child if c[2] is _PAIR]):
                 continue
-        out.append((v, child))
+        # the vertices still to come that beat v: n - 1 - |rows[v] | placed|
+        grown = edges + t.n - 1 - (t.rows[v] | placed).bit_count()
+        if grown <= limit:
+            out.append((v, grown, child))
     return out
 
 
@@ -328,27 +332,36 @@ def find_ordering(
     prefix rule, so both checks of a child read the merged one alone, bar the
     2-vertex clause at completion.  Galaxy, whose positional rule couples
     stars, rereads all stars whenever the merged component is one.
+
+    Bound: an edge x -> y with y placed and x after it, later in the prefix or
+    not yet placed, is backward in every completion, and appending v commits
+    the edges into v from the vertices still to come.  A child that commits
+    more edges than its kind's limit is skipped; its siblings are still tried.
+    The limit is n - 1, as a star forest has n minus its number of components
+    edges, and 2 * (n // 3) for left, right and central, which end with
+    singletons and 3-vertex stars only, two edges per three vertices.
     """
     kind = next((k for k, p in PREDICATES.items() if p is predicate), None)
     if kind is None:
         raise ValueError("find_ordering searches only for the predicates in PREDICATES")
     if t.n > ORDERING_SEARCH_BUDGET:
         raise BudgetError(f"ordering search limited to n <= {ORDERING_SEARCH_BUDGET}, got {t.n}")
+    limit = 2 * (t.n // 3) if kind in _THREE_STAR_KINDS else t.n - 1
     pos, order = [0] * t.n, []
 
-    def descend(placed: int, comps: list[Carried]) -> Optional[Ordering]:
+    def descend(placed: int, edges: int, comps: list[Carried]) -> Optional[Ordering]:
         if len(order) == t.n:
             return tuple(order)
-        for v, child in _extend(t, kind, pos, placed, comps) or ():
+        for v, grown, child in _extend(t, kind, pos, placed, edges, limit, comps) or ():
             pos[v] = len(order)
             order.append(v)
-            found = descend(placed | 1 << v, child)
+            found = descend(placed | 1 << v, grown, child)
             if found is not None:
                 return found
             order.pop()
         return None
 
-    return descend(0, [])
+    return descend(0, 0, [])
 
 
 def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None) -> NebulaVerdict:

@@ -37,6 +37,8 @@ class Violation:
 class StructureCertificate:
     passed: bool
     violations: tuple[Violation, ...]
+    parts: tuple  # the parts checked, as given
+    under: tuple  # (host, c, lambda, strong) they were checked under
 
 
 def _neighbour_mask(host: Tournament, v: int, target: int, out: bool) -> int:
@@ -97,7 +99,8 @@ def verify_structure(
                 met = _neighbour_mask(host, v, other, later).bit_count()
                 d = Fraction(met, other.bit_count())
                 violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
-    return StructureCertificate(not violations, tuple(violations))
+    return StructureCertificate(not violations, tuple(violations), tuple(subsets),
+                                (host, c, lam, strong))
 
 
 # ---------------------------------------------------------------------------

@@ -414,15 +414,40 @@ class TestRun:
 class TestStructureFinder:
     def test_contiguous_blocks_found(self):
         host = noise_host(4, 10, span=4, seed=12)
-        parts = find_strong_structure(
+        cert = find_strong_structure(
             host, 4, 10, Fraction(1, 4), LAM, seed=0
         )
-        assert parts is not None
-        assert verify_structure(host, parts, Fraction(1, 4), LAM, strong=True).passed
+        assert cert is not None and cert.passed
+        assert verify_structure(host, cert.parts, Fraction(1, 4), LAM, strong=True).passed
 
     def test_infeasible_returns_none(self):
         host = core.random_tournament(12, random.Random(13))
         assert find_strong_structure(host, 4, 10, Fraction(1, 4), LAM) is None
+
+    def test_certificate_stands_in_only_for_its_own_check(self, monkeypatch):
+        # run skips its strong check for a passed certificate of the same
+        # parts, c and lambda on the same host, and repeats it otherwise
+        host = noise_host(7, 30, span=10, seed=0)
+        parts, c = blocks(7, 30), Fraction(1, 7)
+        cfg = single_star_config("LR", 7, 30, LAM, c=c)
+        checked = []
+
+        def counting(host, subsets, c, lam, strong=False):
+            if strong and list(subsets) == parts:
+                checked.append(lam)
+            return verify_structure(host, subsets, c, lam, strong=strong)
+
+        monkeypatch.setattr(algorithm, "verify_structure", counting)
+        cert = find_strong_structure(host, 7, 30, c, LAM)
+        assert list(cert.parts) == parts and checked == [LAM]
+        run(host, parts, cfg, cert)
+        assert checked == [LAM]
+        looser = verify_structure(host, parts, c, Fraction(2, 5), strong=True)
+        other = verify_structure(noise_host(7, 30, span=10, seed=2), parts, c, LAM, strong=True)
+        for stranger in (looser, other):
+            assert stranger.passed
+            run(host, parts, cfg, stranger)
+        assert checked == [LAM] * 3
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -439,7 +464,7 @@ class TestStructureFinder:
 
     def test_no_draw_when_blocks_pass(self, draws):
         host = noise_host(4, 10, span=4, seed=12)
-        parts = find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5)
+        parts = list(find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5).parts)
         assert parts == blocks(3, 10)
         assert draws == []
 
@@ -451,6 +476,6 @@ class TestStructureFinder:
         perm = third + sorted(set(range(40)) - set(third))
         host = relabel(noise_host(4, 10, span=4, seed=12), perm)
         assert not verify_structure(host, blocks(3, 10), Fraction(1, 4), LAM, strong=True).passed
-        parts = find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5)
+        parts = list(find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5).parts)
         assert parts == [frozenset(third[i * 10 : (i + 1) * 10]) for i in range(3)]
         assert len(draws) == 3 and draws[-1] == third

@@ -801,6 +801,24 @@ class TestRunAlgorithmCommand:
         assert code == 0
         assert len(checked) == 1
 
+    def test_auto_structure_checked_once(self, capsys, monkeypatch, victim_file):
+        # the search's passed certificate stands in for run's input check
+        checked = []
+
+        def counting(host, subsets, c, lam, strong=False):
+            if strong and [frozenset(s) for s in subsets] == blocks(7, 30):
+                checked.append(strong)
+            return verify_structure(host, subsets, c, lam, strong=strong)
+
+        monkeypatch.setattr(structures, "verify_structure", counting)
+        monkeypatch.setattr(algorithm, "verify_structure", counting)
+        code, _ = run_cli(
+            capsys, "run-algorithm", victim_file, "--case", "LR", "--t", "7",
+            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
+        )
+        assert code == 0
+        assert len(checked) == 1
+
     def test_no_structure_exit(self, capsys, tmp_path):
         path = tmp_path / "small.txt"
         path.write_text(write_matrix(core.random_tournament(30, random.Random(6))))

@@ -54,12 +54,26 @@ def _carried(t, placed):
     return pos, [_as_carried(c, placed) for c in comps]
 
 
+def _committed(t, placed):
+    """The edges x -> y with y in the prefix ``placed`` and x after y, later
+    in the prefix or not yet placed: those backward in every completion."""
+    return sum(1 for i, y in enumerate(placed) for x in range(t.n)
+               if t.rows[x] >> y & 1 and x not in placed[:i])
+
+
+def _limit(kind, n):
+    """The most backward edges an ordering of the kind can have."""
+    return 2 * (n // 3) if kind in ("left", "right", "central") else n - 1
+
+
 def _children(t, placed, kind):
     """The children of the prefix ``placed`` that the search admits, or None
-    when its look-ahead kills ``placed``; the prefix's state is rebuilt."""
+    when its look-ahead kills ``placed``; the prefix's state is rebuilt, and
+    no child is dropped for its backward edges."""
     pos, comps = _carried(t, placed)
-    found = stars._extend(t, kind, pos, vertex_mask(placed), comps)
-    return None if found is None else [placed + [v] for v, _ in found]
+    edges = _committed(t, placed)
+    found = stars._extend(t, kind, pos, vertex_mask(placed), edges, t.n * t.n, comps)
+    return None if found is None else [placed + [v] for v, _, _ in found]
 
 
 class TestBackwardGraph:
@@ -489,19 +503,67 @@ class TestSingleRule:
             else:
                 stack.extend(children)
 
+    @given(planted_hosts(7), st.sampled_from(sorted(PREDICATES)))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_bound_drops_only_dead_children(self, host, kind):
+        # walk the search tree: a prefix carries the backward edges that every
+        # completion keeps, so a complete ordering carries its own backward
+        # edges, and every child that the bound drops has no completion
+        # satisfying the kind
+        t, _ = host
+        live = {
+            order[:k]
+            for order in itertools.permutations(range(t.n))
+            if definition_holds(t, order, kind)
+            for k in range(t.n + 1)
+        }
+        stack = [([], 0, [])]
+        while stack:
+            placed, edges, comps = stack.pop()
+            assert edges == _committed(t, placed), (kind, placed)
+            if len(placed) == t.n:
+                assert edges == len(core.backward_edges(t, placed)), (kind, placed)
+            pos, _ = _carried(t, placed)
+            kept = stars._extend(t, kind, pos, vertex_mask(placed), edges, _limit(kind, t.n), comps)
+            every = stars._extend(t, kind, pos, vertex_mask(placed), edges, t.n * t.n, comps)
+            assert (kept is None) == (every is None)
+            for v in {v for v, _, _ in every or ()} - {v for v, _, _ in kept or ()}:
+                assert tuple(placed) + (v,) not in live, (kind, placed, v)
+            stack.extend((placed + [v], grown, child) for v, grown, child in kept or ())
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_hosts_at_the_edge_limit(self, n):
+        # the identity is the lex-first of all orderings; on each host it is
+        # an ordering of the kind with exactly the kind's most backward edges
+        identity = tuple(range(n))
+        spanning = {
+            "left": from_backward_edges(n, identity, [(v, 0) for v in range(1, n)]),
+            "right": from_backward_edges(n, identity, [(n - 1, v) for v in range(n - 1)]),
+            "central": from_backward_edges(
+                n, identity, [(v, 1) for v in range(2, n)] + [(1, 0)]),
+        }
+        hosts = [(kind, spanning[star]) for kind in ("nebula", "galaxy")
+                 for star in spanning if (kind, star) != ("galaxy", "central")]
+        # n // 3 interleaved stars: star i takes the slots i + 1, i + 1 + n // 3, ...
+        slots = [tuple(range(i + 1, n + 1, n // 3)) for i in range(n // 3)]
+        hosts += [(star, build_nebula(StarKind(star), slots)[1]) for star in spanning]
+        for kind, t in hosts:
+            assert len(core.backward_edges(t, identity)) == _limit(kind, n), kind
+            assert find_ordering(t, PREDICATES[kind]) == identity, kind
+
     @given(planted_hosts(8), st.sampled_from(sorted(PREDICATES)))
     @settings(max_examples=100, deadline=None)
     def test_carried_state_matches_a_rebuild(self, host, kind):
         # walk the search tree: every prefix the search admits carries the
         # component tuples that a rebuild from its backward graph finds
         t, _ = host
-        stack = [([], [])]
+        stack = [([], 0, [])]
         while stack:
-            placed, comps = stack.pop()
+            placed, edges, comps = stack.pop()
             pos, rebuilt = _carried(t, placed)
             assert set(comps) == set(rebuilt)
-            found = stars._extend(t, kind, pos, vertex_mask(placed), comps)
-            stack.extend((placed + [v], child) for v, child in found or ())
+            found = stars._extend(t, kind, pos, vertex_mask(placed), edges, t.n * t.n, comps)
+            stack.extend((placed + [v], grown, child) for v, grown, child in found or ())
 
     @given(planted_hosts(8), st.sampled_from(sorted(PREDICATES)))
     @settings(max_examples=100, deadline=None)
