@@ -418,10 +418,6 @@ def cmd_complement(args) -> tuple[dict, dict, list[dict]]:
     return {"file": args.file, "out": args.out}, {"order": comp.n}, validation
 
 
-def _nebula_from_arg(kind: StarKind, spec: str | None, k: int) -> product.PlacementNebula:
-    return product.PlacementNebula(kind, _parse_slots(spec or "1,2,3"), k)
-
-
 def _read_structure(path: str, n: int) -> list[frozenset[int]]:
     """Parse {"parts": [[v, ...], ...]} with 1-based vertices; algorithm.run
     checks the part count, sizes, disjointness and strong structure."""
@@ -480,8 +476,8 @@ def cmd_run_algorithm(args) -> tuple[dict, dict, list[dict]]:
     saved = _read_trace(args.replay) if args.replay else None
     spec = algorithm.CASES[args.case]
     nebulae = {
-        spec.white: _nebula_from_arg(spec.white, args.nebula_white, args.k),
-        spec.black: _nebula_from_arg(spec.black, args.nebula_black, args.k),
+        spec.white: product.PlacementNebula(spec.white, _parse_slots(args.nebula_white), args.k),
+        spec.black: product.PlacementNebula(spec.black, _parse_slots(args.nebula_black), args.k),
     }
     config = algorithm.AlgorithmConfig(
         args.case,
@@ -663,8 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_fraction, default="1/10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--structure", default="auto")
-    p.add_argument("--nebula-white")
-    p.add_argument("--nebula-black")
+    p.add_argument("--nebula-white", default="1,2,3")
+    p.add_argument("--nebula-black", default="1,2,3")
     p.add_argument("--trace")
     p.add_argument("--replay")
     p.set_defaults(handler=cmd_run_algorithm)

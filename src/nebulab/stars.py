@@ -1,10 +1,14 @@
 """Backward-edge graphs, star components, and nebula/galaxy ordering recognition.
 
-A star component is classified by where its center sits among the component's
-positions: strictly first (left), strictly last (right), or in between
-(central).  Components with two vertices have an arbitrary center and are kept
-as GENERAL; they satisfy the plain nebula predicate but none of the
-three-vertex-kind predicates.
+One append rule (``_append``) decides every star kind: appending the vertices
+of an ordering one by one classifies its backward components, for the
+ordering search, the five predicates and ``classify_components`` alike, and
+one whole-ordering rule (``_admissible``) reads the kinds off the result.  A
+star component is left, right or central as its center sits strictly first,
+strictly last or in between among the component's positions.  Components
+with two vertices have an arbitrary center, reported as their least vertex,
+and are kept as GENERAL; they satisfy the plain nebula predicate but none of
+the three-vertex-kind predicates.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .core import Ordering, Tournament, check_ordering, mask_vertices, vertex_mask
+from .core import Ordering, Tournament, check_ordering, mask_vertices
 from .errors import BudgetError
 
 ORDERING_SEARCH_BUDGET = 12
@@ -33,7 +37,6 @@ class StarComponent:
     mask: int  # the component's vertex set, bit v for vertex v
     center: Optional[int]
     kind: StarKind
-    positions: tuple[int, ...]
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -59,145 +62,11 @@ def backward_graph(t: Tournament, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def classify_components(adj: Sequence[int], order: Ordering) -> list[StarComponent]:
-    """Partition the vertex set into classified backward components."""
-    check_ordering(order, len(adj))
-    return classify_components_partial(adj, order)
-
-
-def classify_components_partial(adj: Sequence[int], placed: Sequence[int]) -> list[StarComponent]:
-    """Classify the backward components among the ``placed`` vertices.
-
-    Positions are indices into ``placed``; components come in increasing
-    order of their least vertex.
-    """
-    remaining = vertex_mask(placed)
-    out = []
-    while remaining:
-        comp, grown = 0, remaining & -remaining
-        while grown != comp:
-            comp = grown
-            for u in mask_vertices(comp):
-                grown |= adj[u] & remaining
-        remaining &= ~comp
-        out.append(_classify(comp, adj, placed))
-    return out
-
-
-def _classify(comp: int, adj: Sequence[int], placed: Sequence[int]) -> StarComponent:
-    """The star rule on the backward component with vertex mask ``comp``."""
-    verts = mask_vertices(comp)
-    comp_pos = tuple(i for i, v in enumerate(placed) if comp >> v & 1)
-    center, kind = None, StarKind.SINGLETON
-    if len(verts) == 2:
-        center, kind = verts[0], StarKind.GENERAL
-    elif len(verts) > 2:
-        hub = max(verts, key=lambda v: adj[v].bit_count())
-        if adj[hub].bit_count() != len(verts) - 1 or any(
-            adj[v].bit_count() != 1 for v in verts if v != hub
-        ):
-            kind = StarKind.NON_STAR
-        elif placed[comp_pos[0]] == hub:
-            center, kind = hub, StarKind.LEFT
-        elif placed[comp_pos[-1]] == hub:
-            center, kind = hub, StarKind.RIGHT
-        else:
-            center, kind = hub, StarKind.CENTRAL
-    return StarComponent(comp, center, kind, comp_pos)
-
-
-@dataclass(frozen=True)
-class NebulaVerdict:
-    holds: bool
-    ordering: Optional[Ordering]
-    components: tuple[StarComponent, ...]
-
-
-_THREE_STAR_KINDS = {"left": StarKind.LEFT, "right": StarKind.RIGHT, "central": StarKind.CENTRAL}
-
-
-def _galaxy_positions_ok(stars: Sequence[tuple[int, int, int]]) -> bool:
-    """No star center sits strictly inside another star's leaf span; stars are
-    the (center, lo, hi) positions of left and right stars with 3 or more
-    vertices, whose own center lies outside their own span."""
-    return not any(lo < center < hi for center, _, _ in stars for _, lo, hi in stars)
-
-
-def _pairs_ok(stars: Sequence[tuple[int, int, int]], pairs: Sequence[Sequence[int]]) -> bool:
-    """Each 2-vertex component, given by its two positions, has an end outside
-    every star's leaf span.  With one leaf such a component constrains no
-    other, so each picks that end as its center alone."""
-    return all(any(all(not lo < end < hi for _, lo, hi in stars) for end in pair)
-               for pair in pairs)
-
-
-def _admissible(comps: Sequence[StarComponent], kind: str) -> bool:
-    """The predicate of an ordering kind on the classified backward components
-    of a whole ordering."""
-    want = _THREE_STAR_KINDS.get(kind)
-    stars: list[tuple[int, int, int]] = []  # galaxy: (center, lo, hi)
-    pairs: list[tuple[int, ...]] = []  # galaxy: two-vertex positions
-    for c in comps:
-        size, at = len(c.positions), c.positions
-        if c.kind is StarKind.NON_STAR:
-            return False
-        if want is not None:
-            if size > 1 and (size != 3 or c.kind is not want):
-                return False
-        elif kind == "galaxy" and size == 2:
-            pairs.append(at)
-        elif kind == "galaxy" and size >= 3:
-            if c.kind is StarKind.LEFT:
-                stars.append((at[0], at[1], at[-1]))
-            elif c.kind is StarKind.RIGHT:
-                stars.append((at[-1], at[0], at[-2]))
-            else:
-                return False
-    return kind != "galaxy" or (_galaxy_positions_ok(stars) and _pairs_ok(stars, pairs))
-
-
-def _ordering_admissible(t: Tournament, order: Ordering, kind: str) -> bool:
-    return _admissible(classify_components(backward_graph(t, order), order), kind)
-
-
-def is_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    """Every backward component is a star or a singleton."""
-    return _ordering_admissible(t, order, "nebula")
-
-
-def is_left_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    """Every backward component is a singleton or a 3-vertex left star."""
-    return _ordering_admissible(t, order, "left")
-
-
-def is_right_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    return _ordering_admissible(t, order, "right")
-
-
-def is_central_nebula_ordering(t: Tournament, order: Ordering) -> bool:
-    return _ordering_admissible(t, order, "central")
-
-
-def is_galaxy_ordering(t: Tournament, order: Ordering) -> bool:
-    """Components are left/right stars or singletons, with no star center
-    positioned between two leaves of another star."""
-    return _ordering_admissible(t, order, "galaxy")
-
-
-PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
-    "nebula": is_nebula_ordering,
-    "left": is_left_nebula_ordering,
-    "right": is_right_nebula_ordering,
-    "central": is_central_nebula_ordering,
-    "galaxy": is_galaxy_ordering,
-}
-
-
-# A search prefix carries each backward component as a plain tuple (mask, hub,
-# kind, lo, hi): its vertex mask, the center of a star with 3 or more vertices
-# (None otherwise), its StarKind, and the first and last positions of its
-# leaves, where every vertex of a singleton or a 2-vertex component counts as
-# a leaf (0 and 0 for a non-star).
+# A prefix carries each backward component as a plain tuple (mask, hub, kind,
+# lo, hi): its vertex mask, the center of a star with 3 or more vertices (None
+# otherwise), its StarKind, and the first and last positions of its leaves,
+# where every vertex of a singleton or a 2-vertex component counts as a leaf
+# (0 and 0 for a non-star).
 Carried = tuple[int, Optional[int], StarKind, int, int]
 
 # the search reads these for every child: a plain global is cheaper than an
@@ -236,6 +105,127 @@ def _append(comps: Sequence[Carried], pos: Sequence[int], v: int, back: int) -> 
     return (joined, v, _RIGHT, min(at), max(at))
 
 
+def _fold(rows: Sequence[int], placed: Sequence[int]) -> tuple[list[Carried], list[int]]:
+    """Append the ``placed`` vertices in order by the append rule: the
+    carried components and the position of each placed vertex.
+    ``rows[v] & placed-so-far`` must be v's set of earlier neighbours, which
+    holds for a tournament's rows and for a backward graph's masks alike."""
+    pos = [0] * len(rows)
+    comps: list[Carried] = []
+    seen = 0
+    for p, v in enumerate(placed):
+        if seen >> v & 1:
+            raise ValueError("ordering repeats a vertex")
+        back = rows[v] & seen
+        pos[v] = p
+        merged = _append(comps, pos, v, back)
+        comps = [c for c in comps if not c[0] & back]
+        comps.append(merged)
+        seen |= 1 << v
+    return comps, pos
+
+
+def _components(comps: Sequence[Carried]) -> list[StarComponent]:
+    """Carried components as StarComponents, in increasing order of their
+    least vertex, which is also a pair's center."""
+    return [
+        StarComponent(mask, (mask & -mask).bit_length() - 1 if kind is _PAIR else hub, kind)
+        for mask, hub, kind, _, _ in sorted(comps, key=lambda c: c[0] & -c[0])
+    ]
+
+
+def classify_components(adj: Sequence[int], order: Ordering) -> list[StarComponent]:
+    """Partition the vertex set into classified backward components."""
+    check_ordering(order, len(adj))
+    return classify_components_partial(adj, order)
+
+
+def classify_components_partial(adj: Sequence[int], placed: Sequence[int]) -> list[StarComponent]:
+    """Classify the backward components among the ``placed`` vertices, given
+    the backward graph ``adj`` of ``placed`` or of an ordering that it
+    begins; components come in increasing order of their least vertex."""
+    return _components(_fold(adj, placed)[0])
+
+
+@dataclass(frozen=True)
+class NebulaVerdict:
+    holds: bool
+    ordering: Optional[Ordering]
+    components: tuple[StarComponent, ...]
+
+
+_THREE_STAR_KINDS = {"left": StarKind.LEFT, "right": StarKind.RIGHT, "central": StarKind.CENTRAL}
+
+
+def _galaxy_positions_ok(stars: Sequence[tuple[int, int, int]]) -> bool:
+    """No star center sits strictly inside a star's leaf span; stars are the
+    (center, lo, hi) positions of the stars with 3 or more vertices.  A
+    central star's center lies inside its own span, so it fails alone."""
+    return not any(lo < center < hi for center, _, _ in stars for _, lo, hi in stars)
+
+
+def _pairs_ok(stars: Sequence[tuple[int, int, int]], pairs: Sequence[Sequence[int]]) -> bool:
+    """Each 2-vertex component, given by its two positions, has an end outside
+    every star's leaf span.  With one leaf such a component constrains no
+    other, so each picks that end as its center alone."""
+    return all(any(all(not lo < end < hi for _, lo, hi in stars) for end in pair)
+               for pair in pairs)
+
+
+def _admissible(comps: Sequence[Carried], pos: Sequence[int], kind: str) -> bool:
+    """The rule of an ordering kind on the carried components ``comps`` of a
+    whole ordering whose vertex positions are ``pos``."""
+    if any(c[2] is _NON_STAR for c in comps):
+        return False
+    want = _THREE_STAR_KINDS.get(kind)
+    if want is not None:
+        return all(c[2] is _SINGLETON or (c[2] is want and c[0].bit_count() == 3) for c in comps)
+    if kind != "galaxy":
+        return True
+    stars = [(pos[c[1]], c[3], c[4]) for c in comps if c[1] is not None]
+    pairs = [c[3:] for c in comps if c[2] is _PAIR]
+    return _galaxy_positions_ok(stars) and _pairs_ok(stars, pairs)
+
+
+def _ordering_admissible(t: Tournament, order: Ordering, kind: str) -> bool:
+    check_ordering(order, t.n)
+    comps, pos = _fold(t.rows, order)
+    return _admissible(comps, pos, kind)
+
+
+def is_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    """Every backward component is a star or a singleton."""
+    return _ordering_admissible(t, order, "nebula")
+
+
+def is_left_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    """Every backward component is a singleton or a 3-vertex left star."""
+    return _ordering_admissible(t, order, "left")
+
+
+def is_right_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    return _ordering_admissible(t, order, "right")
+
+
+def is_central_nebula_ordering(t: Tournament, order: Ordering) -> bool:
+    return _ordering_admissible(t, order, "central")
+
+
+def is_galaxy_ordering(t: Tournament, order: Ordering) -> bool:
+    """Components are left/right stars or singletons, with no star center
+    positioned between two leaves of another star."""
+    return _ordering_admissible(t, order, "galaxy")
+
+
+PREDICATES: dict[str, Callable[[Tournament, Ordering], bool]] = {
+    "nebula": is_nebula_ordering,
+    "left": is_left_nebula_ordering,
+    "right": is_right_nebula_ordering,
+    "central": is_central_nebula_ordering,
+    "galaxy": is_galaxy_ordering,
+}
+
+
 def _extend(t: Tournament, kind: str, pos: list[int], placed: int, edges: int, limit: int,
             comps: Sequence[Carried]) -> Optional[list[tuple[int, int, list[Carried]]]]:
     """The one-step extensions of the admitted prefix with vertex mask
@@ -270,16 +260,13 @@ def _extend(t: Tournament, kind: str, pos: list[int], placed: int, edges: int, l
                 continue
         child = [c for c in comps if not c[0] & back]
         child.append(merged)
-        if want is not None and complete and any(c[2] is _PAIR for c in child):
-            continue
-        if kind == "galaxy" and (size >= 3 or complete):
-            if mkind is _CENTRAL:
-                return None
+        # a singleton or a pair leaves every star's center and span as they were
+        if kind == "galaxy" and size >= 3:
             stars = [(pos[c[1]], c[3], c[4]) for c in child if c[1] is not None]
             if not _galaxy_positions_ok(stars):
                 return None
-            if complete and not _pairs_ok(stars, [c[3:] for c in child if c[2] is _PAIR]):
-                continue
+        if complete and not _admissible(child, pos, kind):
+            continue
         # the vertices still to come that beat v: n - 1 - |rows[v] | placed|
         grown = edges + t.n - 1 - (t.rows[v] | placed).bit_count()
         if grown <= limit:
@@ -308,7 +295,8 @@ def find_ordering(
     A prefix carries one tuple per component (see ``Carried``), and the DFS
     path one ``pos`` array.  A child ``placed + [v]`` takes the components
     that ``back = rows[v] & placed`` does not touch as they are, and the kind
-    of the one that v joins from the append rule, with no reclassification:
+    of the one that v joins from the append rule, the same rule that
+    classifies the components of a whole ordering for the predicates:
 
     - ``back`` empty: v is a singleton;
     - ``back = {u}``: a singleton u makes a 2-vertex component; a pair
@@ -329,9 +317,10 @@ def find_ordering(
     degree 2 or more and must be the hub, so no vertex of ``back`` may have
     another neighbour, and the hub, v, is last.  The nebula, left, right and
     central rules are per component, and every kept component passed the
-    prefix rule, so both checks of a child read the merged one alone, bar the
-    2-vertex clause at completion.  Galaxy, whose positional rule couples
-    stars, rereads all stars whenever the merged component is one.
+    prefix rule, so both checks of a child read the merged one alone.
+    Galaxy, whose positional rule couples stars, rereads all stars whenever
+    the merged component is one.  A complete child must also pass the
+    predicates' whole-ordering rule, which adds the 2-vertex clauses.
 
     Bound: an edge x -> y with y placed and x after it, later in the prefix or
     not yet placed, is backward in every completion, and appending v commits
@@ -371,5 +360,6 @@ def nebula_verdict(t: Tournament, kind: str, order: Optional[Ordering] = None) -
         order = find_ordering(t, predicate)
         if order is None:
             return NebulaVerdict(False, None, ())
-    comps = tuple(classify_components(backward_graph(t, order), order))
-    return NebulaVerdict(_admissible(comps, kind), order, comps)
+    check_ordering(order, t.n)
+    comps, pos = _fold(t.rows, order)
+    return NebulaVerdict(_admissible(comps, pos, kind), order, tuple(_components(comps)))

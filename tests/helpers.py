@@ -10,6 +10,7 @@ from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
 from nebulab.containment import Embedding, contains
 from nebulab.product import SMALL_STARS, PlacementNebula
+from nebulab.stars import StarKind
 from nebulab.structures import Triple
 
 
@@ -60,6 +61,52 @@ def definition_module(t: core.Tournament) -> frozenset[int] | None:
         if mask.bit_count() >= 2 and is_module(t, mask):
             return frozenset(v for v in range(t.n) if mask >> v & 1)
     return None
+
+
+def definition_components(t: core.Tournament, placed) -> list[tuple]:
+    """Definition-level star classifier: the backward components among the
+    ``placed`` vertices, found by a search over the backward edge list with
+    plain sets, each as the tuple (mask, hub, kind, lo, hi) that the ordering
+    search carries.  The hub is the one vertex adjacent to every other member
+    of a component with 3 or more vertices, every other member being a leaf;
+    lo and hi are the first and last leaf positions, where every vertex of a
+    singleton or a pair counts as a leaf (0 and 0 for a non-star)."""
+    pos = {v: p for p, v in enumerate(placed)}
+    rest = [v for v in range(t.n) if v not in pos]
+    adj = {v: set() for v in placed}
+    for w, u in core.backward_edges(t, tuple(placed) + tuple(rest)):
+        if w in pos and u in pos:
+            adj[w].add(u)
+            adj[u].add(w)
+    seen, out = set(), []
+    for v in placed:
+        if v in seen:
+            continue
+        comp, frontier = {v}, [v]
+        while frontier:
+            for y in adj[frontier.pop()] - comp:
+                comp.add(y)
+                frontier.append(y)
+        seen |= comp
+        mask = sum(1 << x for x in comp)
+        at = sorted(pos[x] for x in comp)
+        if len(comp) == 1:
+            out.append((mask, None, StarKind.SINGLETON, at[0], at[0]))
+            continue
+        if len(comp) == 2:
+            out.append((mask, None, StarKind.GENERAL, at[0], at[1]))
+            continue
+        hubs = [x for x in comp if len(adj[x]) == len(comp) - 1]
+        if len(hubs) != 1 or any(len(adj[x]) != 1 for x in comp if x != hubs[0]):
+            out.append((mask, None, StarKind.NON_STAR, 0, 0))
+            continue
+        hub = hubs[0]
+        leaves = [pos[x] for x in comp if x != hub]
+        lo, hi = min(leaves), max(leaves)
+        kind = (StarKind.LEFT if pos[hub] < lo else
+                StarKind.RIGHT if pos[hub] > hi else StarKind.CENTRAL)
+        out.append((mask, hub, kind, lo, hi))
+    return out
 
 
 def pattern_triple(host: core.Tournament, sigma: Triple, kind) -> tuple[int, int, int] | None:

@@ -614,6 +614,8 @@ class TestMalformedInput:
             (RUN_C3 + ["--nebula-white", "1,2,9", "--k", "3"], {}),
             (RUN_C3 + ["--nebula-white", "1,2,3,4"], {}),
             (RUN_C3 + ["--nebula-white", "2,1,3"], {}),
+            (RUN_C3 + ["--nebula-white", ""], {}),
+            (RUN_C3 + ["--nebula-black", ""], {}),
             (RUN_C3 + ["--k", "2"], {}),
             (RUN_C3 + ["--k", "4"], {}),
             (["exponent", "--sizes", "a,b"], {}),

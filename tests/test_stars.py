@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import relabel
+from helpers import definition_components, relabel
 from nebulab import core, examples, stars
 from nebulab.core import cyclic_triangle, from_backward_edges, transitive_tournament, vertex_mask
 from nebulab.errors import BudgetError
@@ -34,24 +34,14 @@ def _pairs(adj):
     return {frozenset((u, v)) for u in range(n) for v in range(n) if adj[u] >> v & 1}
 
 
-def _as_carried(comp, placed):
-    """A classified component of the prefix ``placed`` as the tuple that the
-    search carries for it: (mask, hub, kind, lo, hi)."""
-    if comp.kind is StarKind.NON_STAR:
-        return (comp.mask, None, comp.kind, 0, 0)
-    hub = comp.center if len(comp.positions) >= 3 else None
-    leaves = [p for p in comp.positions if placed[p] != hub]
-    return (comp.mask, hub, comp.kind, min(leaves), max(leaves))
-
-
 def _carried(t, placed):
-    """The search state of the prefix ``placed``, rebuilt from its classified
-    components: the positions and the carried component tuples."""
+    """The search state of the prefix ``placed``, rebuilt by the
+    definition-level classifier: the positions and the carried component
+    tuples."""
     pos = [0] * t.n
     for p, v in enumerate(placed):
         pos[v] = p
-    comps = classify_components_partial(backward_graph(t, placed), placed)
-    return pos, [_as_carried(c, placed) for c in comps]
+    return pos, definition_components(t, placed)
 
 
 def _committed(t, placed):
@@ -159,6 +149,12 @@ class TestClassifyComponents:
                 assert not union & c.vertices
                 union |= c.vertices
             assert union == set(range(8))
+
+    @pytest.mark.parametrize("placed", [(0, 1, 1), (0, 1, 2, 0)])
+    def test_partial_rejects_a_repeated_vertex(self, placed):
+        adj = backward_graph(examples.left_example(), IDENTITY_12)
+        with pytest.raises(ValueError, match="repeats"):
+            classify_components_partial(adj, placed)
 
     def test_stable_under_relabelling(self):
         rng = random.Random(9)
@@ -396,50 +392,26 @@ def _pinned_host(label, *key):
 
 
 def definition_holds(t, order, kind):
-    """Definition-level oracle: the kind's rule read off the backward edge
-    list with plain sets, sharing no code with the library's classifier."""
-    pos = {v: p for p, v in enumerate(order)}
-    adj = {v: set() for v in order}
-    for w, u in core.backward_edges(t, order):
-        adj[w].add(u)
-        adj[u].add(w)
-    seen, stars, pairs = set(), [], []
-    for v in order:
-        if v in seen:
-            continue
-        comp, frontier = {v}, [v]
-        while frontier:
-            for y in adj[frontier.pop()] - comp:
-                comp.add(y)
-                frontier.append(y)
-        seen |= comp
-        if len(comp) == 1:
-            continue
-        if len(comp) == 2:
-            if kind in ("left", "right", "central"):
-                return False
-            pairs.append(sorted(pos[x] for x in comp))
-            continue
-        hubs = [x for x in comp if len(adj[x]) == len(comp) - 1]
-        if len(hubs) != 1 or any(len(adj[x]) != 1 for x in comp if x != hubs[0]):
-            return False
-        hub = pos[hubs[0]]
-        leaves = [pos[x] for x in comp if x != hubs[0]]
-        side = "left" if hub < min(leaves) else "right" if hub > max(leaves) else "central"
-        if kind in ("left", "right", "central") and (len(comp) != 3 or side != kind):
-            return False
-        if kind == "galaxy" and side == "central":
-            return False
-        stars.append((hub, leaves))
-    if kind != "galaxy":
+    """Definition-level oracle: the kind's rule read off the components that
+    ``definition_components`` finds, sharing no code with the library, and
+    with every joint choice of the pairs' centers for galaxy."""
+    comps = definition_components(t, order)
+    kinds = [c[2] for c in comps]
+    if StarKind.NON_STAR in kinds:
+        return False
+    if kind in ("left", "right", "central"):
+        return all(k is StarKind.SINGLETON or (k is StarKind(kind) and mask.bit_count() == 3)
+                   for mask, _, k, _, _ in comps)
+    if kind == "nebula":
         return True
+    if StarKind.CENTRAL in kinds:
+        return False
+    pos = {v: p for p, v in enumerate(order)}
+    stars = [(pos[hub], lo, hi) for _, hub, _, lo, hi in comps if hub is not None]
+    pairs = [(lo, hi) for _, _, k, lo, hi in comps if k is StarKind.GENERAL]
     for ends in itertools.product((0, 1), repeat=len(pairs)):
-        chosen = stars + [(pair[e], [pair[1 - e]]) for e, pair in zip(ends, pairs)]
-        if not any(
-            i != j and len(leaves) >= 2 and min(leaves) < center < max(leaves)
-            for i, (center, _) in enumerate(chosen)
-            for j, (_, leaves) in enumerate(chosen)
-        ):
+        centers = [c for c, _, _ in stars] + [pair[e] for e, pair in zip(ends, pairs)]
+        if not any(lo < c < hi for c in centers for _, lo, hi in stars):
             return True
     return False
 
@@ -570,33 +542,40 @@ class TestSingleRule:
     def test_append_rule_matches_a_reclassification(self, host, kind):
         # walk the search tree: at every prefix the search admits, each vertex
         # not yet placed, whether the prefix rule admits it or not, forms the
-        # component that _classify finds on the merged vertex set
+        # component that the definition-level classifier finds for it
         t, _ = host
         stack = [[]]
         while stack:
             placed = stack.pop()
             pos, comps = _carried(t, placed)
             for v in set(range(t.n)) - set(placed):
-                child = placed + [v]
-                adj = backward_graph(t, child)
                 pos[v] = len(placed)
-                got = stars._append(comps, pos, v, adj[v])
-                # component masks are disjoint, so their sum is their union
-                joined = (1 << v) | sum(c[0] for c in comps if c[0] & adj[v])
-                assert got == _as_carried(stars._classify(joined, adj, child), child)
+                got = stars._append(comps, pos, v, t.rows[v] & vertex_mask(placed))
+                want = next(c for c in definition_components(t, placed + [v]) if c[0] >> v & 1)
+                assert got == want
             stack.extend(_children(t, placed, kind) or ())
 
-    def test_search_never_reclassifies(self, monkeypatch):
-        # a child's kind comes from the append rule alone, also on a host
-        # whose searches all run to exhaustion
-        calls = []
-        rule = stars._classify
-        monkeypatch.setattr(stars, "_classify", lambda *args: calls.append(args) or rule(*args))
-        t = _pinned_host("random", 9)
-        for predicate in PREDICATES.values():
-            assert find_ordering(t, predicate) is None
-        assert calls == []
-        assert not is_nebula_ordering(t, tuple(range(t.n))) and calls
+    @given(planted_hosts(7), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_classification_matches_definition_on_every_prefix(self, host, rng):
+        # prefixes of the planted ordering and of a random one, non-star
+        # components included, read off the prefix's own backward graph and
+        # off the whole ordering's
+        t, planted_order = host
+        for order in (planted_order, tuple(rng.sample(range(t.n), t.n))):
+            whole = backward_graph(t, order)
+            for size in range(t.n + 1):
+                placed = order[:size]
+                # a pair's center is its least vertex
+                want = sorted(
+                    (core.mask_vertices(mask), min(core.mask_vertices(mask))
+                     if kind is StarKind.GENERAL else hub, kind)
+                    for mask, hub, kind, _, _ in definition_components(t, placed)
+                )
+                for adj in (backward_graph(t, placed), whole):
+                    got = sorted((core.mask_vertices(c.mask), c.center, c.kind)
+                                 for c in classify_components_partial(adj, placed))
+                    assert got == want, (order, size)
 
     def test_look_ahead_sees_a_galaxy_clash_before_it_is_placed(self):
         # the prefix holds the left star 1-2, 1-3 and the singletons 0, 4;
