@@ -35,6 +35,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -538,13 +539,20 @@ def cmd_exponent(args) -> tuple[dict, dict, list[dict]]:
     refit = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
         (x - mx) ** 2 for x in xs
     )
+    # each size has a rate, is flagged iff its rate is above one half and
+    # kept samples * (1 - rate) of its samples
+    kept = Counter(n for n, _ in rep.samples)
+    expected = Counter()
+    for n, rate in rep.failure_rates:
+        expected[n] += args.samples * (1 - rate)
+    flags_ok = (
+        [n for n, _ in rep.failure_rates] == args.sizes
+        and [n for n, rate in rep.failure_rates if rate > 0.5] == list(rep.flagged_sizes)
+        and all(abs(kept[n] - expected[n]) < 1e-9 for n in kept.keys() | expected.keys())
+    )
     validation = [
         {"check": "slope-refit", "passed": abs(refit - rep.slope) < 1e-12},
-        {
-            "check": "failure-flags",
-            "passed": all(rate <= 0.5 for n, rate in rep.failure_rates
-                          if n not in rep.flagged_sizes),
-        },
+        {"check": "failure-flags", "passed": flags_ok},
     ]
     return (
         {"family": list(args.family), "sizes": args.sizes, "samples": args.samples},

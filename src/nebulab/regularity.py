@@ -65,6 +65,22 @@ def regular_pair_exact(
     deviation from d(A,B).  For each X the deviation
     |e(X,Y)|A||B| - e(A,B)xy| is convex in e(X,Y), so only the y lowest and
     the y highest columns need a check.
+
+    The x-sets are walked depth first in ``combinations`` order, carrying
+    each column's count c_k = |X' & col_k| over the rows X' picked so far.
+    With r more picks to come from the rows after the last one, every
+    completion's count in column k lies in [c_k + max(0, r - zeros_k),
+    c_k + min(r, ones_k)], where ones_k and zeros_k count those later rows
+    with and without an edge into b[k].  The sum of the top y counts cannot
+    fall when one count rises, nor the sum of the bottom y rise when one
+    falls, so the top-y sum of the upper ends bounds every completion's
+    top-y sum, and the bottom-y sum of the lower ends its bottom-y sum.  A
+    branch where neither bound leaves [xy(d(A,B) - eps), xy(d(A,B) + eps)]
+    holds no violator and is skipped.  The walk keeps the order, so the
+    first violating X is the one a plain sweep over ``combinations`` meets
+    first, and its Y comes from the same (count, k) ranking and tie rule.
+    At a leaf (r = 0) the bounds are the exact counts, so a leaf is ranked
+    once.
     """
     a, b = sorted(set(a)), sorted(set(b))
     if set(a) & set(b):
@@ -76,25 +92,59 @@ def regular_pair_exact(
     x_size, y = _witness_size(eps, na), _witness_size(eps, nb)
     if x_size > na or y > nb:
         return PairVerdict(True, None)
-    ab = na * nb
-    # columns[k] has bit i set iff a[i] beats b[k]
-    columns = [sum(1 << i for i, u in enumerate(a) if host.has_edge(u, v)) for v in b]
-    e0 = sum(col.bit_count() for col in columns)
-    mid = e0 * x_size * y
-    limit = eps.numerator * x_size * y * ab
-    for bits in combinations([1 << i for i in range(na)], x_size):
-        xmask = sum(bits)
-        ranked = sorted(((col & xmask).bit_count(), k) for k, col in enumerate(columns))
-        below = mid - sum(count for count, _ in ranked[:y]) * ab
-        above = sum(count for count, _ in ranked[nb - y :]) * ab - mid
-        if max(below, above) * eps.denominator > limit:
-            extreme = ranked[:y] if below >= above else ranked[nb - y :]
-            x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
-            y_set = frozenset(b[k] for _, k in extreme)
-            return PairVerdict(
-                False, ViolatingPair(x, y_set, density(host, x, y_set), Fraction(e0, ab))
-            )
-    return PairVerdict(True, None)
+    # rows[i][k] = 1 iff a[i] beats b[k]; ones[s][k] counts such i >= s
+    rows = [[host.rows[u] >> v & 1 for v in b] for u in a]
+    ones = [[0] * nb]
+    for row in reversed(rows):
+        ones.append([o + e for o, e in zip(ones[-1], row)])
+    ones.reverse()
+    d_ab = Fraction(sum(ones[0]), na * nb)
+    # y column counts over an x-set violate iff their sum lies outside
+    # [xy(d(A,B) - eps), xy(d(A,B) + eps)]
+    xy = x_size * y
+    low_max = math.ceil(xy * (d_ab - eps)) - 1
+    high_min = math.floor(xy * (d_ab + eps)) + 1
+
+    def walk(s: int, r: int, counts: list[int], xmask: int):
+        """The first violating (X, extreme columns) in this branch: the rows
+        in ``xmask`` picked, r more to come from a[s:]."""
+        if r:
+            if not _can_deviate(counts, ones[s], r, na - s, y, low_max, high_min):
+                return None
+            for j in range(s, na - r + 1):
+                child = [c + e for c, e in zip(counts, rows[j])]
+                found = walk(j + 1, r - 1, child, xmask | 1 << j)
+                if found:
+                    return found
+            return None
+        ranked = sorted(zip(counts, range(nb)))
+        low, high = ranked[:y], ranked[nb - y :]
+        bottom, top = sum(c for c, _ in low), sum(c for c, _ in high)
+        if bottom <= low_max or top >= high_min:
+            # the side that strays further, the low one on a tie
+            return xmask, low if bottom + top <= 2 * xy * d_ab else high
+        return None
+
+    found = walk(0, x_size, [0] * nb, 0)
+    if found is None:
+        return PairVerdict(True, None)
+    xmask, extreme = found
+    x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
+    y_set = frozenset(b[k] for _, k in extreme)
+    return PairVerdict(False, ViolatingPair(x, y_set, density(host, x, y_set), d_ab))
+
+
+def _can_deviate(
+    counts: list[int], ones: list[int], r: int, free: int, y: int, low_max: int, high_min: int
+) -> bool:
+    """Whether a branch of the exact pair check may hold a violator: with
+    r more rows to pick from ``free`` rows, of which ones[k] beat b[k], the
+    top y of the counts' upper ends reach ``high_min`` or the bottom y of
+    their lower ends fall to ``low_max``."""
+    short = r - free  # r - zeros_k = short + ones_k
+    upper = sorted([c + (o if o < r else r) for c, o in zip(counts, ones)])
+    lower = sorted([c + (short + o if short + o > 0 else 0) for c, o in zip(counts, ones)])
+    return sum(upper[len(upper) - y :]) >= high_min or sum(lower[:y]) <= low_max
 
 
 def _witness_size(eps: Fraction, side: int) -> int:
@@ -112,11 +162,14 @@ def regular_pair_sampled(
 ) -> PairVerdict:
     """Randomized surrogate: a Fail carries a concrete violator and is
     definitive; a Pass only means no violator was sampled.  As in the exact
-    check, a side shorter than its witness size passes the pair with no draw.
+    check, overlapping sides raise ValueError, and a side shorter than its
+    witness size passes the pair with no draw.
 
     With d(A,B) = p/q in lowest terms, a trial's |e(X,Y)/(|X||Y|) - p/q| > eps
     is tested as |e(X,Y) q - p |X||Y|| den(eps) > num(eps) |X||Y| q."""
     a, b = sorted(set(a)), sorted(set(b))
+    if set(a) & set(b):
+        raise ValueError("pair sets must be disjoint")
     eps = to_fraction(eps)
     rng = random.Random(seed)
     na, nb = len(a), len(b)

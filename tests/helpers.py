@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -10,6 +11,7 @@ from nebulab import core
 from nebulab.algorithm import CASES, AlgorithmConfig
 from nebulab.containment import Embedding, contains
 from nebulab.product import SMALL_STARS, PlacementNebula
+from nebulab.regularity import PairVerdict, ViolatingPair, to_fraction
 from nebulab.stars import StarKind
 from nebulab.structures import Triple
 
@@ -302,6 +304,38 @@ def neighborhood(host: core.Tournament, sigma: Triple, v: int, j: int) -> frozen
 def set_density(t: core.Tournament, a, b) -> Fraction:
     """d(A, B) by the definition: the share of the |A||B| pairs oriented A -> B."""
     return Fraction(sum(t.has_edge(u, v) for u in a for v in b), len(a) * len(b))
+
+
+def sweep_pair_exact(host: core.Tournament, a, b, eps) -> PairVerdict:
+    """The exact pair check as a plain sweep: every x-set of A in
+    ``combinations`` order, at the witness sizes x = max(1, ceil(eps|A|)) and
+    y = max(1, ceil(eps|B|)).  The first x-set whose y lowest or y highest
+    columns, ranked by (count, index), stray by more than eps is the violator,
+    with the low side on a tie."""
+    a, b = sorted(set(a)), sorted(set(b))
+    eps = to_fraction(eps)
+    na, nb = len(a), len(b)
+    x_size, y = max(1, math.ceil(eps * na)), max(1, math.ceil(eps * nb))
+    if x_size > na or y > nb:
+        return PairVerdict(True, None)
+    ab = na * nb
+    columns = [sum(1 << i for i, u in enumerate(a) if host.has_edge(u, v)) for v in b]
+    e0 = sum(col.bit_count() for col in columns)
+    mid = e0 * x_size * y
+    limit = eps.numerator * x_size * y * ab
+    for bits in combinations([1 << i for i in range(na)], x_size):
+        xmask = sum(bits)
+        ranked = sorted(((col & xmask).bit_count(), k) for k, col in enumerate(columns))
+        below = mid - sum(count for count, _ in ranked[:y]) * ab
+        above = sum(count for count, _ in ranked[nb - y :]) * ab - mid
+        if max(below, above) * eps.denominator > limit:
+            extreme = ranked[:y] if below >= above else ranked[nb - y :]
+            x = frozenset(a[i] for i in range(na) if xmask >> i & 1)
+            y_set = frozenset(b[k] for _, k in extreme)
+            return PairVerdict(
+                False, ViolatingPair(x, y_set, set_density(host, x, y_set), Fraction(e0, ab))
+            )
+    return PairVerdict(True, None)
 
 
 def structure_oracle(t: core.Tournament, parts, c, lam, strong: bool) -> list[tuple[str, dict]]:

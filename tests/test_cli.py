@@ -439,6 +439,48 @@ class TestOtherCommands:
         assert abs(report["results"]["slope"] - 1.0) < 1e-9
 
 
+class TestExponentFailureFlags:
+    """failure-flags re-derives the flagged sizes and each size's sample
+    count from the failure rates, so a report that drops either fails it."""
+
+    @pytest.fixture
+    def eight_fails(self, monkeypatch):
+        # every draw at n = 8 fails: rate 1, flagged, no sample kept
+        real = containment.random_free_tournament
+
+        def fail_at_eight(n, family, seed, max_tries):
+            return None if n == 8 else real(n, family, seed=seed, max_tries=max_tries)
+
+        monkeypatch.setattr(containment, "random_free_tournament", fail_at_eight)
+
+    def run_with(self, capsys, monkeypatch, edit):
+        real = containment.empirical_eh_exponent
+        monkeypatch.setattr(
+            cli.containment, "empirical_eh_exponent", lambda *args: edit(real(*args))
+        )
+        return run_cli(capsys, "exponent", "--sizes", "6,7,8", "--samples", "3", "--seed", "2")
+
+    def test_true_report_passes(self, capsys, monkeypatch, eight_fails):
+        code, report = self.run_with(capsys, monkeypatch, lambda rep: rep)
+        assert code == 0 and report["results"]["flagged_sizes"] == [8]
+        assert all(c["passed"] for c in report["validation"])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rep: dataclasses.replace(rep, flagged_sizes=()),
+            lambda rep: dataclasses.replace(rep, flagged_sizes=(6, 8)),
+            lambda rep: dataclasses.replace(rep, samples=rep.samples[1:]),
+            lambda rep: dataclasses.replace(rep, failure_rates=rep.failure_rates[:2]),
+        ],
+        ids=["dropped-flag", "extra-flag", "missing-sample", "missing-rate"],
+    )
+    def test_wrong_report_fails(self, capsys, monkeypatch, eight_fails, edit):
+        code, report = self.run_with(capsys, monkeypatch, edit)
+        assert code == 1
+        assert {"check": "failure-flags", "passed": False} in report["validation"]
+
+
 # a valid run-algorithm invocation on the cyclic triangle: three one-vertex parts
 RUN_C3 = ["run-algorithm", "C3", "--case", "LR", "--t", "3", "--part-size", "1"]
 # a run-algorithm invocation that completes: the transitive triangle, auto structure

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nebulab
-from helpers import forward_block_host, set_density, structure_oracle
+from helpers import forward_block_host, set_density, structure_oracle, sweep_pair_exact
 from nebulab import core
 from nebulab.containment import contains_in_parts
 from nebulab.core import cyclic_triangle, density, random_tournament, vertex_mask
@@ -22,6 +22,7 @@ from nebulab.regularity import (
     PipelineReport,
     StageFailure,
     ViolatingPair,
+    _can_deviate,
     regular_pair_exact,
     regular_pair_sampled,
     stearns_transitive,
@@ -65,7 +66,71 @@ PAIR_EPSILONS = [
 ]
 
 
+@st.composite
+def pair_hosts(draw, max_side):
+    """A random host with disjoint sides A and B of 1..max_side vertices.  The
+    A-B edges point from A with probability 1/2 (random), with a skewed
+    probability, or at 1/2 with a planted corner: a block of A that beats, or
+    loses to, all of a block of B."""
+    na, nb = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    shape = draw(st.sampled_from(["random", "skewed", "corner"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    host = random_tournament(na + nb + rng.randint(0, 2), rng)
+    vertices = rng.sample(range(host.n), na + nb)
+    a, b = vertices[:na], vertices[na:]
+    p = rng.choice([0.05, 0.2, 0.8, 0.95]) if shape == "skewed" else 0.5
+    forward = {(u, v) for u in a for v in b if rng.random() < p}
+    if shape == "corner":
+        block = {(u, v) for u in rng.sample(a, rng.randint(1, na))
+                 for v in rng.sample(b, rng.randint(1, nb))}
+        forward = forward | block if rng.random() < 0.5 else forward - block
+    rows = list(host.rows)
+    for u in a:
+        for v in b:
+            rows[u] = rows[u] | 1 << v if (u, v) in forward else rows[u] & ~(1 << v)
+            rows[v] = rows[v] & ~(1 << u) if (u, v) in forward else rows[v] | 1 << u
+    return core.Tournament(host.n, tuple(rows)), a, b
+
+
 class TestRegularPairExact:
+    @given(pair_hosts(12), st.sampled_from(PAIR_EPSILONS))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sweep(self, host, eps):
+        # the whole verdict, so also the first violator in combinations order
+        t, a, b = host
+        assert regular_pair_exact(t, a, b, eps) == sweep_pair_exact(t, a, b, eps)
+
+    @given(pair_hosts(7), st.sampled_from(PAIR_EPSILONS))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_skips_only_branches_without_violators(self, host, eps):
+        # walk the search tree: a branch picks the rows of a prefix of an
+        # x-set of A in combinations order; every branch the bound skips has
+        # no completion X with a y-set Y of B that the definition calls a
+        # violator
+        t, a, b = host
+        a, b, eps = sorted(a), sorted(b), to_fraction(eps)
+        x_size, y = max(1, math.ceil(eps * len(a))), max(1, math.ceil(eps * len(b)))
+        if x_size > len(a) or y > len(b):
+            return
+        d_ab = set_density(t, a, b)
+        violators = {
+            xs for xs in itertools.combinations(range(len(a)), x_size)
+            if any(abs(set_density(t, [a[i] for i in xs], ys) - d_ab) > eps
+                   for ys in itertools.combinations(b, y))
+        }
+        low_max = math.ceil(x_size * y * (d_ab - eps)) - 1
+        high_min = math.floor(x_size * y * (d_ab + eps)) + 1
+        for depth in range(x_size):
+            for prefix in itertools.combinations(range(len(a)), depth):
+                later = a[prefix[-1] + 1 :] if prefix else a
+                counts = [sum(t.has_edge(a[i], v) for i in prefix) for v in b]
+                ones = [sum(t.has_edge(u, v) for u in later) for v in b]
+                r = x_size - depth
+                if len(later) < r or _can_deviate(counts, ones, r, len(later), y,
+                                                  low_max, high_min):
+                    continue
+                assert not any(xs[:depth] == prefix for xs in violators), (prefix, eps)
+
     def test_complete_pair_always_regular(self):
         host = forward_block_host(2, 6, seed=0)
         for eps in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
@@ -248,6 +313,13 @@ class TestRegularPairSampled:
         host = random_tournament(8, random.Random(13))
         assert regular_pair_sampled(host, a, b, eps, seed=1) == PairVerdict(True, None, trials=0)
         assert regular_pair_exact(host, a, b, eps).passed
+
+    @pytest.mark.parametrize("check", [regular_pair_exact, regular_pair_sampled])
+    def test_overlapping_sides_rejected(self, check):
+        # one input rule for both checks, before the witness sizes pass the pair
+        host = random_tournament(4, random.Random(13))
+        with pytest.raises(ValueError, match="pair sets must be disjoint"):
+            check(host, [0, 1], [1, 2], Fraction(3, 2))
 
     def test_epsilon_above_one_partition(self):
         host = random_tournament(8, random.Random(13))
