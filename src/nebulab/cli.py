@@ -9,8 +9,9 @@ mismatch included), 2 = malformed file or argument, including one that
 parses but breaks a library precondition (the library raises ParseError:
 slot triples outside --k, --k above --t, or --structure parts that fail
 strong verification), a --replay trace that cannot be read or parsed, an
-output path that cannot be written, or an enumerate --out directory holding
-a class file this run would not write, 3 = search budget exceeded (also:
+output path that cannot be written, an enumerate --out directory holding
+a class file this run would not write, or an exponent --sizes list that
+repeats a size, 3 = search budget exceeded (also:
 enumerate above n = 9, where no class count is known, C(t,k) part subsets
 above the phase algorithm's budget, no structure found, or too few samples
 to fit a slope), 4 = internal invariant violation.
@@ -59,7 +60,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _positive_ints(text: str) -> list[int]:
-    return [_positive_int(x) for x in text.split(",")]
+    values = [_positive_int(x) for x in text.split(",")]
+    repeated = [n for n, count in Counter(values).items() if count > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated size {repeated[0]}")
+    return values
 
 
 def _read_tournament(path: str) -> core.Tournament:

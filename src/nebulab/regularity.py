@@ -210,8 +210,12 @@ def verify_regular_partition(
     method: str = "exact",
     seed: int = 0,
 ) -> PartitionCertificate:
-    """Check the three partition conditions and count irregular pairs, with
-    ``method`` "exact" or "sampled"."""
+    """Check the three partition conditions and count irregular pairs.
+
+    Pairs whose sides both fit ``EXACT_PAIR_BUDGET`` get the exact check;
+    ``method`` decides a pair with a larger side: "exact" raises BudgetError,
+    "sampled" draws it with ``regular_pair_sampled``.  Every listed pair is a
+    true violator, and every violating pair within the budget is listed."""
     if method not in ("exact", "sampled"):
         raise ValueError(f"method must be 'exact' or 'sampled', got {method!r}")
     eps_f = to_fraction(eps)
@@ -229,12 +233,11 @@ def verify_regular_partition(
     equal_sizes = len({len(p) for p in all_parts}) <= 1
     irregular = []
     for i, j in combinations(range(k), 2):
-        if method == "exact":
-            verdict = regular_pair_exact(host, all_parts[i], all_parts[j], eps_f)
+        a, b = all_parts[i], all_parts[j]
+        if method == "exact" or max(len(a), len(b)) <= EXACT_PAIR_BUDGET:
+            verdict = regular_pair_exact(host, a, b, eps_f)
         else:
-            verdict = regular_pair_sampled(
-                host, all_parts[i], all_parts[j], eps_f, seed=seed + 31 * i + j
-            )
+            verdict = regular_pair_sampled(host, a, b, eps_f, seed=seed + 31 * i + j)
         if not verdict.passed:
             irregular.append((i, j))
     bound_ok = len(irregular) * eps_f.denominator <= eps_f.numerator * k * k

@@ -740,6 +740,12 @@ class TestMalformedInput:
     def test_exponent_without_enough_samples_exit(self, capsys):
         assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)
 
+    def test_exponent_repeated_size_exit(self, capsys):
+        # a repeated size would fit its seeded samples twice
+        argv = ["exponent", "--sizes", "6,6,8", "--samples", "2", "--seed", "7"]
+        err = assert_clean_exit(capsys, argv, 2)
+        assert "repeated size 6" in err
+
 
 class TestRunAlgorithmCommand:
     @pytest.fixture

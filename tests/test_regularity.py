@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import nebulab
 from helpers import forward_block_host, set_density, structure_oracle, sweep_pair_exact
-from nebulab import core
+from nebulab import core, regularity
 from nebulab.containment import contains_in_parts
 from nebulab.core import cyclic_triangle, density, random_tournament, vertex_mask
 from nebulab.errors import BudgetError
@@ -359,6 +359,74 @@ class TestVerifyPartition:
         host = forward_block_host(2, 4, seed=9)
         with pytest.raises(ValueError, match="'sampeld'"):
             verify_regular_partition(host, [], [range(4), range(4, 8)], Fraction(1, 4), "sampeld")
+
+    @staticmethod
+    def random_partition(seed, max_part):
+        """A random host split into an exceptional set and 2-4 parts of 1 to
+        ``max_part`` vertices, in shuffled vertex order."""
+        rng = random.Random(seed)
+        sizes = [rng.randint(1, max_part) for _ in range(rng.randint(2, 4))]
+        exceptional = rng.randint(0, 2)
+        host = random_tournament(exceptional + sum(sizes), rng)
+        order = rng.sample(range(host.n), host.n)
+        parts, start = [], exceptional
+        for size in sizes:
+            parts.append(order[start : start + size])
+            start += size
+        return host, order[:exceptional], parts
+
+    @pytest.mark.parametrize(
+        "eps", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)]
+    )
+    def test_sampled_is_exact_within_the_budget(self, eps):
+        # every pair fits EXACT_PAIR_BUDGET, so both methods run the exact check
+        listed = 0
+        for seed in range(12):
+            host, exceptional, parts = self.random_partition(seed, 12)
+            exact = verify_regular_partition(host, exceptional, parts, eps)
+            sampled = verify_regular_partition(
+                host, exceptional, parts, eps, method="sampled", seed=seed
+            )
+            assert sampled == exact
+            listed += len(exact.irregular_pairs)
+        assert listed
+
+    def test_sampled_check_not_called_within_the_budget(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled check called within the budget")
+
+        monkeypatch.setattr(regularity, "regular_pair_sampled", refuse)
+        for seed in range(6):
+            host, exceptional, parts = self.random_partition(seed, 12)
+            verify_regular_partition(
+                host, exceptional, parts, Fraction(1, 4), method="sampled", seed=seed
+            )
+
+    def test_part_above_the_budget(self):
+        # a 13-vertex part: "exact" refuses it, "sampled" draws only its pairs
+        # and lists true violators, every one within the budget
+        rng = random.Random(21)
+        host = random_tournament(31, rng)
+        big, mid, small = list(range(13)), list(range(13, 25)), list(range(25, 31))
+        rows = list(host.rows)
+        for u in big:
+            for v in mid:  # the last 3 of the big part lose to the whole mid part
+                if u < 10:
+                    rows[u], rows[v] = rows[u] | 1 << v, rows[v] & ~(1 << u)
+                else:
+                    rows[u], rows[v] = rows[u] & ~(1 << v), rows[v] | 1 << u
+        host = core.Tournament(host.n, tuple(rows))
+        parts, eps = [big, mid, small], Fraction(1, 4)
+        with pytest.raises(BudgetError):
+            verify_regular_partition(host, [], parts, eps)
+        cert = verify_regular_partition(host, [], parts, eps, method="sampled", seed=3)
+        truth = {
+            (i, j) for i, j in itertools.combinations(range(3), 2)
+            if not sweep_pair_exact(host, parts[i], parts[j], eps).passed
+        }
+        assert set(cert.irregular_pairs) <= truth
+        assert ((1, 2) in cert.irregular_pairs) == ((1, 2) in truth)
+        assert (0, 1) in cert.irregular_pairs
 
 
 class TestEmbedding:
