@@ -2,20 +2,21 @@
 monochromatic clique selection, capacity-tracked star harvesting, and
 forbidden-copy extraction from saturated vectors.
 
-Parts are indexed 0..t-1 and held as vertex masks.  Each k-subset of parts
-keeps one vector per forbidden nebula, with one entry per component star;
-entries collect vertex-disjoint witness triples up to the capacity
-ceil(W / (9k * C(t,k))).
+Parts are indexed 0..t-1 and held as vertex masks.  A k-subset of parts
+chosen as a clique keeps, from its first witness on, one vector per forbidden
+nebula with one entry per component star; entries collect vertex-disjoint
+witness triples up to the capacity ceil(W / (9k * C(t,k))).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_
 from typing import Optional, Sequence, Union
 
 from .containment import Embedding
@@ -32,6 +33,7 @@ from .structures import (
     WitnessTriple,
     classify_triple,
     extract_product,
+    lex_first_clique,
     verify_structure,
     witness,
 )
@@ -97,10 +99,6 @@ class AlgorithmConfig:
     def spec(self) -> CaseSpec:
         return CASES[self.case]
 
-    @cached_property
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(combinations(range(self.t), self.k))
-
     @property
     def capacity(self) -> int:
         denom = 9 * self.k * math.comb(self.t, self.k)
@@ -125,28 +123,30 @@ class AlgorithmConfig:
         return None
 
 
-StoredTriple = tuple[int, int, int]
+def subset_rank(subset: Sequence[int], t: int) -> int:
+    """The lex rank of the increasing ``subset`` among the subsets of 0..t-1
+    of its size, by the combinatorial number system."""
+    k = len(subset)
+    return math.comb(t, k) - 1 - sum(math.comb(t - 1 - c, k - i) for i, c in enumerate(subset))
+
+
+Vector = list[list[tuple[int, int, int]]]  # one entry of witness triples per star
 
 
 @dataclass
 class PhaseState:
-    """Parts and the used-vertex ledger as vertex masks."""
+    """Parts and the used-vertex ledger as vertex masks; vectors by (kind, subset)."""
 
     phase: int
     sets: list[int]
     initial_sets: tuple[int, ...]
-    vectors: dict[StarKind, list[list[list[StoredTriple]]]]
+    vectors: dict[tuple[StarKind, tuple[int, ...]], Vector] = field(default_factory=dict)
     used: int = 0
 
 
-def initial_state(parts: Sequence[frozenset[int]], config: AlgorithmConfig) -> PhaseState:
-    subsets = config.subsets
-    vectors = {
-        kind: [[[] for _ in nebula.placements] for _ in subsets]
-        for kind, nebula in config.nebulae.items()
-    }
+def initial_state(parts: Sequence[frozenset[int]]) -> PhaseState:
     masks = tuple(vertex_mask(p) for p in parts)
-    return PhaseState(phase=0, sets=list(masks), initial_sets=masks, vectors=vectors)
+    return PhaseState(phase=0, sets=list(masks), initial_sets=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -202,37 +202,39 @@ ColorEntry = Union[tuple[str, TripleClass], tuple[str, CompletePair]]
 def color_hyperedges(
     host: Tournament, sets: Sequence[int], config: AlgorithmConfig
 ) -> dict[tuple[int, int, int], ColorEntry]:
-    """Classify every 3-subset of parts; white when the case query's own j is
-    emitted, black for the sibling verdict, uncolored with the complete pair
-    otherwise."""
+    """Classify the 3-subsets of parts in lex order up to the first uncolored
+    one; white when the case query's own j is emitted, black for the sibling
+    verdict, uncolored with the complete pair otherwise."""
+    if 0 in sets:
+        raise InvariantError(
+            f"part {sets.index(0)} emptied: parameters are outside the accounting regime")
     i_q, j_q = config.spec.query
     coloring: dict[tuple[int, int, int], ColorEntry] = {}
     for edge in combinations(range(config.t), 3):
-        for part in edge:
-            if not sets[part]:
-                raise InvariantError(
-                    f"part {part} emptied: parameters are outside the accounting regime"
-                )
         verdict = classify_triple(host, Triple(tuple(sets[part] for part in edge)), i_q, j_q)
         if isinstance(verdict, CompletePair):
             coloring[edge] = ("uncolored", verdict)
-        elif verdict.j == j_q:
-            coloring[edge] = ("white", verdict)
-        else:
-            coloring[edge] = ("black", verdict)
+            break
+        coloring[edge] = ("white" if verdict.j == j_q else "black", verdict)
     return coloring
 
 
 def find_monochromatic_clique(
     coloring: dict[tuple[int, int, int], ColorEntry], t: int, k: int
 ) -> Optional[tuple[tuple[int, ...], str]]:
-    """First all-white k-subset in lex order, else first all-black, else None."""
+    """First all-white k-subset in lex order, else first all-black, else None.
+
+    After parts u < v are chosen, the later candidates are the parts c with
+    (u, v, c) of the colour."""
     for want in ("white", "black"):
-        for subset in combinations(range(t), k):
-            if all(
-                coloring[edge][0] == want for edge in combinations(subset, 3)
-            ):
-                return subset, want
+        later = [[0] * t for _ in range(t)]
+        for (u, v, c), (label, _) in coloring.items():
+            if label == want:
+                later[u][v] |= 1 << c
+        subset = lex_first_clique(
+            t, k, lambda chosen, v: reduce(and_, (later[u][v] for u in chosen), -1))
+        if subset is not None:
+            return subset, want
     return None
 
 
@@ -242,11 +244,10 @@ def run_phase(
     """Execute one phase; returns (terminal outcome or None, trace record)."""
     coloring = color_hyperedges(host, state.sets, config)
     record: dict = {"phase": state.phase}
-    for edge in sorted(coloring):
-        label, payload = coloring[edge]
-        if label == "uncolored":
-            record.update(action="state-0", edge=list(edge))
-            return CompletePairOutcome(payload, 0, state.phase), record
+    edge, (label, payload) = next(reversed(coloring.items()))
+    if label == "uncolored":
+        record.update(action="state-0", edge=list(edge))
+        return CompletePairOutcome(payload, 0, state.phase), record
     record["white"] = sum(1 for v in coloring.values() if v[0] == "white")
     record["black"] = len(coloring) - record["white"]
     found = find_monochromatic_clique(coloring, config.t, config.k)
@@ -258,16 +259,15 @@ def run_phase(
         )
     subset, color = found
     kind = config.spec.white if color == "white" else config.spec.black
-    subset_index = config.subsets.index(subset)
     record.update(clique=list(subset), color=color, kind=kind.value)
     nebula = config.nebulae[kind]
-    vec = state.vectors[kind][subset_index]
+    vec = state.vectors.get((kind, subset), [[] for _ in nebula.placements])
     entry_index = next(
         (z for z, entry in enumerate(vec) if len(entry) < config.capacity), None
     )
     if entry_index is None:
         record.update(action="saturated")
-        outcome = nonsaturation_extract(host, state, config, subset_index, kind)
+        outcome = nonsaturation_extract(host, state, config, subset, kind)
         return outcome, record
     slots = nebula.placements[entry_index]
     x = tuple(subset[s - 1] for s in slots)
@@ -280,12 +280,13 @@ def run_phase(
         return CompletePairOutcome(result, 2, state.phase), record
     assert isinstance(result, WitnessTriple)
     vec[entry_index].append(result.vertices)
+    state.vectors[kind, subset] = vec
     taken = vertex_mask(result.vertices)
     state.sets = [part & ~taken for part in state.sets]
     state.used |= taken
     record.update(
         action="append",
-        entry=[kind.value, subset_index, entry_index],
+        entry=[kind.value, subset_rank(subset, config.t), entry_index],
         witness=list(result.vertices),
     )
     state.phase += 1
@@ -301,7 +302,7 @@ def nonsaturation_extract(
     host: Tournament,
     state: PhaseState,
     config: AlgorithmConfig,
-    subset_index: int,
+    subset: tuple[int, ...],
     kind: StarKind,
 ) -> ForbiddenCopyOutcome:
     """Turn a saturated vector into a validated copy of its forbidden nebula.
@@ -314,30 +315,24 @@ def nonsaturation_extract(
     so no copy is fabricated.
     """
     nebula = config.nebulae[kind]
-    vec = state.vectors[kind][subset_index]
+    vec = state.vectors[kind, subset]
     cap = config.capacity
     if any(len(entry) != cap for entry in vec):
         raise ValueError("extraction requires every entry at capacity")
-    subset = config.subsets[subset_index]
-    slot_sources: dict[int, tuple[int, int]] = {}
-    for z, slots in enumerate(nebula.placements):
-        for m, slot in enumerate(slots):
-            slot_sources[slot] = (z, m)
-    used_slots = sorted(slot_sources)
-    omega_sets: list[frozenset[int]] = []
-    orderings: dict[int, tuple[int, ...]] = {}
-    position_of_slot: dict[int, int] = {}
-    for pos, slot in enumerate(used_slots):
-        z, m = slot_sources[slot]
-        column = tuple(entry[m] for entry in vec[z])
-        omega_sets.append(frozenset(column))
-        orderings[pos] = column
-        position_of_slot[slot] = pos
+    # each used slot's column of stored vertices, one per row, in slot order;
+    # the i-th used slot becomes structure part i
+    columns = dict(sorted(
+        (slot, tuple(entry[m] for entry in vec[z]))
+        for z, slots in enumerate(nebula.placements)
+        for m, slot in enumerate(slots)
+    ))
+    for slot, column in columns.items():
         part_id = subset[slot - 1]
         if vertex_mask(column) & ~state.initial_sets[part_id]:
             raise ExtractionError(
                 "slot-membership", {"slot": slot, "part": part_id}
             )
+    omega_sets = [frozenset(column) for column in columns.values()]
     theta = Fraction(1, 9 * config.k * math.comb(config.t, config.k))
     cert = verify_structure(
         host, omega_sets, config.c * theta, config.lam / theta, strong=True
@@ -345,11 +340,12 @@ def nonsaturation_extract(
     if not cert.passed:
         raise ExtractionError("strong-structure", cert)
     star, _ = SMALL_STARS[kind]()
-    components = []
-    for z, slots in enumerate(nebula.placements):
-        phi = {m: position_of_slot[slots[m]] for m in range(3)}
-        comp_orderings = {phi[m]: orderings[phi[m]] for m in range(3)}
-        components.append(NormalPart(star, phi, comp_orderings))
+    position = list(columns).index
+    components = [
+        NormalPart(star, {m: position(slot) for m, slot in enumerate(slots)},
+                   {position(slot): columns[slot] for slot in slots})
+        for slots in nebula.placements
+    ]
     # extract_product raises unless its embedding induces the product, and the
     # components sit at the ranks of the nebula's slots, so that product is the
     # nebula's own.
@@ -372,30 +368,27 @@ def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) ->
     floor = Fraction(config.part_size, 3) - 6 * config.k * math.comb(config.t, config.k)
     stored = 0
     count = 0
-    for kind, per_subset in state.vectors.items():
-        nebula = config.nebulae[kind]
+    for (kind, subset), vec in state.vectors.items():
+        placements = config.nebulae[kind].placements
         star, _ = SMALL_STARS[kind]()
-        for subset_index, vec in enumerate(per_subset):
-            subset = config.subsets[subset_index]
-            for z, entry in enumerate(vec):
-                if len(entry) > cap:
-                    raise InvariantError(
-                        f"entry ({kind.value},{subset_index},{z}) exceeds capacity"
-                    )
-                slots = nebula.placements[z]
-                for triple in entry:
-                    stored |= vertex_mask(triple)
-                    count += len(triple)
-                    for m in range(3):
-                        part_id = subset[slots[m] - 1]
-                        if not state.initial_sets[part_id] >> triple[m] & 1:
-                            raise InvariantError(
-                                f"stored vertex {triple[m]} outside its slot part"
-                            )
-                    if not Embedding(triple).validate(host, star):
+        for z, entry in enumerate(vec):
+            if len(entry) > cap:
+                raise InvariantError(
+                    f"entry ({kind.value},{subset_rank(subset, config.t)},{z}) exceeds capacity"
+                )
+            for triple in entry:
+                stored |= vertex_mask(triple)
+                count += len(triple)
+                for m in range(3):
+                    part_id = subset[placements[z][m] - 1]
+                    if not state.initial_sets[part_id] >> triple[m] & 1:
                         raise InvariantError(
-                            f"stored triple {triple} does not induce the {kind.value} star"
+                            f"stored vertex {triple[m]} outside its slot part"
                         )
+                if not Embedding(triple).validate(host, star):
+                    raise InvariantError(
+                        f"stored triple {triple} does not induce the {kind.value} star"
+                    )
     if stored.bit_count() != count:
         raise InvariantError("stored triples are not vertex-disjoint")
     if stored != state.used:
@@ -441,7 +434,7 @@ def run(
         first = cert.violations[0]
         detail = ", ".join(f"{key}={value}" for key, value in first.detail.items())
         raise ParseError(f"the structure fails strong verification: {first.check} ({detail})")
-    state = initial_state(parts, config)
+    state = initial_state(parts)
     trace: list[dict] = []
     warning = config.lambda_warning()
     if warning:

@@ -576,11 +576,8 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456, 8: 6880, 9: 
 
 
 def cmd_enumerate(args) -> tuple[dict, dict, list[dict]]:
-    # the class-count check knows no count above n = 9: refuse before enumerating
-    budget = max(KNOWN_CLASS_COUNTS)
-    if args.n > budget:
-        raise BudgetError(f"enumeration limited to n <= {budget}, got {args.n}")
-    reps_list = list(core.enumerate_tournaments(args.n, budget=budget))
+    # the class-count check knows no count above n = 9
+    reps_list = list(core.enumerate_tournaments(args.n, budget=max(KNOWN_CLASS_COUNTS)))
     kept = []
     for t in reps_list:
         if args.filter == "prime" and not core.is_prime(t):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .containment import Embedding, contains_in_parts
 from .core import Tournament, mask_vertices, vertex_mask
@@ -426,25 +426,34 @@ def ugraph_from_edges(n: int, edges) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def turan_clique(adj: Sequence[int], p: int) -> Optional[tuple[int, ...]]:
-    """Exact search for a p-clique, lexicographically least, None if absent,
-    in the loopless graph with symmetric adjacency masks ``adj``."""
+def lex_first_clique(
+    n: int, p: int, narrow: Callable[[list[int], int], int]
+) -> Optional[tuple[int, ...]]:
+    """The lexicographically least p-subset of 0..n-1 whose members are each
+    a candidate when chosen, None if there is none.  At first every vertex is
+    a candidate; choosing v after the members ``chosen`` keeps only the
+    candidates above v that lie in the mask ``narrow(chosen, v)``."""
     if p <= 0:
         return ()
-    best: list[Optional[tuple[int, ...]]] = [None]
+    chosen: list[int] = []
 
-    def descend(chosen: list[int], cand: int) -> bool:
+    def descend(cand: int) -> bool:
         if len(chosen) == p:
-            best[0] = tuple(chosen)
             return True
         if len(chosen) + cand.bit_count() < p:
             return False
         for v in mask_vertices(cand):
+            narrowed = cand & narrow(chosen, v) & ~((1 << (v + 1)) - 1)
             chosen.append(v)
-            if descend(chosen, cand & adj[v] & ~((1 << (v + 1)) - 1)):
+            if descend(narrowed):
                 return True
             chosen.pop()
         return False
 
-    descend([], (1 << len(adj)) - 1)
-    return best[0]
+    return tuple(chosen) if descend((1 << n) - 1) else None
+
+
+def turan_clique(adj: Sequence[int], p: int) -> Optional[tuple[int, ...]]:
+    """Exact search for a p-clique, lexicographically least, None if absent,
+    in the loopless graph with symmetric adjacency masks ``adj``."""
+    return lex_first_clique(len(adj), p, lambda chosen, v: adj[v])

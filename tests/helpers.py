@@ -275,6 +275,16 @@ def single_star_config(case: str, t: int, w: int, lam, c=None) -> AlgorithmConfi
     return AlgorithmConfig(case, nebulae, 3, t, w, Fraction(c), Fraction(lam))
 
 
+def definition_monochromatic_clique(coloring, t: int, k: int):
+    """Definition-level oracle: the first k-subset of range(t) in lex order
+    whose triples are all white, else all black, else None."""
+    for want in ("white", "black"):
+        for subset in combinations(range(t), k):
+            if all(coloring[edge][0] == want for edge in combinations(subset, 3)):
+                return subset, want
+    return None
+
+
 def forward_block_host(part_count: int, part_size: int, seed: int) -> core.Tournament:
     """All cross-block edges forward, within-block edges random."""
     rng = random.Random(seed)

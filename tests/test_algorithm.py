@@ -4,9 +4,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     blocks,
+    definition_monochromatic_clique,
     forward_block_host,
     noise_host,
     random_speed_tables,
@@ -29,11 +32,12 @@ from nebulab.algorithm import (
     nonsaturation_extract,
     run,
     run_phase,
+    subset_rank,
 )
 from nebulab.errors import InvariantError, NebulabError, ParseError
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.stars import StarKind
-from nebulab.structures import verify_structure
+from nebulab.structures import classify_triple, verify_structure
 
 LAM = Fraction(3, 10)
 
@@ -50,12 +54,13 @@ class TestConfig:
         assert cfg.capacity == 1
         assert cfg.phase_bound() == 2 * 3 * 35
 
-    def test_subsets_built_once(self):
-        # check_state reads the subset list once per subset, so it must be one
-        # shared tuple for a check to stay linear in C(t, k)
-        cfg = single_star_config("LR", 7, 30, LAM)
-        assert cfg.subsets is cfg.subsets
-        assert cfg.subsets == tuple(itertools.combinations(range(7), 3))
+    def test_subset_rank_is_lex_index(self):
+        # trace records name a clique by its index among all C(t, k) subsets
+        for t in range(1, 10):
+            for k in range(t + 1):
+                subsets = list(itertools.combinations(range(t), k))
+                for s in subsets:
+                    assert subset_rank(s, t) == subsets.index(s)
 
     def test_case_nebula_kinds_enforced(self):
         neb = {
@@ -143,6 +148,50 @@ class TestColoring:
         assert label == "uncolored"
         assert payload.validate(host)
 
+    def test_stops_at_first_uncolored(self, monkeypatch):
+        # every part 3 -> part 4 edge forward: no vertex of part 4 covers part
+        # 3, so (0, 3, 4) is the lex-first uncolored triple
+        b, d = uniform_tables(5, 2, 5)
+        rows = list(victim_host(5, 30, b, d, seed=0).rows)
+        for u in range(90, 120):
+            for v in range(120, 150):
+                rows[u] |= 1 << v
+                rows[v] &= ~(1 << u)
+        host = core.Tournament(150, tuple(rows))
+        cfg = single_star_config("LR", 5, 30, LAM, c=Fraction(1, 5))
+        sets = [core.vertex_mask(p) for p in blocks(5, 30)]
+        full = {
+            edge: classify_triple(host, algorithm.Triple(tuple(sets[p] for p in edge)),
+                                  *CASES["LR"].query)
+            for edge in itertools.combinations(range(5), 3)
+        }
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return classify_triple(*args)
+
+        monkeypatch.setattr(algorithm, "classify_triple", counting)
+        coloring = color_hyperedges(host, sets, cfg)
+        prefix = list(itertools.combinations(range(5), 3))[:6]
+        assert list(coloring) == prefix and prefix[-1] == (0, 3, 4)
+        assert len(calls) == 6
+        assert [entry[1] for entry in coloring.values()] == [full[e] for e in prefix]
+        assert [entry[0] for entry in coloring.values()] == ["white"] * 5 + ["uncolored"]
+        outcome, record = run_phase(host, initial_state(blocks(5, 30)), cfg)
+        assert record == {"phase": 0, "action": "state-0", "edge": [0, 3, 4]}
+        assert outcome.pair == full[(0, 3, 4)]
+
+    @pytest.mark.parametrize("emptied, named", [({4}, 4), ({2, 5}, 2)])
+    def test_emptied_part_named(self, monkeypatch, emptied, named):
+        host = noise_host(7, 30, span=10, seed=5)
+        cfg = single_star_config("LR", 7, 30, LAM)
+        sets = [0 if p in emptied else core.vertex_mask(part)
+                for p, part in enumerate(blocks(7, 30))]
+        monkeypatch.setattr(algorithm, "classify_triple", None)  # checked before any triple
+        with pytest.raises(InvariantError, match=f"part {named} emptied"):
+            color_hyperedges(host, sets, cfg)
+
 
 class TestMonochromaticClique:
     def test_all_white_first_subset(self):
@@ -171,18 +220,23 @@ class TestMonochromaticClique:
                 for e in itertools.combinations(range(7), 3)
             }
             got = find_monochromatic_clique(coloring, 7, 4)
-            brute = None
-            for want in ("white", "black"):
-                for subset in itertools.combinations(range(7), 4):
-                    if all(
-                        coloring[e][0] == want
-                        for e in itertools.combinations(subset, 3)
-                    ):
-                        brute = (subset, want)
-                        break
-                if brute:
-                    break
-            assert got == brute
+            assert got == definition_monochromatic_clique(coloring, 7, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_definition(self, data):
+        t = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(1, min(t, 6)))
+        white_share = data.draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        coloring = {
+            e: ("white" if rng.random() < white_share else "black", None)
+            for e in itertools.combinations(range(t), 3)
+        }
+        got = find_monochromatic_clique(coloring, t, k)
+        assert got == definition_monochromatic_clique(coloring, t, k)
+        if k <= 2:  # no triple inside: the first subset qualifies
+            assert got == (tuple(range(k)), "white")
 
     def test_none_when_mixed(self):
         coloring = {
@@ -199,7 +253,7 @@ class TestRunPhase:
         b, d = uniform_tables(7, 2, 5)
         host = victim_host(7, 30, b, d, seed=3)
         cfg = single_star_config("LR", 7, 30, LAM)
-        state = initial_state(blocks(7, 30), cfg)
+        state = initial_state(blocks(7, 30))
         before = sum(s.bit_count() for s in state.sets)
         outcome, record = run_phase(host, state, cfg)
         assert outcome is None
@@ -208,10 +262,23 @@ class TestRunPhase:
         assert state.used.bit_count() == 3
         check_state(host, state, cfg)
 
+    def test_append_stores_one_vector(self):
+        b, d = uniform_tables(7, 2, 5)
+        host = victim_host(7, 30, b, d, seed=3)
+        cfg = single_star_config("LR", 7, 30, LAM)
+        state = initial_state(blocks(7, 30))
+        assert state.vectors == {}
+        _, record = run_phase(host, state, cfg)
+        assert record["action"] == "append"
+        kind, clique = StarKind(record["kind"]), tuple(record["clique"])
+        assert list(state.vectors) == [(kind, clique)]
+        assert state.vectors[kind, clique] == [[tuple(record["witness"])]]
+        assert record["entry"] == [kind.value, subset_rank(clique, 7), 0]
+
     def test_all_uncolored_state_zero(self):
         host = noise_host(3, 10, span=3, seed=2)
         cfg = single_star_config("LR", 3, 10, LAM, c=Fraction(1, 3))
-        state = initial_state(blocks(3, 10), cfg)
+        state = initial_state(blocks(3, 10))
         outcome, record = run_phase(host, state, cfg)
         assert isinstance(outcome, CompletePairOutcome)
         assert outcome.state_label == 0
@@ -223,7 +290,7 @@ class TestRunPhase:
         b, d = uniform_tables(7, 3, 15)
         host = victim_host(7, 30, b, d, seed=4)
         cfg = single_star_config("LR", 7, 30, LAM)
-        state = initial_state(blocks(7, 30), cfg)
+        state = initial_state(blocks(7, 30))
         outcome, _ = run_phase(host, state, cfg)
         assert outcome is None
         outcome, record = run_phase(host, state, cfg)
@@ -277,9 +344,9 @@ class TestNonsaturationExtract:
             "LR", nebulae, k, t_parts, w, Fraction(1, t_parts + 1), Fraction(1, 2)
         )
         assert cfg.capacity == cap or cfg.capacity >= 1
-        state = initial_state(parts, cfg)
-        subset_index = cfg.subsets.index(tuple(range(k)))
-        vec = state.vectors[star_kind][subset_index]
+        state = initial_state(parts)
+        subset = tuple(range(k))
+        vec = state.vectors[star_kind, subset] = [[] for _ in placements]
         for z in range(star_count):
             for r in range(cfg.capacity):
                 triple = tuple(vid(3 * z + m, r) for m in range(3))
@@ -287,28 +354,28 @@ class TestNonsaturationExtract:
                 for v in triple:
                     state.used |= 1 << v
                     state.sets = [s & ~(1 << v) for s in state.sets]
-        return host, cfg, state, subset_index
+        return host, cfg, state, subset
 
     def test_planted_two_star_extraction(self):
-        host, cfg, state, idx = self._planted_state(StarKind.LEFT, 2, cap=1)
-        outcome = nonsaturation_extract(host, state, cfg, idx, StarKind.LEFT)
+        host, cfg, state, subset = self._planted_state(StarKind.LEFT, 2, cap=1)
+        outcome = nonsaturation_extract(host, state, cfg, subset, StarKind.LEFT)
         assert isinstance(outcome, ForbiddenCopyOutcome)
         assert outcome.pattern.n == 6
         assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
         assert outcome.embedding.validate(host, outcome.pattern)
 
     def test_capacity_one_minimal(self):
-        host, cfg, state, idx = self._planted_state(StarKind.RIGHT, 1, cap=1)
-        outcome = nonsaturation_extract(host, state, cfg, idx, StarKind.RIGHT)
+        host, cfg, state, subset = self._planted_state(StarKind.RIGHT, 1, cap=1)
+        outcome = nonsaturation_extract(host, state, cfg, subset, StarKind.RIGHT)
         assert outcome.pattern.n == 3
         assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
         assert outcome.embedding.validate(host, outcome.pattern)
 
     def test_unsaturated_rejected(self):
-        host, cfg, state, idx = self._planted_state(StarKind.LEFT, 2, cap=1)
-        state.vectors[StarKind.LEFT][idx][0].pop()
+        host, cfg, state, subset = self._planted_state(StarKind.LEFT, 2, cap=1)
+        state.vectors[StarKind.LEFT, subset][0].pop()
         with pytest.raises(ValueError):
-            nonsaturation_extract(host, state, cfg, idx, StarKind.LEFT)
+            nonsaturation_extract(host, state, cfg, subset, StarKind.LEFT)
 
 
 class TestRun:
@@ -403,7 +470,7 @@ class TestRun:
         b, d = uniform_tables(7, 2, 5)
         host = victim_host(7, 30, b, d, seed=11)
         cfg = single_star_config("LR", 7, 30, LAM)
-        state = initial_state(blocks(7, 30), cfg)
+        state = initial_state(blocks(7, 30))
         outcome, _ = run_phase(host, state, cfg)
         assert outcome is None
         state.sets[0] |= state.used & -state.used  # resurrect a stored vertex

@@ -423,12 +423,23 @@ class TestOtherCommands:
         assert checks["class-count-table"]["detail"]["total_classes"] == 11
 
     def test_enumerate_refuses_n_above_class_table(self, capsys, monkeypatch):
-        def never(n, budget):
-            pytest.fail(f"enumerated n = {n}, which has no known class count")
+        # the class table's largest n is the enumeration's budget, which
+        # refuses n = 10 on the first step, before any class is extended
+        calls = []
+        real = core.enumerate_tournaments
 
-        monkeypatch.setattr(cli.core, "enumerate_tournaments", never)
+        def recording(n, budget):
+            calls.append((n, budget))
+            return real(n, budget)
+
+        def never(size, cols):
+            pytest.fail(f"extended a class of size {size}, though n = 10 has no known class count")
+
+        monkeypatch.setattr(cli.core, "enumerate_tournaments", recording)
+        monkeypatch.setattr(core, "_rows_from_columns", never)
         err = assert_clean_exit(capsys, ["enumerate", "--n", "10"], 3)
         assert err == "budget exceeded: enumeration limited to n <= 9, got 10\n"
+        assert calls == [(10, 9)]
 
     def test_exponent_triangle_slope(self, capsys, c3_file):
         code, report = run_cli(
