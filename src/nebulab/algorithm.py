@@ -87,6 +87,8 @@ class AlgorithmConfig:
         for nebula in self.nebulae.values():
             if nebula.width > self.k:
                 raise ParseError(f"nebula width {nebula.width} exceeds k = {self.k}")
+        if not 0 <= self.lam < 1:
+            raise ParseError(f"need 0 <= lambda < 1, got lambda = {self.lam}")
         if math.comb(self.t, self.k) > SUBSET_BUDGET:
             raise BudgetError(
                 f"C({self.t},{self.k}) = {math.comb(self.t, self.k)} part subsets exceed "

@@ -7,7 +7,8 @@ checkers.  Exit codes: 0 = every validation entry passed (a negative verdict
 is data and still exits 0), 1 = some validation entry failed (a --replay
 mismatch included), 2 = malformed file or argument, including one that
 parses but breaks a library precondition (the library raises ParseError:
-slot triples outside --k, --k above --t, or --structure parts that fail
+slot triples outside --k, --k above --t, a --lam outside [0, 1), where
+every partition or none would be strong, or --structure parts that fail
 strong verification), a --replay trace that cannot be read or parsed, an
 output path that cannot be written, an enumerate --out directory holding
 a class file this run would not write, or an exponent --sizes list that

@@ -42,7 +42,7 @@ def _parse_matrix(n: int, body: list[str]) -> Tournament:
         raise ParseError(f"expected {n} matrix rows, got {len(body)}")
     rows = []
     for i, line in enumerate(body):
-        if len(line) != n or set(line) - {"0", "1"}:
+        if len(line) != n or line.count("0") + line.count("1") != n:
             raise ParseError(f"row {i + 1} is not {n} binary digits")
         rows.append(int(line[::-1], 2))
     try:

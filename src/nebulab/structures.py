@@ -41,21 +41,21 @@ class StructureCertificate:
     under: tuple  # (host, c, lambda, strong) they were checked under
 
 
-def _neighbour_mask(host: Tournament, v: int, target: int, out: bool) -> int:
-    """The out-neighbours (``out``) or in-neighbours of v inside the mask
-    ``target``, which must not hold v."""
-    return target & host.rows[v] if out else target & ~host.rows[v]
-
-
 def dense_vertices(host: Tournament, part: int, other: int, later: bool, slack: Fraction) -> int:
     """The mask of the vertices of ``part`` that meet at least a 1 - slack
     share of ``other`` on the structure's side: beating it when ``other`` is
     later, beaten by it otherwise (the per-vertex strong condition)."""
-    need = (slack.denominator - slack.numerator) * other.bit_count()
+    size = other.bit_count()
+    need = (slack.denominator - slack.numerator) * size
+    rows = host.rows
     dense = 0
-    for v in mask_vertices(part):
-        if _neighbour_mask(host, v, other, later).bit_count() * slack.denominator >= need:
-            dense |= 1 << v
+    rest = part
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        beaten = (rows[low.bit_length() - 1] & other).bit_count()
+        if (beaten if later else size - beaten) * slack.denominator >= need:
+            dense |= low
     return dense
 
 
@@ -85,20 +85,32 @@ def verify_structure(
         size = s.bit_count()
         if size < bound:
             violations.append(Violation("size", {"part": i, "size": size, "bound": bound}))
+    # beaten[i, j][m]: how many vertices of part j the m-th vertex of part i
+    # beats; the pair density and strong-out checks of i < j share one table
+    rows = host.rows
+    members = [mask_vertices(s) for s in parts]
+    beaten = {
+        (i, j): [(rows[v] & parts[j]).bit_count() for v in members[i]]
+        for i, j in (permutations if strong else combinations)(range(len(parts)), 2)
+    }
+    den, keep = lam.denominator, lam.denominator - lam.numerator  # 1 - lam == keep / den
     for i, j in combinations(range(len(parts)), 2):
-        pairs = parts[i].bit_count() * parts[j].bit_count()
-        edges = sum((host.rows[v] & parts[j]).bit_count() for v in mask_vertices(parts[i]))
-        if edges * lam.denominator < (lam.denominator - lam.numerator) * pairs:
+        pairs = len(members[i]) * len(members[j])
+        edges = sum(beaten[i, j])
+        if edges * den < keep * pairs:
             d = Fraction(edges, pairs)
             violations.append(Violation("pair-density", {"i": i, "j": j, "d": d}))
     if strong:
-        for (i, s), (j, other) in permutations(enumerate(parts), 2):
+        for i, j in permutations(range(len(parts)), 2):
             later = i < j
             kind = "strong-out" if later else "strong-in"
-            for v in mask_vertices(s & ~dense_vertices(host, s, other, later, lam)):
-                met = _neighbour_mask(host, v, other, later).bit_count()
-                d = Fraction(met, other.bit_count())
-                violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
+            size = len(members[j])
+            need = keep * size
+            for v, count in zip(members[i], beaten[i, j]):
+                met = count if later else size - count
+                if met * den < need:
+                    d = Fraction(met, size)
+                    violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
     return StructureCertificate(not violations, tuple(violations), tuple(subsets),
                                 (host, c, lam, strong))
 
@@ -144,16 +156,14 @@ class CompletePair:
 class TripleClass:
     """(i, j) verdict: coverage of S_j reaches half no later than S_l's.
 
-    ``prefixes_j`` and ``prefixes_l`` hold the cumulative coverages of S_j and
-    S_l along S_i in ascending order, as masks."""
+    ``k_j`` and ``k_l`` are the steps along S_i, in ascending order, at which
+    the coverages of S_j and S_l first reach half of their sets."""
 
     i: int
     j: int
     l: int
     k_j: int
     k_l: int
-    prefixes_j: tuple[int, ...]
-    prefixes_l: tuple[int, ...]
 
 
 TripleVerdict = Union[CompletePair, TripleClass]
@@ -162,10 +172,11 @@ TripleVerdict = Union[CompletePair, TripleClass]
 def _coverage_profile(host: Tournament, sigma: Triple, i: int, j: int) -> tuple[int, ...]:
     """Cumulative unions of N(v, j) along S_i in ascending order, as masks."""
     target = sigma.masks[j - 1]
+    flip = -1 if j > i else 0  # N(v, j) is v's in-neighbourhood when S_j is later
     union = 0
     prefixes = []
     for v in mask_vertices(sigma.masks[i - 1]):
-        union |= _neighbour_mask(host, v, target, j < i)
+        union |= target & (host.rows[v] ^ flip)
         prefixes.append(union)
     return tuple(prefixes)
 
@@ -177,31 +188,47 @@ def _complete_pair(first: int, second: int) -> CompletePair:
 def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVerdict:
     """The trichotomy: a complete pair, an (i,j)-triple, or an (i,l)-triple.
 
-    If a total neighbourhood union misses half of its target, the untouched
-    half is complete to S_i (or the reverse) and a CompletePair is emitted.
-    Otherwise S_i is ordered by ascending id and the verdict follows the
-    first-to-half comparison of the two cumulative coverages; ties go to the
-    queried j.
+    S_i is walked once in ascending id order, each vertex adding N(v, j) and
+    N(v, l) to the coverages of S_j and S_l; the walk stops at the step where
+    both coverages have reached half.  If it ends with S_j's (else S_l's)
+    coverage below half, the untouched half is complete to S_i (or the
+    reverse) and a CompletePair is emitted.  Otherwise the verdict follows the
+    first-to-half comparison of the two coverages; ties go to the queried j.
     """
     if i not in (1, 2, 3) or j not in (1, 2, 3) or i == j:
         raise ValueError(f"invalid triple indices ({i},{j})")
     l = 6 - i - j
-    source = sigma.masks[i - 1]
-    profiles = {}
-    for target in (j, l):
-        prefixes = _coverage_profile(host, sigma, i, target)
-        size = sigma.masks[target - 1].bit_count()
-        if 2 * prefixes[-1].bit_count() < size:
-            untouched = sigma.masks[target - 1] & ~prefixes[-1]
-            if target > i:
+    source, target_j, target_l = sigma.masks[i - 1], sigma.masks[j - 1], sigma.masks[l - 1]
+    size_j, size_l = target_j.bit_count(), target_l.bit_count()
+    # N(v, m) is v's in-neighbourhood, ~row, when S_m is later than S_i
+    flip_j, flip_l = -1 if j > i else 0, -1 if l > i else 0
+    rows = host.rows
+    cov_j = cov_l = k_j = k_l = step = 0
+    rest = source
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = rows[low.bit_length() - 1]
+        step += 1
+        if not k_j:
+            cov_j |= target_j & (row ^ flip_j)
+            if 2 * cov_j.bit_count() >= size_j:
+                k_j = step
+        if not k_l:
+            cov_l |= target_l & (row ^ flip_l)
+            if 2 * cov_l.bit_count() >= size_l:
+                k_l = step
+        if k_j and k_l:
+            break
+    for k, cov, target, index in ((k_j, cov_j, target_j, j), (k_l, cov_l, target_l, l)):
+        if not k:
+            untouched = target & ~cov
+            if index > i:
                 return _complete_pair(source, untouched)
             return _complete_pair(untouched, source)
-        k = next(k for k, cov in enumerate(prefixes, 1) if 2 * cov.bit_count() >= size)
-        profiles[target] = (k, prefixes)
-    (k_j, prof_j), (k_l, prof_l) = profiles[j], profiles[l]
     if k_j <= k_l:
-        return TripleClass(i, j, l, k_j, k_l, prof_j, prof_l)
-    return TripleClass(i, l, j, k_l, k_j, prof_l, prof_j)
+        return TripleClass(i, j, l, k_j, k_l)
+    return TripleClass(i, l, j, k_l, k_j)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +267,8 @@ def witness(
     host: Tournament, sigma: Triple, verdict: TripleClass
 ) -> Union[WitnessTriple, CompletePair]:
     """Extract the star pattern promised by an (i,j)-verdict, the lex-first
-    (v1, v2, v3), or a half-sized complete pair built from the verdict's
-    coverage prefixes when no pattern exists.
+    (v1, v2, v3), or a half-sized complete pair built from the coverage
+    prefixes of S_j and S_l along S_i when no pattern exists.
 
     The pair construction needs a step k at which the j-coverage has reached
     half while the l-coverage has not exceeded it; when the two coverages
@@ -257,7 +284,9 @@ def witness(
         return WitnessTriple(found.mapping, pattern)
     size_j = sigma.masks[verdict.j - 1].bit_count()
     size_l = sigma.masks[verdict.l - 1].bit_count()
-    for cov_j, cov_l in zip(verdict.prefixes_j, verdict.prefixes_l):
+    prefixes_j = _coverage_profile(host, sigma, verdict.i, verdict.j)
+    prefixes_l = _coverage_profile(host, sigma, verdict.i, verdict.l)
+    for cov_j, cov_l in zip(prefixes_j, prefixes_l):
         if 2 * cov_j.bit_count() >= size_j and 2 * cov_l.bit_count() <= size_l:
             sides = []
             for role, index in (a_spec, b_spec):

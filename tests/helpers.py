@@ -13,7 +13,7 @@ from nebulab.containment import Embedding, contains
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.regularity import PairVerdict, ViolatingPair, to_fraction
 from nebulab.stars import StarKind
-from nebulab.structures import Triple
+from nebulab.structures import CompletePair, Triple, TripleClass
 
 
 def all_labeled_tournaments(n: int):
@@ -309,6 +309,44 @@ def neighborhood(host: core.Tournament, sigma: Triple, v: int, j: int) -> frozen
     target = sigma.masks[j - 1]
     met = target & ~host.rows[v] if j > i else target & host.rows[v]
     return frozenset(core.mask_vertices(met))
+
+
+def definition_classify_triple(host: core.Tournament, sigma: Triple, i: int, j: int):
+    """The coverage trichotomy from whole coverage profiles on sets: for S_j,
+    then S_l, the coverage after each vertex of S_i in ascending order.  A
+    target whose total coverage misses half gives the complete pair of its
+    untouched vertices and S_i; otherwise the verdict compares the first steps
+    at which the two coverages reach half, a tie going to the queried j."""
+    l = 6 - i - j
+    source = sigma.get(i)
+    first_half = {}
+    for target in (j, l):
+        covered: set[int] = set()
+        profile = []
+        for v in sorted(source):
+            covered |= neighborhood(host, sigma, v, target)
+            profile.append(len(covered))
+        whole = sigma.get(target)
+        if 2 * profile[-1] < len(whole):
+            untouched = frozenset(whole - covered)
+            if target > i:
+                return CompletePair(source, untouched)
+            return CompletePair(untouched, source)
+        first_half[target] = next(k for k, size in enumerate(profile, 1)
+                                  if 2 * size >= len(whole))
+    if first_half[j] <= first_half[l]:
+        return TripleClass(i, j, l, first_half[j], first_half[l])
+    return TripleClass(i, l, j, first_half[l], first_half[j])
+
+
+def definition_dense_vertices(t: core.Tournament, part, other, later: bool, slack) -> frozenset:
+    """The vertices v of ``part`` whose density towards ``other`` on the
+    structure's side, d({v}, other) when ``other`` is later and d(other, {v})
+    otherwise, is at least 1 - slack."""
+    return frozenset(
+        v for v in part
+        if (set_density(t, {v}, other) if later else set_density(t, other, {v})) >= 1 - slack
+    )
 
 
 def set_density(t: core.Tournament, a, b) -> Fraction:

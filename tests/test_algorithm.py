@@ -103,6 +103,8 @@ class TestInputRules:
             (lambda: PlacementNebula(StarKind.LEFT, ((1, 2, 3), (3, 4, 5)), 5), "reuses"),
             (lambda: PlacementNebula(StarKind.LEFT, ((1, 2, 9),), 3), "slot universe 1..3"),
             (lambda: single_star_config("LR", 2, 30, LAM), "k <= t"),
+            (lambda: single_star_config("LR", 7, 30, 1), "0 <= lambda < 1"),
+            (lambda: single_star_config("LR", 7, 30, Fraction(-1, 10)), "0 <= lambda < 1"),
             (lambda: _run_on_forward_blocks(FORWARD_BLOCKS[:2]), "2 parts, not t = 3"),
             (
                 lambda: _run_on_forward_blocks(FORWARD_BLOCKS[:2] + [frozenset({8, 9, 10})]),

@@ -109,6 +109,19 @@ MALFORMED_MATRIX_BODIES = [
 ]
 
 
+@pytest.mark.parametrize("bad", ["0120", "01 0", "01_0", "01\uff110"])
+def test_first_non_binary_row_named(capsys, tmp_path, bad):
+    # rows 2 and 4 hold a 2, an inner space, an underscore or a full-width
+    # one; int(row, 2) would read the last two as binary
+    text = f"tournament 4 matrix\n0111\n{bad}\n0001\n{bad[::-1]}\n"
+    with pytest.raises(ParseError, match="row 2 is not 4 binary digits"):
+        parse_tournament(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    err = assert_clean_exit(capsys, ["tr", str(path)], 2)
+    assert "row 2 is not 4 binary digits" in err
+
+
 @pytest.mark.parametrize("body", MALFORMED_MATRIX_BODIES)
 def test_malformed_matrix_row_exits_2(capsys, tmp_path, body):
     text = f"tournament 3 matrix\n{body}\n"
@@ -747,6 +760,17 @@ class TestMalformedInput:
         names = {"C3": c3_file, "BAD": str(bad)}
         err = assert_clean_exit(capsys, [names.get(arg, arg) for arg in argv], 2)
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("lam", ["2", "1", "3/2", "-1/2"])
+    def test_lambda_outside_unit_interval_exit(self, capsys, tmp_path, lam):
+        # with lambda >= 1 every partition is vacuously strong, with
+        # lambda < 0 none is
+        host = tmp_path / "h21.txt"
+        host.write_text(write_matrix(core.random_tournament(21, random.Random(0))))
+        argv = ["run-algorithm", str(host), "--case", "LR", "--t", "7", "--part-size", "3",
+                f"--lam={lam}"]
+        err = assert_clean_exit(capsys, argv, 2)
+        assert f"need 0 <= lambda < 1, got lambda = {lam}" in err
 
     def test_exponent_without_enough_samples_exit(self, capsys):
         assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)

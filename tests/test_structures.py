@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    definition_classify_triple,
+    definition_dense_vertices,
     forward_block_host,
     neighborhood,
     pattern_triple,
@@ -25,6 +27,7 @@ from nebulab.structures import (
     TripleClass,
     WitnessTriple,
     classify_triple,
+    dense_vertices,
     extract_product,
     is_normal,
     make_triple,
@@ -148,6 +151,62 @@ class TestVerifyStructureOracle:
         with pytest.raises(ValueError):
             verify_structure(host, parts, c, lam, strong=True)
 
+    def test_random_partitions_match_definition(self):
+        # whole-host partitions into equal parts, as the phase algorithm
+        # checks them, with lambda on some vertex's exact density
+        rng = random.Random(11)
+        passed = 0
+        for _ in range(60):
+            t, w = rng.randint(2, 5), rng.randint(2, 6)
+            host = random_tournament(t * w, rng)
+            order = rng.sample(range(t * w), t * w)
+            parts = [frozenset(order[p * w:(p + 1) * w]) for p in range(t)]
+            lam = 1 - rng.choice(all_densities(host, parts))
+            cert = verify_structure(host, parts, Fraction(1, t), lam, strong=True)
+            want = structure_oracle(host, parts, Fraction(1, t), lam, True)
+            assert [(v.check, v.detail) for v in cert.violations] == want
+            passed += cert.passed
+        assert 0 < passed < 60
+
+
+@st.composite
+def dense_cases(draw):
+    """A random host, disjoint nonempty ``part`` and ``other``, a side, and a
+    slack often set so that some vertex's density is exactly 1 - slack."""
+    n = draw(st.integers(2, 12))
+    host = random_tournament(n, random.Random(draw(st.integers(0, 2**32))))
+    order = draw(st.permutations(range(n)))
+    cut = draw(st.integers(1, n - 1))
+    end = draw(st.integers(cut + 1, n))
+    part, other = frozenset(order[:cut]), frozenset(order[cut:end])
+    later = draw(st.booleans())
+    densities = sorted(
+        set_density(host, {v}, other) if later else set_density(host, other, {v}) for v in part
+    )
+    exact = st.sampled_from([1 - d for d in densities])
+    slack = draw(st.one_of(exact, st.fractions(0, 1, max_denominator=12)))
+    return host, part, other, later, slack
+
+
+class TestDenseVertices:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_cases())
+    def test_matches_definition(self, case):
+        host, part, other, later, slack = case
+        got = dense_vertices(host, core.vertex_mask(part), core.vertex_mask(other), later, slack)
+        assert frozenset(core.mask_vertices(got)) == definition_dense_vertices(
+            host, part, other, later, slack)
+
+    @pytest.mark.parametrize("later, part, other", [(True, {0}, {1, 2, 3}),
+                                                    (False, {3}, {0, 1, 2})])
+    def test_density_on_the_bound_is_dense(self, later, part, other):
+        # 0 -> 1, 0 -> 2 and 3 -> 0: vertex 0 beats 2 of {1, 2, 3}, and
+        # vertex 3 is beaten by 2 of {0, 1, 2}, a density of exactly 2/3
+        host = from_backward_edges(4, (0, 1, 2, 3), [(3, 0)])
+        part, other = core.vertex_mask(part), core.vertex_mask(other)
+        assert dense_vertices(host, part, other, later, Fraction(1, 3)) == part
+        assert dense_vertices(host, part, other, later, Fraction(1, 3) - Fraction(1, 100)) == 0
+
 
 class TestNeighborhood:
     """Checks of the test oracle helpers.neighborhood."""
@@ -201,6 +260,95 @@ def adversarial_no_pattern_host():
         (20, 2), (21, 3),
     ]
     return from_backward_edges(24, tuple(range(24)), back)
+
+
+# shares of a cross pair's edges drawn backward (the later set's vertex
+# beating the earlier set's): 0 leaves the coverage empty, a complete pair,
+# and 1 covers both targets at the first step, a k_j == k_l tie
+BACKWARD_SHARES = (0, 0.1, 0.5, 0.9, 1)
+QUERIES = list(itertools.permutations((1, 2, 3), 2))
+
+
+def planted_triple(rng, sizes, shares, extra):
+    """A host holding three sets of ``sizes`` among ``extra`` further vertices,
+    each cross pair (a, b) of sets backward at the share ``shares[a, b]``."""
+    n = sum(sizes) + extra
+    order = rng.sample(range(n), n)
+    sets = [order[sum(sizes[:m]):sum(sizes[:m + 1])] for m in range(3)]
+    set_of = {v: m for m, members in enumerate(sets) for v in members}
+    rows = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        a, b = set_of.get(u), set_of.get(v)
+        if a is not None and b is not None and a != b:
+            earlier, later = (u, v) if a < b else (v, u)
+            backward = rng.random() < shares[min(a, b), max(a, b)]
+            winner, loser = (later, earlier) if backward else (earlier, later)
+        else:
+            winner, loser = (u, v) if rng.random() < 0.5 else (v, u)
+        rows[winner] |= 1 << loser
+    return core.Tournament(n, tuple(rows)), make_triple(*sets)
+
+
+@st.composite
+def planted_triples(draw):
+    sizes = [draw(st.integers(1, 6)) for _ in range(3)]
+    shares = {pair: draw(st.sampled_from(BACKWARD_SHARES))
+              for pair in itertools.combinations(range(3), 2)}
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return planted_triple(rng, sizes, shares, draw(st.integers(0, 3)))
+
+
+class _ReadLog(tuple):
+    """Host rows that record which vertices' rows were read."""
+
+    def __getitem__(self, index):
+        self.read.append(index)
+        return super().__getitem__(index)
+
+
+class TestClassifyTripleOracle:
+    """The early-stopping walk against the whole-profile definition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planted_triples())
+    def test_matches_definition(self, case):
+        host, sigma = case
+        for i, j in QUERIES:
+            assert classify_triple(host, sigma, i, j) == definition_classify_triple(
+                host, sigma, i, j)
+
+    def test_every_verdict_kind_agrees(self):
+        rng = random.Random(12)
+        seen = {"pair-j": 0, "pair-l": 0, "tie": 0, "strict": 0, "swapped": 0}
+        for _ in range(400):
+            sizes = [rng.randint(1, 6) for _ in range(3)]
+            shares = {pair: rng.choice(BACKWARD_SHARES)
+                      for pair in itertools.combinations(range(3), 2)}
+            host, sigma = planted_triple(rng, sizes, shares, rng.randint(0, 3))
+            for i, j in QUERIES:
+                got = classify_triple(host, sigma, i, j)
+                assert got == definition_classify_triple(host, sigma, i, j)
+                if isinstance(got, CompletePair):
+                    untouched = got.b if got.a == sigma.get(i) else got.a
+                    seen["pair-j" if untouched <= sigma.get(j) else "pair-l"] += 1
+                elif got.k_j == got.k_l:
+                    seen["tie"] += 1
+                else:
+                    seen["swapped" if got.j != j else "strict"] += 1
+        assert all(seen.values()), seen
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_triples())
+    def test_walk_stops_at_half(self, case):
+        host, sigma = case
+        for i, j in QUERIES:
+            rows = _ReadLog(host.rows)
+            rows.read = []
+            verdict = classify_triple(type("Host", (), {"rows": rows})(), sigma, i, j)
+            walked = core.mask_vertices(sigma.masks[i - 1])
+            if isinstance(verdict, TripleClass):
+                walked = walked[:verdict.k_l]
+            assert rows.read == walked
 
 
 class TestClassifyTriple:
