@@ -336,9 +336,7 @@ def nonsaturation_extract(
             )
     omega_sets = [frozenset(column) for column in columns.values()]
     theta = Fraction(1, 9 * config.k * math.comb(config.t, config.k))
-    cert = verify_structure(
-        host, omega_sets, config.c * theta, config.lam / theta, strong=True
-    )
+    cert = verify_structure(host, omega_sets, config.c * theta, config.lam / theta)
     if not cert.passed:
         raise ExtractionError("strong-structure", cert)
     star, _ = SMALL_STARS[kind]()
@@ -415,7 +413,9 @@ def run(
     config: AlgorithmConfig,
     cert: Optional[StructureCertificate] = None,
 ) -> RunResult:
-    """Run phases until a terminal outcome, re-validating every payload.
+    """Run phases until a terminal outcome.  A state-0 pair is complete by
+    classify_triple's construction; witness validates a state-2 pair and
+    extract_product a forbidden copy.
 
     The parts must be t disjoint sets of W vertices forming a strong
     (c, lambda)-structure; ParseError names the first rule they break.  A
@@ -430,8 +430,8 @@ def run(
     if len(frozenset().union(*parts)) < config.t * config.part_size:
         raise ParseError("structure parts must be disjoint")
     if cert is None or (cert.passed, cert.parts, cert.under) != (
-            True, tuple(parts), (host, config.c, config.lam, True)):
-        cert = verify_structure(host, parts, config.c, config.lam, strong=True)
+            True, tuple(parts), (host, config.c, config.lam)):
+        cert = verify_structure(host, parts, config.c, config.lam)
     if not cert.passed:
         first = cert.violations[0]
         detail = ", ".join(f"{key}={value}" for key, value in first.detail.items())
@@ -452,10 +452,6 @@ def run(
     if outcome is None:
         outcome = PhaseLimitOutcome(state.phase)
         trace.append({"phase": state.phase, "action": "phase-limit"})
-    # extract_product has validated a forbidden copy and witness its own pairs;
-    # a complete pair straight from classify_triple is checked only here
-    if isinstance(outcome, CompletePairOutcome) and not outcome.pair.validate(host):
-        raise InvariantError("terminal complete pair failed edge re-validation")
     trace.append({"phase": state.phase, "action": "terminal", "outcome": type(outcome).__name__})
     return RunResult(outcome, state.phase, trace)
 
@@ -480,7 +476,7 @@ def find_strong_structure(
         parts = [
             frozenset(vertices[i * part_size : (i + 1) * part_size]) for i in range(t)
         ]
-        cert = verify_structure(host, parts, c, lam, strong=True)
+        cert = verify_structure(host, parts, c, lam)
         if cert.passed:
             return cert
     return None

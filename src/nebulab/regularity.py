@@ -295,7 +295,6 @@ class PipelineReport:
     f_sizes: tuple[int, ...]
     finals: tuple[tuple[int, ...], ...]
     c: Fraction
-    bullets: dict
 
 
 def strong_structure_pipeline(
@@ -420,16 +419,9 @@ def strong_structure_pipeline(
     # set, which holds ceil(|W|/2) vertices, so the finals form a strong
     # (c, lambda)-structure; the check below re-derives it.
     c = Fraction(len(finals[0]), host.n)
-    cert = verify_structure(host, finals, c, lam_f, strong=True)
+    cert = verify_structure(host, finals, c, lam_f)
     if not cert.passed:
         raise InvariantError(f"final sets fail the strong structure: {cert.violations[:3]}")
-    bullets = {
-        "passed": True,
-        "equal_sizes": True,
-        "per_vertex_forward": True,
-        "per_vertex_backward": True,
-        "c": c,
-    }
     return PipelineReport(
         stable_parts=stable,
         t_hat_edges=tuple(t_hat_edges),
@@ -438,6 +430,5 @@ def strong_structure_pipeline(
         f_sizes=tuple(len(f) for f in f_sets),
         finals=finals,
         c=c,
-        bullets=bullets,
     )
 

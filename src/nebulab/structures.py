@@ -38,7 +38,7 @@ class StructureCertificate:
     passed: bool
     violations: tuple[Violation, ...]
     parts: tuple  # the parts checked, as given
-    under: tuple  # (host, c, lambda, strong) they were checked under
+    under: tuple  # (host, c, lambda) they were checked under
 
 
 def dense_vertices(host: Tournament, part: int, other: int, later: bool, slack: Fraction) -> int:
@@ -64,12 +64,9 @@ def verify_structure(
     subsets: Sequence[frozenset[int]],
     c: Fraction,
     lam: Fraction,
-    strong: bool = False,
 ) -> StructureCertificate:
-    """Check every condition of a (c, lambda)-structure, listing violations.
-
-    With ``strong`` the per-vertex density conditions are checked as well.
-    """
+    """Check every condition of a strong (c, lambda)-structure, listing
+    violations: part sizes, pair densities, then the per-vertex densities."""
     c, lam = Fraction(c), Fraction(lam)
     parts = [vertex_mask(s) for s in subsets]
     seen = 0
@@ -86,12 +83,12 @@ def verify_structure(
         if size < bound:
             violations.append(Violation("size", {"part": i, "size": size, "bound": bound}))
     # beaten[i, j][m]: how many vertices of part j the m-th vertex of part i
-    # beats; the pair density and strong-out checks of i < j share one table
+    # beats; the pair density and per-vertex checks share one table
     rows = host.rows
     members = [mask_vertices(s) for s in parts]
     beaten = {
         (i, j): [(rows[v] & parts[j]).bit_count() for v in members[i]]
-        for i, j in (permutations if strong else combinations)(range(len(parts)), 2)
+        for i, j in permutations(range(len(parts)), 2)
     }
     den, keep = lam.denominator, lam.denominator - lam.numerator  # 1 - lam == keep / den
     for i, j in combinations(range(len(parts)), 2):
@@ -100,19 +97,17 @@ def verify_structure(
         if edges * den < keep * pairs:
             d = Fraction(edges, pairs)
             violations.append(Violation("pair-density", {"i": i, "j": j, "d": d}))
-    if strong:
-        for i, j in permutations(range(len(parts)), 2):
-            later = i < j
-            kind = "strong-out" if later else "strong-in"
-            size = len(members[j])
-            need = keep * size
-            for v, count in zip(members[i], beaten[i, j]):
-                met = count if later else size - count
-                if met * den < need:
-                    d = Fraction(met, size)
-                    violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
-    return StructureCertificate(not violations, tuple(violations), tuple(subsets),
-                                (host, c, lam, strong))
+    for (i, j), counts in beaten.items():
+        later = i < j
+        kind = "strong-out" if later else "strong-in"
+        size = len(members[j])
+        need = keep * size
+        for v, count in zip(members[i], counts):
+            met = count if later else size - count
+            if met * den < need:
+                d = Fraction(met, size)
+                violations.append(Violation(kind, {"i": i, "j": j, "vertex": v, "d": d}))
+    return StructureCertificate(not violations, tuple(violations), tuple(subsets), (host, c, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -386,9 +386,9 @@ def sweep_pair_exact(host: core.Tournament, a, b, eps) -> PairVerdict:
     return PairVerdict(True, None)
 
 
-def structure_oracle(t: core.Tournament, parts, c, lam, strong: bool) -> list[tuple[str, dict]]:
-    """Definition-level (c, lambda)-structure check on sets: the violations as
-    (check, detail), in the order verify_structure lists them."""
+def structure_oracle(t: core.Tournament, parts, c, lam) -> list[tuple[str, dict]]:
+    """Definition-level strong (c, lambda)-structure check on sets: the
+    violations as (check, detail), in the order verify_structure lists them."""
     parts = [set(p) for p in parts]
     for a, b in combinations(parts, 2):
         if a & b:
@@ -401,13 +401,12 @@ def structure_oracle(t: core.Tournament, parts, c, lam, strong: bool) -> list[tu
         d = set_density(t, parts[i], parts[j])
         if d < 1 - lam:
             out.append(("pair-density", {"i": i, "j": j, "d": d}))
-    if strong:
-        for i, j in permutations(range(len(parts)), 2):
-            for v in sorted(parts[i]):
-                if i < j:
-                    check, d = "strong-out", set_density(t, {v}, parts[j])
-                else:
-                    check, d = "strong-in", set_density(t, parts[j], {v})
-                if d < 1 - lam:
-                    out.append((check, {"i": i, "j": j, "vertex": v, "d": d}))
+    for i, j in permutations(range(len(parts)), 2):
+        for v in sorted(parts[i]):
+            if i < j:
+                check, d = "strong-out", set_density(t, {v}, parts[j])
+            else:
+                check, d = "strong-in", set_density(t, parts[j], {v})
+            if d < 1 - lam:
+                out.append((check, {"i": i, "j": j, "vertex": v, "d": d}))
     return out

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -34,6 +35,7 @@ from nebulab.algorithm import (
     run_phase,
     subset_rank,
 )
+from nebulab.containment import Embedding
 from nebulab.errors import InvariantError, NebulabError, ParseError
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.stars import StarKind
@@ -468,15 +470,43 @@ class TestRun:
         with pytest.raises(ValueError):
             run(host, parts, cfg)
 
-    def test_vertex_conservation_enforced(self):
+    @staticmethod
+    def one_append():
+        """A victim host, its config, and the state after one phase that
+        stored a witness triple."""
         b, d = uniform_tables(7, 2, 5)
         host = victim_host(7, 30, b, d, seed=11)
         cfg = single_star_config("LR", 7, 30, LAM)
         state = initial_state(blocks(7, 30))
         outcome, _ = run_phase(host, state, cfg)
         assert outcome is None
+        return host, cfg, state
+
+    def test_vertex_conservation_enforced(self):
+        host, cfg, state = self.one_append()
         state.sets[0] |= state.used & -state.used  # resurrect a stored vertex
         with pytest.raises(InvariantError):
+            check_state(host, state, cfg)
+
+    def test_stored_vertex_outside_slot_part_enforced(self):
+        host, cfg, state = self.one_append()
+        (_, vec), = state.vectors.items()
+        a, b, c = vec[0][0]
+        vec[0][0] = (b, a, c)  # two slots' vertices swapped across parts
+        with pytest.raises(InvariantError, match=f"stored vertex {b} outside its slot part"):
+            check_state(host, state, cfg)
+
+    def test_stored_triple_not_inducing_star_enforced(self):
+        host, cfg, state = self.one_append()
+        ((kind, subset), vec), = state.vectors.items()
+        a, b, c = vec[0][0]
+        star, _ = SMALL_STARS[kind]()
+        part = state.initial_sets[subset[cfg.nebulae[kind].placements[0][0] - 1]]
+        # another vertex of the first slot's part that breaks the star
+        triple = next((v, b, c) for v in core.mask_vertices(part)
+                      if not Embedding((v, b, c)).validate(host, star))
+        vec[0][0] = triple
+        with pytest.raises(InvariantError, match=re.escape(f"stored triple {triple} does not")):
             check_state(host, state, cfg)
 
 
@@ -487,7 +517,7 @@ class TestStructureFinder:
             host, 4, 10, Fraction(1, 4), LAM, seed=0
         )
         assert cert is not None and cert.passed
-        assert verify_structure(host, cert.parts, Fraction(1, 4), LAM, strong=True).passed
+        assert verify_structure(host, cert.parts, Fraction(1, 4), LAM).passed
 
     def test_infeasible_returns_none(self):
         host = core.random_tournament(12, random.Random(13))
@@ -501,18 +531,18 @@ class TestStructureFinder:
         cfg = single_star_config("LR", 7, 30, LAM, c=c)
         checked = []
 
-        def counting(host, subsets, c, lam, strong=False):
-            if strong and list(subsets) == parts:
+        def counting(host, subsets, c, lam):
+            if list(subsets) == parts:
                 checked.append(lam)
-            return verify_structure(host, subsets, c, lam, strong=strong)
+            return verify_structure(host, subsets, c, lam)
 
         monkeypatch.setattr(algorithm, "verify_structure", counting)
         cert = find_strong_structure(host, 7, 30, c, LAM)
         assert list(cert.parts) == parts and checked == [LAM]
         run(host, parts, cfg, cert)
         assert checked == [LAM]
-        looser = verify_structure(host, parts, c, Fraction(2, 5), strong=True)
-        other = verify_structure(noise_host(7, 30, span=10, seed=2), parts, c, LAM, strong=True)
+        looser = verify_structure(host, parts, c, Fraction(2, 5))
+        other = verify_structure(noise_host(7, 30, span=10, seed=2), parts, c, LAM)
         for stranger in (looser, other):
             assert stranger.passed
             run(host, parts, cfg, stranger)
@@ -544,7 +574,7 @@ class TestStructureFinder:
         third = [rng.sample(range(40), 30) for _ in range(3)][-1]
         perm = third + sorted(set(range(40)) - set(third))
         host = relabel(noise_host(4, 10, span=4, seed=12), perm)
-        assert not verify_structure(host, blocks(3, 10), Fraction(1, 4), LAM, strong=True).passed
+        assert not verify_structure(host, blocks(3, 10), Fraction(1, 4), LAM).passed
         parts = list(find_strong_structure(host, 3, 10, Fraction(1, 4), LAM, seed=5).parts)
         assert parts == [frozenset(third[i * 10 : (i + 1) * 10]) for i in range(3)]
         assert len(draws) == 3 and draws[-1] == third

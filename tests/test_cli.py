@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     blocks,
+    forward_block_host,
     loop_write_matrix,
     random_speed_tables,
     tr_sweep,
@@ -20,7 +21,7 @@ from helpers import (
 from nebulab import algorithm, cli, containment, core, examples, regularity, stars, structures
 from nebulab.errors import BudgetError
 from nebulab.files import ParseError, parse_tournament, write_matrix
-from nebulab.structures import verify_structure
+from nebulab.structures import CompletePair, verify_structure
 
 
 def run_cli(capsys, *argv):
@@ -507,6 +508,8 @@ class TestExponentFailureFlags:
 
 # a valid run-algorithm invocation on the cyclic triangle: three one-vertex parts
 RUN_C3 = ["run-algorithm", "C3", "--case", "LR", "--t", "3", "--part-size", "1"]
+# a structure file that parses but fails strong verification on C3
+STRONG_FAILURE = '{"parts": [[1], [2], [3]]}'
 # a run-algorithm invocation that completes: the transitive triangle, auto structure
 RUN_T3 = ["run-algorithm", "T3", "--case", "LR", "--t", "3", "--part-size", "1"]
 
@@ -708,7 +711,7 @@ class TestMalformedInput:
             '{"parts": [[1], [2], [2]]}',
             '{"parts": [[1], [2]]}',
             '{"parts": [[1], [2, 3], []]}',  # unequal part sizes
-            '{"parts": [[1], [2], [3]]}',  # parses, fails strong verification
+            STRONG_FAILURE,
         ],
     )
     def test_structure_file_parse_exit(self, capsys, tmp_path, c3_file, content):
@@ -716,7 +719,11 @@ class TestMalformedInput:
         if content is not None:
             path.write_text(content)
         argv = [c3_file if arg == "C3" else arg for arg in RUN_C3]
-        assert_clean_exit(capsys, argv + ["--structure", str(path)], 2)
+        err = assert_clean_exit(capsys, argv + ["--structure", str(path)], 2)
+        if content == STRONG_FAILURE:
+            # the first violation: parts 1 and 3 of the cyclic triangle point backward
+            assert err == ("parse error: the structure fails strong verification: "
+                           "pair-density (i=0, j=2, d=0)\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -871,10 +878,10 @@ class TestRunAlgorithmCommand:
         )
         checked = []
 
-        def counting(host, subsets, c, lam, strong=False):
-            if strong and [frozenset(s) for s in subsets] == expected:
-                checked.append(strong)
-            return verify_structure(host, subsets, c, lam, strong=strong)
+        def counting(host, subsets, c, lam):
+            if [frozenset(s) for s in subsets] == expected:
+                checked.append(lam)
+            return verify_structure(host, subsets, c, lam)
 
         monkeypatch.setattr(structures, "verify_structure", counting)
         monkeypatch.setattr(algorithm, "verify_structure", counting)
@@ -890,10 +897,10 @@ class TestRunAlgorithmCommand:
         # the search's passed certificate stands in for run's input check
         checked = []
 
-        def counting(host, subsets, c, lam, strong=False):
-            if strong and [frozenset(s) for s in subsets] == blocks(7, 30):
-                checked.append(strong)
-            return verify_structure(host, subsets, c, lam, strong=strong)
+        def counting(host, subsets, c, lam):
+            if [frozenset(s) for s in subsets] == blocks(7, 30):
+                checked.append(lam)
+            return verify_structure(host, subsets, c, lam)
 
         monkeypatch.setattr(structures, "verify_structure", counting)
         monkeypatch.setattr(algorithm, "verify_structure", counting)
@@ -903,6 +910,60 @@ class TestRunAlgorithmCommand:
         )
         assert code == 0
         assert len(checked) == 1
+
+    def test_wrong_complete_pair_fails_a_check(self, capsys, monkeypatch, tmp_path):
+        # forward blocks with the cross edge 1 -> 5 reversed: the state-0 pair
+        # leaves vertex 1 out, and a classifier that puts it back reports a
+        # pair with that one edge pointing the wrong way
+        rows = list(forward_block_host(3, 4, seed=0).rows)
+        rows[0] ^= 1 << 4
+        rows[4] ^= 1 << 0
+        host = core.Tournament(12, tuple(rows))
+        path = tmp_path / "flipped.txt"
+        path.write_text(write_matrix(host))
+        real = algorithm.classify_triple
+
+        def whole_parts(host, sigma, i, j):
+            verdict = real(host, sigma, i, j)
+            if isinstance(verdict, CompletePair):
+                parts = [frozenset(core.mask_vertices(m)) for m in sigma.masks]
+                verdict = CompletePair(*(next(p for p in parts if side <= p)
+                                         for side in (verdict.a, verdict.b)))
+                assert sum(host.has_edge(v, u) for u in verdict.a for v in verdict.b) == 1
+            return verdict
+
+        monkeypatch.setattr(algorithm, "classify_triple", whole_parts)
+        code, report = run_cli(
+            capsys, "run-algorithm", str(path), "--case", "LR", "--t", "3", "--part-size", "4",
+        )
+        assert code == 1
+        assert report["results"]["outcome"]["kind"] == "complete-pair"
+        assert {"check": "pair-complete", "passed": False} in report["validation"]
+
+    def test_wrong_forbidden_copy_fails_a_check(self, capsys, monkeypatch, victim_file):
+        real = algorithm.run
+        host = parse_tournament(Path(victim_file).read_text())
+        moved = []
+
+        def one_vertex_moved(*args):
+            result = real(*args)
+            outcome = result.outcome
+            assert isinstance(outcome, algorithm.ForbiddenCopyOutcome)
+            mapping = outcome.embedding.mapping
+            spare = min(set(range(host.n)) - set(mapping))
+            embedding = containment.Embedding((spare, *mapping[1:]))
+            assert not embedding.validate(host, outcome.pattern)
+            moved.append(spare)
+            return dataclasses.replace(
+                result, outcome=dataclasses.replace(outcome, embedding=embedding))
+
+        monkeypatch.setattr(algorithm, "run", one_vertex_moved)
+        code, report = run_cli(
+            capsys, "run-algorithm", victim_file, "--case", "LC", "--t", "7",
+            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
+        )
+        assert code == 1 and moved
+        assert {"check": "copy-validates", "passed": False} in report["validation"]
 
     def test_no_structure_exit(self, capsys, tmp_path):
         path = tmp_path / "small.txt"

@@ -47,7 +47,7 @@ class TestVerifyStructure:
     def test_complete_pair_passes_any_lambda(self):
         host = forward_block_host(2, 5, seed=1)
         parts = [frozenset(range(5)), frozenset(range(5, 10))]
-        cert = verify_structure(host, parts, Fraction(1, 2), Fraction(0), strong=True)
+        cert = verify_structure(host, parts, Fraction(1, 2), Fraction(0))
         assert cert.passed
 
     def test_wrong_direction_fails(self):
@@ -66,18 +66,6 @@ class TestVerifyStructure:
         assert not cert.passed
         assert cert.violations[0].check == "size"
 
-    def test_strong_implies_plain(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            host = random_tournament(12, rng)
-            parts = [frozenset(rng.sample(range(12), 3)) for _ in range(1)]
-            a = set(rng.sample(range(12), 6))
-            parts = [frozenset(list(a)[:3]), frozenset(list(a)[3:])]
-            strong = verify_structure(host, parts, Fraction(1, 6), Fraction(1, 2), strong=True)
-            plain = verify_structure(host, parts, Fraction(1, 6), Fraction(1, 2), strong=False)
-            if strong.passed:
-                assert plain.passed
-
     def test_overlap_rejected(self):
         host = random_tournament(6, random.Random(4))
         with pytest.raises(ValueError):
@@ -86,7 +74,7 @@ class TestVerifyStructure:
     def test_strong_structure_bundle(self):
         host = forward_block_host(2, 5, seed=21)
         parts = [frozenset(range(5)), frozenset(range(5, 10))]
-        cert = verify_structure(host, parts, Fraction(1, 2), Fraction(0), strong=True)
+        cert = verify_structure(host, parts, Fraction(1, 2), Fraction(0))
         assert cert.passed
 
 
@@ -126,11 +114,10 @@ class TestVerifyStructureOracle:
     @given(structure_cases())
     def test_matches_definition(self, case):
         host, parts, c, lam = case
-        for strong in (False, True):
-            cert = verify_structure(host, parts, c, lam, strong=strong)
-            want = structure_oracle(host, parts, c, lam, strong)
-            assert [(v.check, v.detail) for v in cert.violations] == want
-            assert cert.passed == (not want)
+        cert = verify_structure(host, parts, c, lam)
+        want = structure_oracle(host, parts, c, lam)
+        assert [(v.check, v.detail) for v in cert.violations] == want
+        assert cert.passed == (not want)
 
     @settings(max_examples=100, deadline=None)
     @given(structure_cases())
@@ -138,7 +125,7 @@ class TestVerifyStructureOracle:
         host, parts, _, _ = case
         densities = all_densities(host, parts)
         lam = 1 - min(densities, default=Fraction(1))
-        assert verify_structure(host, parts, Fraction(0), lam, strong=True).passed
+        assert verify_structure(host, parts, Fraction(0), lam).passed
 
     @settings(max_examples=100, deadline=None)
     @given(structure_cases(), st.data())
@@ -147,9 +134,9 @@ class TestVerifyStructureOracle:
         shared = data.draw(st.sampled_from(sorted(parts[0])))
         parts = [*parts, frozenset({shared})]
         with pytest.raises(ValueError):
-            structure_oracle(host, parts, c, lam, True)
+            structure_oracle(host, parts, c, lam)
         with pytest.raises(ValueError):
-            verify_structure(host, parts, c, lam, strong=True)
+            verify_structure(host, parts, c, lam)
 
     def test_random_partitions_match_definition(self):
         # whole-host partitions into equal parts, as the phase algorithm
@@ -162,8 +149,8 @@ class TestVerifyStructureOracle:
             order = rng.sample(range(t * w), t * w)
             parts = [frozenset(order[p * w:(p + 1) * w]) for p in range(t)]
             lam = 1 - rng.choice(all_densities(host, parts))
-            cert = verify_structure(host, parts, Fraction(1, t), lam, strong=True)
-            want = structure_oracle(host, parts, Fraction(1, t), lam, True)
+            cert = verify_structure(host, parts, Fraction(1, t), lam)
+            want = structure_oracle(host, parts, Fraction(1, t), lam)
             assert [(v.check, v.detail) for v in cert.violations] == want
             passed += cert.passed
         assert 0 < passed < 60
