@@ -100,26 +100,24 @@ def from_backward_edges(
 
     Each pair (w, u) requests the edge w->u and must point from a later
     position to an earlier one; every unlisted pair is oriented forward along
-    the ordering.
+    the ordering.  The rows start forward and each pair flips one bit, so a
+    pair whose bit is already flipped is a duplicate.
     """
     pos = check_ordering(order, n)
-    back = set()
+    rows = [0] * n
+    later = 0
+    for v in reversed(order):
+        rows[v] = later
+        later |= 1 << v
     for w, u in back_edges:
         if not (0 <= w < n and 0 <= u < n):
             raise ValueError(f"backward edge ({w},{u}) leaves the vertex range")
         if pos[u] >= pos[w]:
             raise ValueError(f"pair ({w},{u}) is oriented forward under the ordering")
-        if (w, u) in back:
+        if rows[w] >> u & 1:
             raise ValueError(f"duplicate backward edge ({w},{u})")
-        back.add((w, u))
-    rows = [0] * n
-    for p in range(n):
-        for q in range(p + 1, n):
-            u, w = order[p], order[q]
-            if (w, u) in back:
-                rows[w] |= 1 << u
-            else:
-                rows[u] |= 1 << w
+        rows[w] ^= 1 << u
+        rows[u] ^= 1 << w
     return Tournament(n, tuple(rows))
 
 

@@ -4,14 +4,19 @@ A placement maps a component tournament's vertices to distinct positive slot
 numbers; placements of different components use disjoint slot sets.  Under
 the ordering induced by increasing slots, the product's backward edges are
 exactly the components' backward edges and every cross-component pair points
-forward.
+forward, so ``core.from_backward_edges``, the one constructor of "forward
+except these backward edges", builds every product.  A nebula ordering is
+completed to a product of small stars from one template per star kind and
+component size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
-from .core import Ordering, Tournament, backward_edges, from_backward_edges, from_edges
+from .containment import Embedding
+from .core import Ordering, Tournament, from_backward_edges, from_edges, mask_vertices
 from .errors import InvariantError, ParseError
 from .stars import StarKind, backward_graph, classify_components
 
@@ -51,7 +56,8 @@ def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
     """Combine parts under their placements; slots fix everything exactly.
 
     Product vertices are numbered by slot rank, so the identity is the slot
-    ordering."""
+    ordering: each part's backward pairs, read off its rows under its slots,
+    are flipped into the forward rows by ``from_backward_edges``."""
     if not parts:
         raise ValueError("product needs at least one part")
     taken: dict[int, tuple[int, int]] = {}
@@ -69,13 +75,14 @@ def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
     order_slots = sorted(taken)
     vertex_map = {taken[slot]: rank for rank, slot in enumerate(order_slots)}
     n = len(order_slots)
-    back: list[tuple[int, int]] = []
-    for idx, (part, placement) in enumerate(parts):
-        part_order = tuple(sorted(range(part.n), key=lambda v: placement[v]))
-        for w, u in backward_edges(part, part_order):
-            back.append((vertex_map[(idx, w)], vertex_map[(idx, u)]))
-    tournament = from_backward_edges(n, tuple(range(n)), back)
-    return ProductResult(tournament, vertex_map)
+    back = [
+        (vertex_map[idx, w], vertex_map[idx, u])
+        for idx, (part, placement) in enumerate(parts)
+        for w in range(part.n)
+        for u in mask_vertices(part.rows[w])
+        if placement[u] < placement[w]
+    ]
+    return ProductResult(from_backward_edges(n, tuple(range(n)), back), vertex_map)
 
 
 @dataclass(frozen=True)
@@ -125,84 +132,57 @@ def build_nebula(
     return nebula, nebula.build().tournament
 
 
+# The default order of the small star that completes a component, by target
+# kind and component size: "v" takes the component's next member in ordering
+# order, "." a fresh vertex.
+_TEMPLATES = {
+    StarKind.LEFT: ("v..", "vv.", "vvv"),
+    StarKind.RIGHT: ("..v", "v.v", "vvv"),
+    StarKind.CENTRAL: (".v.", "vv.", "vvv"),
+}
+
+
 def extend_to_product_form(
     t: Tournament, order: Ordering, kind: StarKind
 ) -> tuple[PlacementNebula, dict[int, int]]:
     """Complete a nebula ordering to a product of small stars containing ``t``.
 
-    Partial components gain fresh leaves: left stars after their last member,
-    right stars just before their center, central stars after their center
-    (singletons additionally get a leading leaf for the central kind).
+    Singletons, 2-vertex components and 3-stars of ``kind`` are completed by
+    the template of their size; any other component is refused.  A fresh
+    vertex, numbered from ``t.n`` up, goes just before the next member in its
+    star's default order, or after the last member if no member follows.
     Returns the completed nebula and the embedding original vertex -> product
-    vertex, verified edge by edge.
+    vertex, validated as an induced copy of ``t``.
     """
     if kind not in SMALL_STARS:
         raise ValueError(f"cannot extend toward kind {kind}")
     comps = classify_components(backward_graph(t, order), order)
     pos = {v: p for p, v in enumerate(order)}
-    before: dict[int, list[str]] = {v: [] for v in order}
-    after: dict[int, list[str]] = {v: [] for v in order}
-    star_members: list[list[object]] = []
-    fresh_count = 0
-
-    def fresh() -> str:
-        nonlocal fresh_count
-        fresh_count += 1
-        return f"fresh{fresh_count}"
-
+    # product vertices sort by (position of the member they sit at, side, id)
+    place = {v: (p, 0, v) for v, p in pos.items()}
+    fresh = count(t.n)
+    stars = []
     for comp in comps:
-        members = sorted(comp.vertices, key=lambda v: pos[v])
-        if comp.kind is StarKind.SINGLETON:
-            v = members[0]
-            a, b = fresh(), fresh()
-            if kind is StarKind.LEFT:
-                after[v].extend([a, b])
-                star_members.append([v, a, b])
-            elif kind is StarKind.RIGHT:
-                before[v].extend([a, b])
-                star_members.append([a, b, v])
-            else:
-                before[v].append(a)
-                after[v].append(b)
-                star_members.append([a, v, b])
-        elif comp.kind is StarKind.GENERAL:
-            u, w = members
-            x = fresh()
-            if kind is StarKind.LEFT:
-                after[w].append(x)
-                star_members.append([u, w, x])
-            elif kind is StarKind.RIGHT:
-                before[w].append(x)
-                star_members.append([u, x, w])
-            else:
-                after[w].append(x)
-                star_members.append([u, w, x])
-        elif comp.kind is kind and len(comp.vertices) == 3:
-            star_members.append(members)
-        else:
+        members = sorted(comp.vertices, key=pos.get)
+        if comp.kind not in (StarKind.SINGLETON, StarKind.GENERAL, kind) or len(members) > 3:
             raise ValueError(
                 f"component {sorted(comp.vertices)} ({comp.kind.value}) is incompatible "
                 f"with a product-form {kind.value} nebula"
             )
-
-    sequence: list[object] = []
-    for v in order:
-        sequence.extend(before[v])
-        sequence.append(v)
-        sequence.extend(after[v])
-    slot_of = {member: idx + 1 for idx, member in enumerate(sequence)}
-    placements = sorted(
-        tuple(slot_of[m] for m in members) for members in star_members
-    )
-    nebula = PlacementNebula(kind, tuple(placements), len(sequence))
-    result = nebula.build()
+        template, rest = _TEMPLATES[kind][len(members) - 1], iter(members)
+        star = [next(rest) if mark == "v" else next(fresh) for mark in template]
+        side = (pos[members[-1]], 1)  # after the last member, until a member follows
+        for v in reversed(star):
+            if v < t.n:
+                side = (pos[v], -1)
+            else:
+                place[v] = (*side, v)
+        stars.append(star)
+    slot_of = {v: s for s, v in enumerate(sorted(place, key=place.get), start=1)}
+    placements = sorted(tuple(slot_of[v] for v in star) for star in stars)
+    nebula = PlacementNebula(kind, tuple(placements), len(slot_of))
     embedding = {v: slot_of[v] - 1 for v in order}
-    for u in order:
-        for w in order:
-            if u != w and t.has_edge(u, w) != result.tournament.has_edge(
-                embedding[u], embedding[w]
-            ):
-                raise InvariantError(
-                    f"completion broke the edge between {u} and {w}"
-                )
+    copy = Embedding(tuple(embedding[v] for v in range(t.n)))
+    if not copy.validate(nebula.build().tournament, t):
+        raise InvariantError("completion is not an induced copy of the input")
     return nebula, embedding

@@ -164,18 +164,6 @@ class TripleClass:
 TripleVerdict = Union[CompletePair, TripleClass]
 
 
-def _coverage_profile(host: Tournament, sigma: Triple, i: int, j: int) -> tuple[int, ...]:
-    """Cumulative unions of N(v, j) along S_i in ascending order, as masks."""
-    target = sigma.masks[j - 1]
-    flip = -1 if j > i else 0  # N(v, j) is v's in-neighbourhood when S_j is later
-    union = 0
-    prefixes = []
-    for v in mask_vertices(sigma.masks[i - 1]):
-        union |= target & (host.rows[v] ^ flip)
-        prefixes.append(union)
-    return tuple(prefixes)
-
-
 def _complete_pair(first: int, second: int) -> CompletePair:
     return CompletePair(frozenset(mask_vertices(first)), frozenset(mask_vertices(second)))
 
@@ -246,8 +234,8 @@ class WitnessTriple:
         return Embedding(vs).validate(host, SMALL_STARS[self.pattern]()[0])
 
 
-# (i, j) -> (pattern, A side, B side); 'cov' takes the coverage prefix set in
-# S_index, 'compl' its complement; A is complete to B
+# (i, j) -> (pattern, A side, B side); 'cov' takes the coverage of S_index at
+# step k_j, 'compl' its complement; A is complete to B
 WITNESS_TABLE: dict[tuple[int, int], tuple[StarKind, tuple[str, int], tuple[str, int]]] = {
     (2, 1): (StarKind.LEFT, ("cov", 1), ("compl", 3)),
     (3, 1): (StarKind.LEFT, ("cov", 1), ("compl", 2)),
@@ -262,13 +250,16 @@ def witness(
     host: Tournament, sigma: Triple, verdict: TripleClass
 ) -> Union[WitnessTriple, CompletePair]:
     """Extract the star pattern promised by an (i,j)-verdict, the lex-first
-    (v1, v2, v3), or a half-sized complete pair built from the coverage
-    prefixes of S_j and S_l along S_i when no pattern exists.
+    (v1, v2, v3), or, when no pattern exists, a half-sized complete pair built
+    from the coverages of S_j and S_l after the first k_j vertices of S_i.
 
-    The pair construction needs a step k at which the j-coverage has reached
-    half while the l-coverage has not exceeded it; when the two coverages
-    cross half at the same step and no vertex pattern exists, no k qualifies
-    and a CoverageTieError is raised instead of returning an undersized pair.
+    The pair needs a step at which S_j's coverage has reached half while
+    S_l's has not exceeded it.  Before step k_j, S_j's coverage is below
+    half; S_l's never shrinks, so if it exceeds half at step k_j no later step
+    serves either, and step k_j is the only candidate.  S_l's coverage is
+    below half before step k_l >= k_j, so a CoverageTieError is raised, in
+    place of an undersized pair, exactly when k_j == k_l and S_l's coverage at
+    that step is above half.
     """
     key = (verdict.i, verdict.j)
     if key not in WITNESS_TABLE:
@@ -277,26 +268,22 @@ def witness(
     found = contains_in_parts(host, SMALL_STARS[pattern]()[0], sigma.masks)
     if found is not None:
         return WitnessTriple(found.mapping, pattern)
-    size_j = sigma.masks[verdict.j - 1].bit_count()
-    size_l = sigma.masks[verdict.l - 1].bit_count()
-    prefixes_j = _coverage_profile(host, sigma, verdict.i, verdict.j)
-    prefixes_l = _coverage_profile(host, sigma, verdict.i, verdict.l)
-    for cov_j, cov_l in zip(prefixes_j, prefixes_l):
-        if 2 * cov_j.bit_count() >= size_j and 2 * cov_l.bit_count() <= size_l:
-            sides = []
-            for role, index in (a_spec, b_spec):
-                cov = cov_j if index == verdict.j else cov_l
-                sides.append(sigma.masks[index - 1] & ~cov if role == "compl" else cov)
-            pair = _complete_pair(*sides)
-            if not pair.validate(host):
-                raise InvariantError(
-                    "coverage pair failed completeness despite missing pattern"
-                )
-            return pair
-    raise CoverageTieError(
-        f"verdict ({verdict.i},{verdict.j}) with k_j={verdict.k_j}, k_l={verdict.k_l}: "
-        "no step satisfies both half bounds"
-    )
+    i, j, l = verdict.i, verdict.j, verdict.l
+    cov = {j: 0, l: 0}
+    for v in mask_vertices(sigma.masks[i - 1])[: verdict.k_j]:
+        for m in cov:  # N(v, m) is v's in-neighbourhood, ~row, when S_m is later
+            cov[m] |= sigma.masks[m - 1] & (host.rows[v] ^ (-1 if m > i else 0))
+    if 2 * cov[l].bit_count() > sigma.masks[l - 1].bit_count():
+        raise CoverageTieError(
+            f"verdict ({i},{j}) with k_j={verdict.k_j}, k_l={verdict.k_l}: "
+            "no step satisfies both half bounds"
+        )
+    a, b = (sigma.masks[index - 1] & ~cov[index] if role == "compl" else cov[index]
+            for role, index in (a_spec, b_spec))
+    pair = _complete_pair(a, b)
+    if not pair.validate(host):
+        raise InvariantError("coverage pair failed completeness despite missing pattern")
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from nebulab.containment import Embedding, contains
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.regularity import PairVerdict, ViolatingPair, to_fraction
 from nebulab.stars import StarKind
-from nebulab.structures import CompletePair, Triple, TripleClass
+from nebulab.structures import WITNESS_TABLE, CompletePair, Triple, TripleClass
 
 
 def all_labeled_tournaments(n: int):
@@ -337,6 +337,25 @@ def definition_classify_triple(host: core.Tournament, sigma: Triple, i: int, j: 
     if first_half[j] <= first_half[l]:
         return TripleClass(i, j, l, first_half[j], first_half[l])
     return TripleClass(i, l, j, first_half[l], first_half[j])
+
+
+def definition_witness_pair(host: core.Tournament, sigma: Triple, verdict: TripleClass):
+    """The witness fallback by a scan of every step: the coverages of S_j and
+    S_l after each vertex of S_i in ascending order.  The first step at which
+    S_j's coverage has reached half and S_l's has not exceeded it gives the
+    complete pair read off ``WITNESS_TABLE``; None when no step does."""
+    _, a_spec, b_spec = WITNESS_TABLE[verdict.i, verdict.j]
+    j, l = verdict.j, verdict.l
+    covered: dict[int, set[int]] = {j: set(), l: set()}
+    for v in sorted(sigma.get(verdict.i)):
+        for m in covered:
+            covered[m] |= neighborhood(host, sigma, v, m)
+        if 2 * len(covered[j]) < len(sigma.get(j)) or 2 * len(covered[l]) > len(sigma.get(l)):
+            continue
+        a, b = (sigma.get(index) - covered[index] if role == "compl" else frozenset(covered[index])
+                for role, index in (a_spec, b_spec))
+        return CompletePair(a, b)
+    return None
 
 
 def definition_dense_vertices(t: core.Tournament, part, other, later: bool, slack) -> frozenset:

@@ -5,7 +5,9 @@ import pytest
 from helpers import isomorphic
 from nebulab import core, examples
 from nebulab.core import backward_edges, cyclic_triangle, from_backward_edges
+from nebulab.containment import Embedding
 from nebulab.product import (
+    SMALL_STARS,
     build_nebula,
     extend_to_product_form,
     product,
@@ -171,6 +173,39 @@ class TestExtendToProductForm:
         big = nebula.build().tournament
         assert is_right_nebula_ordering(big, tuple(range(big.n)))
         assert big.has_edge(embedding[1], embedding[0])
+
+    # (kind, case) -> (placements, width, embedding): every template, and a
+    # pair enclosing a singleton under a reversed ordering
+    TEMPLATE_CASES = {
+        ("left", "singleton"): (((1, 2, 3),), 3, {0: 0}),
+        ("left", "pair"): (((1, 2, 3),), 3, {0: 0, 1: 1}),
+        ("left", "star"): (((1, 2, 3),), 3, {0: 0, 1: 1, 2: 2}),
+        ("left", "mixed"): (((1, 5, 6), (2, 3, 4)), 6, {2: 0, 1: 1, 0: 4}),
+        ("right", "singleton"): (((1, 2, 3),), 3, {0: 2}),
+        ("right", "pair"): (((1, 2, 3),), 3, {0: 0, 1: 2}),
+        ("right", "star"): (((1, 2, 3),), 3, {0: 0, 1: 1, 2: 2}),
+        ("right", "mixed"): (((1, 5, 6), (2, 3, 4)), 6, {2: 0, 1: 3, 0: 5}),
+        ("central", "singleton"): (((1, 2, 3),), 3, {0: 1}),
+        ("central", "pair"): (((1, 2, 3),), 3, {0: 0, 1: 1}),
+        ("central", "star"): (((1, 2, 3),), 3, {0: 0, 1: 1, 2: 2}),
+        ("central", "mixed"): (((1, 5, 6), (2, 3, 4)), 6, {2: 0, 1: 2, 0: 4}),
+    }
+
+    @pytest.mark.parametrize("kind,case", list(TEMPLATE_CASES))
+    def test_template_placements(self, kind, case):
+        kind = StarKind(kind)
+        t, order = {
+            "singleton": (core.transitive_tournament(1), (0,)),
+            "pair": (from_backward_edges(2, (0, 1), [(1, 0)]), (0, 1)),
+            "star": SMALL_STARS[kind](),
+            "mixed": (from_backward_edges(3, (2, 1, 0), [(0, 2)]), (2, 1, 0)),
+        }[case]
+        nebula, embedding = extend_to_product_form(t, order, kind)
+        placements, width, expected = self.TEMPLATE_CASES[kind.value, case]
+        assert (nebula.kind, nebula.placements, nebula.width) == (kind, placements, width)
+        assert list(embedding.items()) == list(expected.items())
+        copy = Embedding(tuple(embedding[v] for v in range(t.n)))
+        assert copy.validate(nebula.build().tournament, t)
 
     def test_incompatible_component_rejected(self):
         t = examples.central_example()
