@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 from .containment import Embedding
 from .core import Tournament, vertex_mask
-from .errors import BudgetError, InvariantError, NebulabError, ParseError
+from .errors import BudgetError, InvariantError, ParseError
 from .product import SMALL_STARS, PlacementNebula
 from .stars import StarKind
 from .structures import (
@@ -37,15 +37,6 @@ from .structures import (
     verify_structure,
     witness,
 )
-
-
-class ExtractionError(NebulabError):
-    """Nonsaturation extraction failed a verification stage; carries details."""
-
-    def __init__(self, stage: str, detail) -> None:
-        super().__init__(f"extraction failed at {stage}")
-        self.stage = stage
-        self.detail = detail
 
 
 @dataclass(frozen=True)
@@ -309,12 +300,15 @@ def nonsaturation_extract(
 ) -> ForbiddenCopyOutcome:
     """Turn a saturated vector into a validated copy of its forbidden nebula.
 
-    The stored triples of each star fill one structure part per slot; the
-    parts form a strong (c*theta, lambda/theta)-structure with
-    theta = 1/(9k*C(t,k)), normal for every star, so the product extraction
-    applies.  A failed slot-membership or strong-structure check raises
-    ExtractionError, and extract_product raises unless its copy validates,
-    so no copy is fabricated.
+    The stored triples of each star fill one column per slot, each row
+    inducing the star.  ``check_state`` has confirmed that every stored
+    vertex lies in its slot's part, so the columns form a strong
+    (c*theta, lambda/theta)-structure with theta = 1/(9k*C(t,k)) and need no
+    re-check: a column holds cap = ceil(theta*W) >= theta*W >= c*theta*n
+    vertices of its part, and a vertex that misses at most lambda*W of a
+    part misses at most a lambda/theta share of that part's column.
+    extract_product raises unless its copy validates, so no copy is
+    fabricated.
     """
     nebula = config.nebulae[kind]
     vec = state.vectors[kind, subset]
@@ -328,17 +322,8 @@ def nonsaturation_extract(
         for z, slots in enumerate(nebula.placements)
         for m, slot in enumerate(slots)
     ))
-    for slot, column in columns.items():
-        part_id = subset[slot - 1]
-        if vertex_mask(column) & ~state.initial_sets[part_id]:
-            raise ExtractionError(
-                "slot-membership", {"slot": slot, "part": part_id}
-            )
     omega_sets = [frozenset(column) for column in columns.values()]
     theta = Fraction(1, 9 * config.k * math.comb(config.t, config.k))
-    cert = verify_structure(host, omega_sets, config.c * theta, config.lam / theta)
-    if not cert.passed:
-        raise ExtractionError("strong-structure", cert)
     star, _ = SMALL_STARS[kind]()
     position = list(columns).index
     components = [

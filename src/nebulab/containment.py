@@ -13,6 +13,7 @@ from .core import Tournament, largest_transitive, random_tournament
 from .errors import BudgetError, NoDataError
 
 BRUTE_FORCE_BUDGET = 200_000
+SAMPLER_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -173,18 +174,18 @@ def random_free_tournament(
     n: int,
     family: Sequence[Tournament],
     seed: int,
-    max_tries: int = 500,
 ) -> Optional[Tournament]:
     """Rejection sampling with a local repair step.
 
     When a forbidden copy is found, the edges among its image are
-    re-randomized in place and the rows are retried; None after max_tries.
-    Only the returned sample is built, and so checked, as a ``Tournament``.
+    re-randomized in place and the rows are retried; None after
+    ``SAMPLER_TRIES`` tries.  Only the returned sample is built, and so
+    checked, as a ``Tournament``.
     """
     rng = random.Random(seed)
     rows = list(random_tournament(n, rng).rows)
     prepared = [(member, _prepare(member)) for member in family]
-    for _ in range(max_tries):
+    for _ in range(SAMPLER_TRIES):
         for member, p in prepared:
             found = _embed(rows, p, _degree_masks(rows, member))
             if found is not None:
@@ -219,7 +220,6 @@ def empirical_eh_exponent(
     sizes: Sequence[int],
     samples_per_size: int,
     seed: int,
-    max_tries: int = 200,
 ) -> ExponentReport:
     if any(n > core.TR_BUDGET for n in sizes):
         raise BudgetError(f"sizes exceed the exact transitive budget {core.TR_BUDGET}")
@@ -231,7 +231,7 @@ def empirical_eh_exponent(
         for index in range(samples_per_size):
             # one seed per (seed, n, index), independent of the interpreter's hash
             sample_seed = (seed << 64) + (n << 32) + index
-            t = random_free_tournament(n, family, seed=sample_seed, max_tries=max_tries)
+            t = random_free_tournament(n, family, seed=sample_seed)
             if t is None:
                 failures += 1
                 continue

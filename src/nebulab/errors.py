@@ -31,11 +31,14 @@ class CoverageTieError(NebulabError):
 
 
 class LambdaTooLargeError(NebulabError):
-    """Product extraction failed and the density slack exceeds the Turan threshold."""
+    """Product extraction found no clique of compatible rows; the message says
+    whether the density slack lies below the Turan threshold that guarantees one."""
 
     def __init__(self, lam, threshold):
+        below = threshold is not None and lam < threshold
         super().__init__(
-            f"no clique found: lambda {lam} is not below the guarantee threshold {threshold}"
+            f"no clique found: lambda {lam} is {'' if below else 'not '}below"
+            f" the guarantee threshold {threshold}"
         )
         self.lam = lam
         self.threshold = threshold

@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
 
 from .containment import contains_in_parts
 from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
 from .errors import BudgetError, InvariantError
-from .structures import dense_vertices, turan_clique, ugraph_from_edges, verify_structure
+from .structures import turan_clique, ugraph_from_edges, verify_structure
 
 EXACT_PAIR_BUDGET = 12
 
@@ -399,19 +400,19 @@ def strong_structure_pipeline(
     # Each chain pair has d > 1 - Lambda on the chain's side, so by Markov
     # fewer than |W|/(2P) vertices miss more than 2P*Lambda of the other part:
     # |Q| > |W|(1 - 1/(2P)), and F, missing fewer than (P-1)|W|/(2P), keeps
-    # more than |W|/2.
-    q_sizes = {}
-    f_sets = []
-    slack = 2 * p_target * big_lam
-    masks = [vertex_mask(part_sets[w]) for w in chain]
-    for ii in range(len(chain)):
-        f_i = masks[ii]
-        for jj in range(len(chain)):
-            if ii != jj:
-                q = dense_vertices(host, masks[ii], masks[jj], ii < jj, slack)
-                q_sizes[(ii, jj)] = q.bit_count()
-                f_i &= q
-        f_sets.append(mask_vertices(f_i))
+    # more than |W|/2.  Q^i_j is chain part i less the vertices the strong
+    # check at slack 2P*Lambda lists as missing part j; F_i is their meet.
+    chain_sets = [part_sets[w] for w in chain]
+    misses = Counter()
+    dropped = [0] * len(chain)
+    for violation in verify_structure(host, chain_sets, 0, 2 * p_target * big_lam).violations:
+        if violation.check != "pair-density":
+            i, j = violation.detail["i"], violation.detail["j"]
+            misses[i, j] += 1
+            dropped[i] |= 1 << violation.detail["vertex"]
+    q_sizes = {(i, j): len(chain_sets[i]) - misses[i, j]
+               for i, j in permutations(range(len(chain)), 2)}
+    f_sets = [mask_vertices(vertex_mask(s) & ~d) for s, d in zip(chain_sets, dropped)]
     half = -(-len(part_sets[chain[0]]) // 2)
     finals = tuple(tuple(f[:half]) for f in f_sets)
 

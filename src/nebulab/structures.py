@@ -41,24 +41,6 @@ class StructureCertificate:
     under: tuple  # (host, c, lambda) they were checked under
 
 
-def dense_vertices(host: Tournament, part: int, other: int, later: bool, slack: Fraction) -> int:
-    """The mask of the vertices of ``part`` that meet at least a 1 - slack
-    share of ``other`` on the structure's side: beating it when ``other`` is
-    later, beaten by it otherwise (the per-vertex strong condition)."""
-    size = other.bit_count()
-    need = (slack.denominator - slack.numerator) * size
-    rows = host.rows
-    dense = 0
-    rest = part
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        beaten = (rows[low.bit_length() - 1] & other).bit_count()
-        if (beaten if later else size - beaten) * slack.denominator >= need:
-            dense |= low
-    return dense
-
-
 def verify_structure(
     host: Tournament,
     subsets: Sequence[frozenset[int]],
@@ -66,7 +48,8 @@ def verify_structure(
     lam: Fraction,
 ) -> StructureCertificate:
     """Check every condition of a strong (c, lambda)-structure, listing
-    violations: part sizes, pair densities, then the per-vertex densities."""
+    violations: part sizes, pair densities, then the per-vertex densities,
+    one ``strong-out``/``strong-in`` entry per vertex and part it misses."""
     c, lam = Fraction(c), Fraction(lam)
     parts = [vertex_mask(s) for s in subsets]
     seen = 0

@@ -302,6 +302,36 @@ def forward_block_host(part_count: int, part_size: int, seed: int) -> core.Tourn
     return core.Tournament(n, tuple(rows))
 
 
+def matching_host(part_count: int, part_size: int, share: float, seed: int) -> core.Tournament:
+    """Forward blocks but for one random partial matching of backward edges
+    per block pair, each pair of the matching kept with probability
+    ``share``: a vertex misses at most one vertex of another block, so the
+    blocks form a strong (1/part_count, 1/part_size)-structure."""
+    rng = random.Random(seed)
+    host = forward_block_host(part_count, part_size, seed)
+    rows = list(host.rows)
+    for a, b in combinations(range(part_count), 2):
+        perm = rng.sample(range(part_size), part_size)
+        for j, i in enumerate(perm):
+            if rng.random() < share:
+                u, v = a * part_size + i, b * part_size + j
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+    return core.Tournament(host.n, tuple(rows))
+
+
+def extraction_columns(state, config: AlgorithmConfig, subset, kind) -> list[frozenset[int]]:
+    """The parts a saturated vector hands to extraction: each used slot's
+    stored vertices, one per stored triple, in slot order."""
+    vec = state.vectors[kind, subset]
+    columns = {
+        slot: frozenset(triple[m] for triple in vec[z])
+        for z, slots in enumerate(config.nebulae[kind].placements)
+        for m, slot in enumerate(slots)
+    }
+    return [columns[slot] for slot in sorted(columns)]
+
+
 def neighborhood(host: core.Tournament, sigma: Triple, v: int, j: int) -> frozenset[int]:
     """N(v, j): the in-neighbours of v inside S_j when j is later than v's
     set, its out-neighbours when earlier."""

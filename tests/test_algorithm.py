@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from helpers import (
     blocks,
     definition_monochromatic_clique,
+    extraction_columns,
     forward_block_host,
+    matching_host,
     noise_host,
     random_speed_tables,
     relabel,
@@ -380,6 +383,43 @@ class TestNonsaturationExtract:
         state.vectors[StarKind.LEFT, subset][0].pop()
         with pytest.raises(ValueError):
             nonsaturation_extract(host, state, cfg, subset, StarKind.LEFT)
+
+    @staticmethod
+    def checked_columns(monkeypatch):
+        """Record, for each extraction that runs, lambda/theta and whether its
+        columns pass verify_structure at (c*theta, lambda/theta)."""
+        checked = []
+        real = algorithm.nonsaturation_extract
+
+        def checking(host, state, config, subset, kind):
+            theta = Fraction(1, 9 * config.k * math.comb(config.t, config.k))
+            columns = extraction_columns(state, config, subset, kind)
+            cert = verify_structure(host, columns, config.c * theta, config.lam / theta)
+            checked.append((config.lam / theta, cert.passed))
+            return real(host, state, config, subset, kind)
+
+        monkeypatch.setattr(algorithm, "nonsaturation_extract", checking)
+        return checked
+
+    def test_tight_columns_form_the_strong_structure(self, monkeypatch):
+        # t = k = 3 and W = 30: theta = 1/27 and lambda = 1/30, so
+        # lambda/theta = 9/10 < 1 and the check is not vacuous
+        checked = self.checked_columns(monkeypatch)
+        lam = Fraction(1, 30)
+        for seed, share, case in itertools.product(range(3), (0.8, 1.0), CASES):
+            host = matching_host(3, 30, share, seed)
+            cfg = single_star_config(case, 3, 30, lam, c=Fraction(1, 3))
+            run(host, blocks(3, 30), cfg)
+        assert checked == [(Fraction(9, 10), True)] * 18  # every run extracts
+
+    def test_run_columns_form_the_strong_structure(self, monkeypatch):
+        checked = self.checked_columns(monkeypatch)
+        hosts = [victim_host(7, 30, *random_speed_tables(7, random.Random(seed)), seed=seed)
+                 for seed in range(1, 5)]
+        hosts += [noise_host(7, 30, span=10, seed=seed) for seed in (1, 2)]
+        for host, case in itertools.product(hosts, CASES):
+            run(host, blocks(7, 30), single_star_config(case, 7, 30, LAM))
+        assert checked and all(passed for _, passed in checked)
 
 
 class TestRun:

@@ -473,8 +473,8 @@ class TestExponentFailureFlags:
         # every draw at n = 8 fails: rate 1, flagged, no sample kept
         real = containment.random_free_tournament
 
-        def fail_at_eight(n, family, seed, max_tries):
-            return None if n == 8 else real(n, family, seed=seed, max_tries=max_tries)
+        def fail_at_eight(n, family, seed):
+            return None if n == 8 else real(n, family, seed=seed)
 
         monkeypatch.setattr(containment, "random_free_tournament", fail_at_eight)
 
@@ -964,6 +964,21 @@ class TestRunAlgorithmCommand:
         )
         assert code == 1 and moved
         assert {"check": "copy-validates", "passed": False} in report["validation"]
+
+    def test_two_star_saturation_exit(self, capsys, tmp_path):
+        # the host of test_multi_star_saturation_reports_honestly: the saturated
+        # two-star vector has no compatible rows, and extraction ran at
+        # lambda/theta = (3/10) * 378, not below the threshold 1/9
+        b = {(a, c): 2 for a in range(7) for c in range(a + 1, 7)}
+        d = {(a, c): 15 for a in range(7) for c in range(a + 1, 7)}
+        path = tmp_path / "victim40.txt"
+        path.write_text(write_matrix(victim_host(7, 30, b, d, seed=40)))
+        argv = ["run-algorithm", str(path), "--case", "LR", "--k", "6", "--t", "7",
+                "--part-size", "30", "--c", "1/7", "--lam", "3/10", "--seed", "3",
+                "--nebula-white", "1,2,3;4,5,6", "--nebula-black", "1,2,3;4,5,6"]
+        err = assert_clean_exit(capsys, argv, 4)
+        assert err == ("diagnostic failure: no clique found: lambda 567/5 is not below"
+                       " the guarantee threshold 1/9\n")
 
     def test_no_structure_exit(self, capsys, tmp_path):
         path = tmp_path / "small.txt"

@@ -106,7 +106,7 @@ class TestContains:
         for case in range(72):
             n = rng.randint(10, 16)
             if case % 3 == 0:
-                host = random_free_tournament(n, [LEFT6], seed=case, max_tries=200)
+                host = random_free_tournament(n, [LEFT6], seed=case)
                 if host is None:
                     host = random_tournament(n, rng)
             else:
@@ -261,7 +261,11 @@ class TestRandomFree:
             9, family, seed=3
         )
 
-    def test_sample_rows_pinned(self):
+    def test_sample_rows_pinned(self, monkeypatch):
+        # this walk needs between 300 and 400 repairs, past the sampler's
+        # limit; lifting the limit pins the repair walk itself
+        assert random_free_tournament(16, [LEFT6], seed=0) is None
+        monkeypatch.setattr(containment, "SAMPLER_TRIES", 500)
         t = random_free_tournament(16, [LEFT6], seed=0)
         assert t.rows == (
             0, 21, 1, 6247, 24813, 4359, 14375, 12399,
@@ -291,13 +295,12 @@ class TestExponent:
         b = empirical_eh_exponent([cyclic_triangle()], [6, 8], 3, seed=9)
         assert a == b
 
-    def test_high_failure_rate_flagged(self):
+    def test_high_failure_rate_flagged(self, monkeypatch):
         # with the repair step capped at five tries, triangle-free generation
         # at size 14 essentially never succeeds; the report must flag the
         # size, not hide it
-        rep = empirical_eh_exponent(
-            [cyclic_triangle()], [3, 4, 14], 6, seed=11, max_tries=5
-        )
+        monkeypatch.setattr(containment, "SAMPLER_TRIES", 5)
+        rep = empirical_eh_exponent([cyclic_triangle()], [3, 4, 14], 6, seed=11)
         assert rep.flagged_sizes == (14,)
         rates = dict(rep.failure_rates)
         assert rates[14] > 0.5

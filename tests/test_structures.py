@@ -29,7 +29,6 @@ from nebulab.structures import (
     TripleClass,
     WitnessTriple,
     classify_triple,
-    dense_vertices,
     extract_product,
     is_normal,
     make_triple,
@@ -171,13 +170,27 @@ def dense_cases(draw):
     return host, part, other, later, slack
 
 
+def listed_dense(host, part, other, later, slack):
+    """``part`` less the vertices that ``verify_structure`` at (0, slack)
+    lists as missing ``other``, which comes after ``part`` when ``later``."""
+    parts, i = ([part, other], 0) if later else ([other, part], 1)
+    kind = "strong-out" if later else "strong-in"
+    missed = {
+        v.detail["vertex"] for v in verify_structure(host, parts, 0, slack).violations
+        if v.check == kind and v.detail["i"] == i
+    }
+    return frozenset(part) - missed
+
+
 class TestDenseVertices:
+    """The per-vertex listing of ``verify_structure``, as the regularity
+    pipeline's Q/F filter reads it."""
+
     @settings(max_examples=300, deadline=None)
     @given(dense_cases())
     def test_matches_definition(self, case):
         host, part, other, later, slack = case
-        got = dense_vertices(host, core.vertex_mask(part), core.vertex_mask(other), later, slack)
-        assert frozenset(core.mask_vertices(got)) == definition_dense_vertices(
+        assert listed_dense(host, part, other, later, slack) == definition_dense_vertices(
             host, part, other, later, slack)
 
     @pytest.mark.parametrize("later, part, other", [(True, {0}, {1, 2, 3}),
@@ -186,9 +199,8 @@ class TestDenseVertices:
         # 0 -> 1, 0 -> 2 and 3 -> 0: vertex 0 beats 2 of {1, 2, 3}, and
         # vertex 3 is beaten by 2 of {0, 1, 2}, a density of exactly 2/3
         host = from_backward_edges(4, (0, 1, 2, 3), [(3, 0)])
-        part, other = core.vertex_mask(part), core.vertex_mask(other)
-        assert dense_vertices(host, part, other, later, Fraction(1, 3)) == part
-        assert dense_vertices(host, part, other, later, Fraction(1, 3) - Fraction(1, 100)) == 0
+        assert listed_dense(host, part, other, later, Fraction(1, 3)) == part
+        assert listed_dense(host, part, other, later, Fraction(1, 3) - Fraction(1, 100)) == set()
 
 
 class TestNeighborhood:
@@ -733,8 +745,19 @@ class TestExtractProductLexFirst:
 
     def test_no_compatible_rows_raises(self):
         host, parts, comps = random_normal_instance(random.Random(3), 2, 3, 0.0)
-        with pytest.raises(LambdaTooLargeError):
+        with pytest.raises(LambdaTooLargeError,
+                           match="lambda 0 is below the guarantee threshold 1/9$"):
             extract_product(host, parts, comps, lam=Fraction(0))
+
+    @pytest.mark.parametrize("lam", [Fraction(1, 9), Fraction(1, 2)])
+    def test_lambda_from_the_threshold_up_is_not_below(self, lam):
+        # two 3-vertex components: the threshold is 1/((2-1)^2 * 3^2) = 1/9
+        host, parts, comps = random_normal_instance(random.Random(3), 2, 3, 0.0)
+        with pytest.raises(LambdaTooLargeError) as caught:
+            extract_product(host, parts, comps, lam=lam)
+        assert str(caught.value) == (
+            f"no clique found: lambda {lam} is not below the guarantee threshold 1/9")
+        assert (caught.value.lam, caught.value.threshold) == (lam, Fraction(1, 9))
 
 
 class TestTuranClique:
