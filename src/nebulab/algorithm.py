@@ -131,15 +131,18 @@ class PhaseState:
     """Parts and the used-vertex ledger as vertex masks; vectors by (kind, subset)."""
 
     phase: int
-    sets: list[int]
     initial_sets: tuple[int, ...]
     vectors: dict[tuple[StarKind, tuple[int, ...]], Vector] = field(default_factory=dict)
     used: int = 0
 
+    @property
+    def sets(self) -> list[int]:
+        """The current parts: each initial part less the ledger."""
+        return [part & ~self.used for part in self.initial_sets]
+
 
 def initial_state(parts: Sequence[frozenset[int]]) -> PhaseState:
-    masks = tuple(vertex_mask(p) for p in parts)
-    return PhaseState(phase=0, sets=list(masks), initial_sets=masks)
+    return PhaseState(phase=0, initial_sets=tuple(vertex_mask(p) for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +154,6 @@ def initial_state(parts: Sequence[frozenset[int]]) -> PhaseState:
 class CompletePairOutcome:
     pair: CompletePair
     state_label: int  # 0: uncolored edge, 2: witness fallback
-    phase: int
 
 
 @dataclass(frozen=True)
@@ -159,28 +161,21 @@ class ForbiddenCopyOutcome:
     kind: StarKind
     pattern: Tournament
     embedding: Embedding
-    phase: int
 
 
 @dataclass(frozen=True)
 class NoCliqueOutcome:
-    phase: int
     white_edges: int
     black_edges: int
 
 
-@dataclass(frozen=True)
-class PhaseLimitOutcome:
-    phase: int
-
-
-Outcome = Union[CompletePairOutcome, ForbiddenCopyOutcome, NoCliqueOutcome, PhaseLimitOutcome]
+Outcome = Union[CompletePairOutcome, ForbiddenCopyOutcome, NoCliqueOutcome]
 
 
 @dataclass
 class RunResult:
     outcome: Outcome
-    phases: int
+    phases: int  # phases that appended, and the terminal phase's number
     trace: list[dict]
 
 
@@ -235,21 +230,19 @@ def run_phase(
     host: Tournament, state: PhaseState, config: AlgorithmConfig
 ) -> tuple[Optional[Outcome], dict]:
     """Execute one phase; returns (terminal outcome or None, trace record)."""
-    coloring = color_hyperedges(host, state.sets, config)
+    sets = state.sets
+    coloring = color_hyperedges(host, sets, config)
     record: dict = {"phase": state.phase}
     edge, (label, payload) = next(reversed(coloring.items()))
     if label == "uncolored":
         record.update(action="state-0", edge=list(edge))
-        return CompletePairOutcome(payload, 0, state.phase), record
+        return CompletePairOutcome(payload, 0), record
     record["white"] = sum(1 for v in coloring.values() if v[0] == "white")
     record["black"] = len(coloring) - record["white"]
     found = find_monochromatic_clique(coloring, config.t, config.k)
     if found is None:
         record.update(action="no-clique")
-        return (
-            NoCliqueOutcome(state.phase, record["white"], record["black"]),
-            record,
-        )
+        return NoCliqueOutcome(record["white"], record["black"]), record
     subset, color = found
     kind = config.spec.white if color == "white" else config.spec.black
     record.update(clique=list(subset), color=color, kind=kind.value)
@@ -264,19 +257,17 @@ def run_phase(
         return outcome, record
     slots = nebula.placements[entry_index]
     x = tuple(subset[s - 1] for s in slots)
-    sigma = Triple(tuple(state.sets[part] for part in x))
+    sigma = Triple(tuple(sets[part] for part in x))
     verdict = coloring[x][1]
     assert isinstance(verdict, TripleClass)
     result = witness(host, sigma, verdict)
     if isinstance(result, CompletePair):
         record.update(action="state-2", edge=list(x))
-        return CompletePairOutcome(result, 2, state.phase), record
+        return CompletePairOutcome(result, 2), record
     assert isinstance(result, WitnessTriple)
     vec[entry_index].append(result.vertices)
     state.vectors[kind, subset] = vec
-    taken = vertex_mask(result.vertices)
-    state.sets = [part & ~taken for part in state.sets]
-    state.used |= taken
+    state.used |= vertex_mask(result.vertices)
     record.update(
         action="append",
         entry=[kind.value, subset_rank(subset, config.t), entry_index],
@@ -324,7 +315,7 @@ def nonsaturation_extract(
     ))
     omega_sets = [frozenset(column) for column in columns.values()]
     theta = Fraction(1, 9 * config.k * math.comb(config.t, config.k))
-    star, _ = SMALL_STARS[kind]()
+    star = SMALL_STARS[kind]
     position = list(columns).index
     components = [
         NormalPart(star, {m: position(slot) for m, slot in enumerate(slots)},
@@ -337,9 +328,7 @@ def nonsaturation_extract(
     extraction = extract_product(
         host, omega_sets, components, lam=config.lam / theta
     )
-    return ForbiddenCopyOutcome(
-        kind, extraction.product.tournament, extraction.embedding, state.phase
-    )
+    return ForbiddenCopyOutcome(kind, extraction.product.tournament, extraction.embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -348,48 +337,33 @@ def nonsaturation_extract(
 
 
 def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) -> None:
-    """Raise InvariantError on any violated phase invariant."""
+    """Raise InvariantError on any violated phase invariant.  Parts derived
+    from the ledger need no check of their own beyond the size floor."""
     cap = config.capacity
     floor = Fraction(config.part_size, 3) - 6 * config.k * math.comb(config.t, config.k)
     stored = 0
     count = 0
     for (kind, subset), vec in state.vectors.items():
-        placements = config.nebulae[kind].placements
-        star, _ = SMALL_STARS[kind]()
-        for z, entry in enumerate(vec):
+        for z, (entry, slots) in enumerate(zip(vec, config.nebulae[kind].placements)):
             if len(entry) > cap:
                 raise InvariantError(
                     f"entry ({kind.value},{subset_rank(subset, config.t)},{z}) exceeds capacity"
                 )
+            sigma = Triple(tuple(state.initial_sets[subset[slot - 1]] for slot in slots))
             for triple in entry:
                 stored |= vertex_mask(triple)
                 count += len(triple)
-                for m in range(3):
-                    part_id = subset[placements[z][m] - 1]
-                    if not state.initial_sets[part_id] >> triple[m] & 1:
-                        raise InvariantError(
-                            f"stored vertex {triple[m]} outside its slot part"
-                        )
-                if not Embedding(triple).validate(host, star):
+                if not WitnessTriple(triple, kind).validate(host, sigma):
                     raise InvariantError(
-                        f"stored triple {triple} does not induce the {kind.value} star"
+                        f"stored triple {triple} is not a {kind.value} witness in its slot parts"
                     )
     if stored.bit_count() != count:
         raise InvariantError("stored triples are not vertex-disjoint")
     if stored != state.used:
         raise InvariantError("used-vertex ledger out of sync")
-    initial = remaining = 0
     for j, current in enumerate(state.sets):
-        if current & ~state.initial_sets[j]:
-            raise InvariantError(f"part {j} grew beyond its initial set")
-        if current & state.used:
-            raise InvariantError(f"part {j} still holds stored vertices")
         if floor > 0 and current.bit_count() < floor:
             raise InvariantError(f"part {j} fell below the size floor {floor}")
-        initial |= state.initial_sets[j]
-        remaining |= current
-    if initial & ~remaining != state.used:
-        raise InvariantError("vertex conservation failed")
 
 
 def run(
@@ -399,8 +373,14 @@ def run(
     cert: Optional[StructureCertificate] = None,
 ) -> RunResult:
     """Run phases until a terminal outcome.  A state-0 pair is complete by
-    classify_triple's construction; witness validates a state-2 pair and
-    extract_product a forbidden copy.
+    classify_triple's construction, a state-2 pair by witness's lemma, and
+    extract_product validates a forbidden copy.
+
+    The run ends by its own accounting: each non-terminal phase appends one
+    triple to an entry below capacity, and there are at most 2*C(t,k)
+    vectors (two kinds, one per k-subset) of at most floor(k/3) entries (a
+    nebula's width is at most k, three slots per star).  So at most
+    2*C(t,k)*floor(k/3)*cap phases append, fewer than ``phase_bound()``.
 
     The parts must be t disjoint sets of W vertices forming a strong
     (c, lambda)-structure; ParseError names the first rule they break.  A
@@ -426,17 +406,11 @@ def run(
     warning = config.lambda_warning()
     if warning:
         trace.append({"phase": -1, "action": "warning", "message": warning})
-    bound = config.phase_bound()
     outcome: Optional[Outcome] = None
-    while state.phase < bound:
+    while outcome is None:
         outcome, record = run_phase(host, state, config)
         trace.append(record)
         check_state(host, state, config)
-        if outcome is not None:
-            break
-    if outcome is None:
-        outcome = PhaseLimitOutcome(state.phase)
-        trace.append({"phase": state.phase, "action": "phase-limit"})
     trace.append({"phase": state.phase, "action": "terminal", "outcome": type(outcome).__name__})
     return RunResult(outcome, state.phase, trace)
 

@@ -452,30 +452,28 @@ def _read_trace(path: str) -> list:
         raise ParseError(f"{path} is not a JSON-lines trace: {exc}") from None
 
 
-def _outcome_payload(outcome) -> dict:
+def _outcome_payload(outcome, phase: int) -> dict:
     if isinstance(outcome, algorithm.CompletePairOutcome):
         return {
             "kind": "complete-pair",
             "state": outcome.state_label,
             "a": _one_based(outcome.pair.a),
             "b": _one_based(outcome.pair.b),
-            "phase": outcome.phase,
+            "phase": phase,
         }
     if isinstance(outcome, algorithm.ForbiddenCopyOutcome):
         return {
             "kind": "forbidden-copy",
             "nebula": outcome.kind.value,
             "embedding": [v + 1 for v in outcome.embedding.mapping],
-            "phase": outcome.phase,
+            "phase": phase,
         }
-    if isinstance(outcome, algorithm.NoCliqueOutcome):
-        return {
-            "kind": "no-monochromatic-clique",
-            "phase": outcome.phase,
-            "white": outcome.white_edges,
-            "black": outcome.black_edges,
-        }
-    return {"kind": "phase-limit", "phase": outcome.phase}
+    return {
+        "kind": "no-monochromatic-clique",
+        "phase": phase,
+        "white": outcome.white_edges,
+        "black": outcome.black_edges,
+    }
 
 
 def cmd_run_algorithm(args) -> tuple[dict, dict, list[dict]]:
@@ -530,7 +528,7 @@ def cmd_run_algorithm(args) -> tuple[dict, dict, list[dict]]:
             "c": str(config.c),
             "structure": args.structure,
         },
-        {"outcome": _outcome_payload(result.outcome), "phases": result.phases},
+        {"outcome": _outcome_payload(result.outcome, result.phases), "phases": result.phases},
         validation,
     )
 

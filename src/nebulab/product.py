@@ -38,10 +38,11 @@ def small_central_star() -> tuple[Tournament, Ordering]:
     return from_edges(3, [(1, 0), (2, 1), (0, 2)]), (0, 1, 2)
 
 
+# each kind's star tournament, built once
 SMALL_STARS = {
-    StarKind.LEFT: small_left_star,
-    StarKind.RIGHT: small_right_star,
-    StarKind.CENTRAL: small_central_star,
+    StarKind.LEFT: small_left_star()[0],
+    StarKind.RIGHT: small_right_star()[0],
+    StarKind.CENTRAL: small_central_star()[0],
 }
 
 
@@ -119,7 +120,7 @@ class PlacementNebula:
         return len(self.placements)
 
     def build(self) -> ProductResult:
-        star, _ = SMALL_STARS[self.kind]()
+        star = SMALL_STARS[self.kind]
         return product([(star, dict(enumerate(slots))) for slots in self.placements])
 
 

@@ -214,7 +214,7 @@ class WitnessTriple:
         vs = self.vertices
         if any(not sigma.masks[m] >> vs[m] & 1 for m in range(3)):
             return False
-        return Embedding(vs).validate(host, SMALL_STARS[self.pattern]()[0])
+        return Embedding(vs).validate(host, SMALL_STARS[self.pattern])
 
 
 # (i, j) -> (pattern, A side, B side); 'cov' takes the coverage of S_index at
@@ -243,12 +243,21 @@ def witness(
     below half before step k_l >= k_j, so a CoverageTieError is raised, in
     place of an undersized pair, exactly when k_j == k_l and S_l's coverage at
     that step is above half.
+
+    The pair is complete.  In every WITNESS_TABLE row, A lies in the earlier
+    of S_j and S_l.  A covered x in S_j is joined by a backward edge to some
+    v among the first k_j of S_i, and an uncovered y in S_l by a forward edge
+    to v; a backward edge between x and y would make x, v, y, in set order,
+    the row's star centered at x, which contradicts "no pattern".  For
+    (2,1): if b -> a for a in A and b in B, the covering v beats both, so
+    (a, v, b) is a left star.  A holds at least half of S_j and B, by the
+    tie check, at least half of S_l.
     """
     key = (verdict.i, verdict.j)
     if key not in WITNESS_TABLE:
         raise ValueError(f"no witness pattern for verdict {key}")
     pattern, a_spec, b_spec = WITNESS_TABLE[key]
-    found = contains_in_parts(host, SMALL_STARS[pattern]()[0], sigma.masks)
+    found = contains_in_parts(host, SMALL_STARS[pattern], sigma.masks)
     if found is not None:
         return WitnessTriple(found.mapping, pattern)
     i, j, l = verdict.i, verdict.j, verdict.l
@@ -263,10 +272,7 @@ def witness(
         )
     a, b = (sigma.masks[index - 1] & ~cov[index] if role == "compl" else cov[index]
             for role, index in (a_spec, b_spec))
-    pair = _complete_pair(a, b)
-    if not pair.validate(host):
-        raise InvariantError("coverage pair failed completeness despite missing pattern")
-    return pair
+    return _complete_pair(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def definition_components(t: core.Tournament, placed) -> list[tuple]:
 def pattern_triple(host: core.Tournament, sigma: Triple, kind) -> tuple[int, int, int] | None:
     """Hand-unrolled witness oracle: the lex-first (v1, v2, v3) with v_m in
     S_m inducing the kind's three-vertex star, star vertex m - 1 at v_m."""
-    star = SMALL_STARS[kind]()[0]
+    star = SMALL_STARS[kind]
 
     def fitting(v: int, a: int, b: int) -> int:
         """Vertices of S_(b+1) oriented toward v, at star vertex a, as the star asks."""

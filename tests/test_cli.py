@@ -133,6 +133,23 @@ def test_malformed_matrix_row_exits_2(capsys, tmp_path, body):
     assert_clean_exit(capsys, ["tr", str(path)], 2)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("tournament 3 backedges\n", "backedges body needs an ordering line"),
+        ("tournament 3 backedges\n1 x 3\n", "bad ordering line: '1 x 3'"),
+        ("tournament 3 backedges\n1 2 3\n3\n", "bad backward edge line: '3'"),
+        ("tournament 3 backedges\n1 2 3\n3 y\n", "bad backward edge line: '3 y'"),
+        ("tournament -1 matrix\n", "vertex count must be positive"),
+    ],
+)
+def test_malformed_backedges_or_count_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    err = assert_clean_exit(capsys, ["tr", str(path)], 2)
+    assert err == f"parse error: {message}\n"
+
+
 class TestClassifyCommand:
     def test_left_example_components(self, capsys, left_file):
         code, report = run_cli(capsys, "classify", left_file, "--kind", "nebula")
@@ -782,6 +799,24 @@ class TestMalformedInput:
     def test_exponent_without_enough_samples_exit(self, capsys):
         assert_clean_exit(capsys, ["exponent", "--sizes", "4", "--samples", "1"], 3)
 
+    def test_exponent_one_distinct_size_exit(self, capsys, tmp_path, monkeypatch):
+        # no LEFT6-free sample is drawn at n = 24, so every sample has n = 8
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(
+            capsys, "product", "--kind", "left", "--slots", "1,3,5;2,4,6", "--out", "left6.txt"
+        )
+        assert code == 0
+        argv = ["exponent", "--family", "left6.txt", "--sizes", "8,24"]
+        err = assert_clean_exit(capsys, argv, 3)
+        assert err == "no data: need at least two distinct sizes\n"
+
+    def test_auto_structure_not_found_exit(self, capsys, c3_file):
+        # every candidate partition of the cyclic triangle has a backward pair
+        argv = ["run-algorithm", c3_file, "--case", "LR", "--t", "3", "--k", "3",
+                "--part-size", "1", "--structure", "auto"]
+        err = assert_clean_exit(capsys, argv, 3)
+        assert err == "budget exceeded: no verifying strong structure found\n"
+
     def test_exponent_repeated_size_exit(self, capsys):
         # a repeated size would fit its seeded samples twice
         argv = ["exponent", "--sizes", "6,6,8", "--samples", "2", "--seed", "7"]
@@ -938,6 +973,48 @@ class TestRunAlgorithmCommand:
         )
         assert code == 1
         assert report["results"]["outcome"]["kind"] == "complete-pair"
+        assert {"check": "pair-complete", "passed": False} in report["validation"]
+
+    @pytest.fixture
+    def state_two_run(self, tmp_path):
+        """Criterion 5's central pair instance under its three blocks of 8:
+        RC's first witness finds no central star and falls back to a
+        complete pair (state 2)."""
+        back = [(8, 0), (9, 0), (10, 0), (11, 0), (16, 1), (17, 1), (18, 1), (19, 1)]
+        host = tmp_path / "central24.txt"
+        host.write_text(write_matrix(core.from_backward_edges(24, tuple(range(24)), back)))
+        structure = tmp_path / "blocks.json"
+        structure.write_text(json.dumps({"parts": [list(range(8 * p + 1, 8 * p + 9))
+                                                   for p in range(3)]}))
+        return ["run-algorithm", str(host), "--case", "RC", "--t", "3", "--k", "3",
+                "--part-size", "8", "--c", "1/3", "--lam", "1/2", "--structure", str(structure)]
+
+    def test_state_two_pair(self, capsys, state_two_run):
+        code, report = run_cli(capsys, *state_two_run)
+        assert code == 0
+        assert report["results"] == {
+            "outcome": {"kind": "complete-pair", "state": 2, "a": [9, 10, 11, 12],
+                        "b": list(range(17, 25)), "phase": 0},
+            "phases": 0,
+        }
+        assert report["validation"] == [
+            {"check": "phase-bound", "passed": True},
+            {"check": "pair-complete", "passed": True},
+        ]
+
+    def test_wrong_state_two_pair_fails_a_check(self, capsys, monkeypatch, state_two_run):
+        # witness's lemma makes its pair complete; the CLI entry is the one check
+        real = algorithm.witness
+
+        def reversed_pair(host, sigma, verdict):
+            pair = real(host, sigma, verdict)
+            assert isinstance(pair, CompletePair)
+            return CompletePair(pair.b, pair.a)
+
+        monkeypatch.setattr(algorithm, "witness", reversed_pair)
+        code, report = run_cli(capsys, *state_two_run)
+        assert code == 1
+        assert report["results"]["outcome"]["state"] == 2
         assert {"check": "pair-complete", "passed": False} in report["validation"]
 
     def test_wrong_forbidden_copy_fails_a_check(self, capsys, monkeypatch, victim_file):

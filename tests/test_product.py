@@ -197,7 +197,7 @@ class TestExtendToProductForm:
         t, order = {
             "singleton": (core.transitive_tournament(1), (0,)),
             "pair": (from_backward_edges(2, (0, 1), [(1, 0)]), (0, 1)),
-            "star": SMALL_STARS[kind](),
+            "star": (SMALL_STARS[kind], (0, 1, 2)),
             "mixed": (from_backward_edges(3, (2, 1, 0), [(0, 2)]), (2, 1, 0)),
         }[case]
         nebula, embedding = extend_to_product_form(t, order, kind)

@@ -355,6 +355,11 @@ class TestVerifyPartition:
         with pytest.raises(ValueError):
             verify_regular_partition(host, [0], [range(3), range(2, 6)], Fraction(1, 2))
 
+    def test_uncovered_vertex_rejected(self):
+        host = random_tournament(6, random.Random(12))
+        with pytest.raises(ValueError, match="partition does not cover the vertex set"):
+            verify_regular_partition(host, [0], [range(1, 3), range(3, 5)], Fraction(1, 2))
+
     def test_unknown_method_rejected(self):
         host = forward_block_host(2, 4, seed=9)
         with pytest.raises(ValueError, match="'sampeld'"):
@@ -628,3 +633,29 @@ class TestPipeline:
         )
         assert isinstance(result, StageFailure)
         assert result.stage == "partition"
+
+    @staticmethod
+    def half_density_host():
+        """Two parts of four whose cross edges point forward exactly when
+        u + v is even: density 1/2, and every pair is 1/2-regular."""
+        edges = [(u, v) if u // 4 == v // 4 or (u + v) % 2 == 0 else (v, u)
+                 for u, v in itertools.combinations(range(8), 2)]
+        return core.from_edges(8, edges), [range(4), range(4, 8)]
+
+    @pytest.mark.parametrize("stage", ["turan-selection", "ramsey-dichotomy", "lambda-range"])
+    def test_stage_failure_before_the_chain(self, stage):
+        forward = forward_block_host(2, 6, seed=19), [range(6), range(6, 12)]
+        host, parts, p_target, lam, eta, inequality = {
+            # two pairwise-regular parts, where P = 3 needs 2^(P-1) = 4
+            "turan-selection": (*forward, 3, Fraction(1, 4), Fraction(1, 4),
+                                "largest pairwise-regular family has 2 parts, need at least 4"),
+            # the one pair is good, and the triangle needs three good parts
+            "ramsey-dichotomy": (*self.half_density_host(), 2, Fraction(1, 2), Fraction(1, 2),
+                                 "no 2 pairwise-bad parts and no 3 pairwise-good parts"),
+            # lambda = 4 puts lambda/(4P) at 1/2, the first value the range check refuses
+            "lambda-range": (*forward, 2, Fraction(4), Fraction(1, 4),
+                             "lambda/(4P) = 1/2 must be below 1/2"),
+        }[stage]
+        result = strong_structure_pipeline(
+            host, [], parts, cyclic_triangle(), p_target=p_target, lam=lam, eta=eta)
+        assert result == StageFailure(stage, inequality)

@@ -517,7 +517,7 @@ class TestWitness:
     def test_lex_first_triple_matches_unrolled_oracle(self, kind):
         # small random parts, so that both found and absent triples occur
         rng = random.Random(kind.value)
-        star = SMALL_STARS[kind]()[0]
+        star = SMALL_STARS[kind]
         absent = 0
         for _ in range(300):
             n = rng.randint(3, 40)
