@@ -271,18 +271,12 @@ def example_checklist() -> list[dict]:
         nebula, embedding = product.extend_to_product_form(
             left, identity, StarKind.LEFT
         )
-        result = nebula.build()
-        big = result.tournament
-        edges_ok = all(
-            left.has_edge(u, v) == big.has_edge(embedding[u], embedding[v])
-            for u in range(12)
-            for v in range(12)
-            if u != v
-        )
+        big = nebula.build().tournament
+        copy = containment.Embedding(tuple(embedding[v] for v in range(left.n)))
         checks.append(
             {
                 "check": "left-example-product-extension",
-                "passed": edges_ok
+                "passed": copy.validate(big, left)
                 and big.n >= 15
                 and stars.is_left_nebula_ordering(big, tuple(range(big.n))),
                 "detail": {"extension_order": big.n, "stars": nebula.star_count},
@@ -348,7 +342,6 @@ def _sweep_tr(rows: tuple[int, ...]) -> int:
             if not any(rows[v] & mask & ~rows[u]
                        for u in subset for v in subset if rows[u] >> v & 1):
                 return r
-    return 0
 
 
 def _chain_dp_tr(t: core.Tournament) -> int:

@@ -188,38 +188,46 @@ def largest_transitive(t: Tournament) -> frozenset[int]:
 
     A transitive set ordered as v1,...,vk has every vi beating all later
     members, so best(mask) = max over v in mask of 1 + best(mask & out(v)).
+    The memo keeps, per mask, the best size and the least vertex reaching
+    it, and the chain follows those vertices from the full mask.
     """
     if t.n > TR_BUDGET:
         raise BudgetError(f"exact transitive solver limited to n <= {TR_BUDGET}, got {t.n}")
-    memo: dict[int, int] = {0: 0}
+    memo: dict[int, tuple[int, int]] = {0: (0, -1)}
 
     def best(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
-            return cached
-        result = 0
+            return cached[0]
+        size = choice = 0
         bits = mask
         while bits:
             v = (bits & -bits).bit_length() - 1
             bits &= bits - 1
-            result = max(result, 1 + best(mask & t.rows[v]))
-        memo[mask] = result
-        return result
+            reach = 1 + best(mask & t.rows[v])
+            if reach > size:
+                size, choice = reach, v
+        memo[mask] = (size, choice)
+        return size
 
-    chain = []
     mask = (1 << t.n) - 1
-    size = best(mask)
-    while size:
-        bits = mask
-        while bits:
-            v = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if 1 + best(mask & t.rows[v]) == size:
-                chain.append(v)
-                mask &= t.rows[v]
-                size -= 1
-                break
+    best(mask)
+    chain = []
+    while mask:
+        v = memo[mask][1]
+        chain.append(v)
+        mask &= t.rows[v]
     return frozenset(chain)
+
+
+def to_fraction(x) -> Fraction:
+    """An exact threshold: a float is read through its decimal representation
+    (``Fraction(str(x))``), so 0.3 means exactly 3/10."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
 
 
 def density(t: Tournament, a: Iterable[int], b: Iterable[int]) -> Fraction:

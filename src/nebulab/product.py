@@ -49,8 +49,6 @@ SMALL_STARS = {
 @dataclass(frozen=True)
 class ProductResult:
     tournament: Tournament
-    # (part index, part vertex) -> product vertex
-    vertex_map: dict[tuple[int, int], int]
 
 
 def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
@@ -83,7 +81,7 @@ def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
         for u in mask_vertices(part.rows[w])
         if placement[u] < placement[w]
     ]
-    return ProductResult(from_backward_edges(n, tuple(range(n)), back), vertex_map)
+    return ProductResult(from_backward_edges(n, tuple(range(n)), back))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Density-regularity machinery and the strong-structure pipeline.
 
 Thresholds are exact: an epsilon given as a float is read through its decimal
-representation (``Fraction(str(eps))``), so 0.25 means exactly 1/4.  All
+representation (``core.to_fraction``), so 0.25 means exactly 1/4.  All
 pair checks reduce to integer comparisons.
 """
 
@@ -16,19 +16,11 @@ from itertools import combinations, permutations
 from typing import Optional, Sequence, Union
 
 from .containment import contains_in_parts
-from .core import Tournament, density, from_edges, mask_vertices, vertex_mask
+from .core import Tournament, density, from_edges, mask_vertices, to_fraction, vertex_mask
 from .errors import BudgetError, InvariantError
 from .structures import turan_clique, ugraph_from_edges, verify_structure
 
 EXACT_PAIR_BUDGET = 12
-
-
-def to_fraction(eps) -> Fraction:
-    if isinstance(eps, Fraction):
-        return eps
-    if isinstance(eps, float):
-        return Fraction(str(eps))
-    return Fraction(eps)
 
 
 @dataclass(frozen=True)
@@ -200,7 +192,6 @@ class PartitionCertificate:
     exceptional_ok: bool
     equal_sizes: bool
     irregular_pairs: tuple[tuple[int, int], ...]
-    irregular_bound: int
 
 
 def verify_regular_partition(
@@ -247,7 +238,6 @@ def verify_regular_partition(
         exceptional_ok,
         equal_sizes,
         tuple(irregular),
-        math.floor(eps_f * k * k),
     )
 
 
@@ -355,17 +345,12 @@ def strong_structure_pipeline(
         (i, j): density(host, part_sets[i], part_sets[j]) for i, j in combinations(selected, 2)
     }
     # a pair is good when its density lies in [Lambda, 1 - Lambda], bad otherwise
-    good_graph = ugraph_from_edges(
-        len(selected),
-        [
-            (selected.index(i), selected.index(j))
-            for (i, j), d in densities.items()
-            if big_lam <= d <= 1 - big_lam
-        ],
-    )
-    full = (1 << len(selected)) - 1
-    complement_graph = tuple(full & ~row & ~(1 << v) for v, row in enumerate(good_graph))
-    stable_local = turan_clique(complement_graph, needed)
+    good, bad = [], []
+    for (i, j), d in densities.items():
+        (good if big_lam <= d <= 1 - big_lam else bad).append(
+            (selected.index(i), selected.index(j)))
+    good_graph = ugraph_from_edges(len(selected), good)
+    stable_local = turan_clique(ugraph_from_edges(len(selected), bad), needed)
     if stable_local is None:
         h_clique = turan_clique(good_graph, pattern.n)
         if h_clique is None:

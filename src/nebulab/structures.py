@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence, Union
 
 from .containment import Embedding, contains_in_parts
-from .core import Tournament, mask_vertices, vertex_mask
+from .core import Tournament, mask_vertices, to_fraction, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
 from .product import SMALL_STARS, ProductResult, product
 from .stars import StarKind
@@ -50,7 +50,7 @@ def verify_structure(
     """Check every condition of a strong (c, lambda)-structure, listing
     violations: part sizes, pair densities, then the per-vertex densities,
     one ``strong-out``/``strong-in`` entry per vertex and part it misses."""
-    c, lam = Fraction(c), Fraction(lam)
+    c, lam = to_fraction(c), to_fraction(lam)
     parts = [vertex_mask(s) for s in subsets]
     seen = 0
     for s in parts:
@@ -308,12 +308,9 @@ def is_normal(
         ordering = orderings.get(part_index)
         if ordering is None or sorted(ordering) != sorted(parts[part_index]):
             return False
-        if len(ordering) != t:
-            return False
     return all(
-        host.has_edge(orderings[phi[a]][row], orderings[phi[b]][row]) == pattern.has_edge(a, b)
+        Embedding(tuple(orderings[phi[h]][row] for h in range(pattern.n))).validate(host, pattern)
         for row in range(t)
-        for a, b in permutations(range(pattern.n), 2)
     )
 
 
@@ -401,12 +398,11 @@ def extract_product(
     prod = product([
         (comp.pattern, {v: slot + 1 for v, slot in comp.phi.items()}) for comp in components
     ])
-    mapping = [0] * prod.tournament.n
-    for m, comp in enumerate(components):
-        for h in range(comp.pattern.n):
-            prod_vertex = prod.vertex_map[(m, h)]
-            mapping[prod_vertex] = comp.orderings[comp.phi[h]][chosen[m]]
-    embedding = Embedding(tuple(mapping))
+    # part q sits at slot q + 1 and product() numbers slots by rank, so the
+    # copy takes each used part's vertex in its chosen row, parts ascending
+    row_vertex = {q: comp.orderings[q][s] for comp, s in zip(components, chosen)
+                  for q in comp.phi.values()}
+    embedding = Embedding(tuple(row_vertex[q] for q in sorted(row_vertex)))
     if not embedding.validate(host, prod.tournament):
         raise InvariantError("extracted rows do not induce the product")
     return ProductEmbedding(prod, embedding, tuple(chosen), gate)
@@ -433,8 +429,6 @@ def lex_first_clique(
     a candidate when chosen, None if there is none.  At first every vertex is
     a candidate; choosing v after the members ``chosen`` keeps only the
     candidates above v that lie in the mask ``narrow(chosen, v)``."""
-    if p <= 0:
-        return ()
     chosen: list[int] = []
 
     def descend(cand: int) -> bool:

@@ -38,7 +38,7 @@ from nebulab.algorithm import (
     run_phase,
     subset_rank,
 )
-from nebulab.containment import Embedding
+from nebulab.containment import Embedding, contains_in_parts
 from nebulab.errors import InvariantError, NebulabError, ParseError
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.stars import StarKind
@@ -543,6 +543,32 @@ class TestRun:
         with pytest.raises(InvariantError, match=re.escape(
                 f"stored triple {triple} is not a {kind.value} witness in its slot parts")):
             check_state(host, state, cfg)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (None, None),
+            ("stored three times", "entry (left,0,0) exceeds capacity"),
+            ("stored twice", "stored triples are not vertex-disjoint"),
+            ("extra used vertex", "used-vertex ledger out of sync"),
+        ],
+    )
+    def test_state_faults_enforced(self, fault, message):
+        host = core.random_tournament(90, random.Random(0))
+        cfg = single_star_config("LR", 3, 30, LAM)
+        assert cfg.capacity == 2
+        state = initial_state(blocks(3, 30))
+        triple = contains_in_parts(host, SMALL_STARS[StarKind.LEFT], state.initial_sets).mapping
+        copies = {"stored three times": 3, "stored twice": 2}.get(fault, 1)
+        state.vectors[StarKind.LEFT, (0, 1, 2)] = [[triple] * copies]
+        state.used = core.vertex_mask(triple)
+        if fault == "extra used vertex":
+            state.used |= 1 << next(v for v in range(host.n) if v not in triple)
+        if message is None:
+            check_state(host, state, cfg)
+        else:
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                check_state(host, state, cfg)
 
 
 class TestStructureFinder:

@@ -743,6 +743,16 @@ class TestMalformedInput:
                            "pair-density (i=0, j=2, d=0)\n")
 
     @pytest.mark.parametrize(
+        "content", ['{"parts": [1, 2, 3]}', '{"parts": "123"}', '{"parts": [[1], 2, [3]]}']
+    )
+    def test_structure_parts_not_vertex_lists_exit(self, capsys, tmp_path, c3_file, content):
+        path = tmp_path / "structure.json"
+        path.write_text(content)
+        argv = [c3_file if arg == "C3" else arg for arg in RUN_C3]
+        err = assert_clean_exit(capsys, argv + ["--structure", str(path)], 2)
+        assert err == f"parse error: {path} must hold a list of vertex lists under 'parts'\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             RUN_C3 + ["--t", "40", "--k", "10"],  # C(40, 10) part subsets

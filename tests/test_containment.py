@@ -40,6 +40,17 @@ class TestContains:
         assert (emb is None) == (brute is None)
         assert emb is not None and emb.validate(examples.left_example(), star)
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [(0, 1, 5), (-1, 1, 2), (0, 1), (0, 0, 1)],
+        ids=["vertex past the host", "negative vertex", "too short", "repeated vertex"],
+    )
+    def test_malformed_embedding_fails(self, mapping):
+        host = transitive_tournament(5)
+        pattern = transitive_tournament(3)
+        assert Embedding((0, 1, 2)).validate(host, pattern)
+        assert Embedding(mapping).validate(host, pattern) is False
+
     def test_pattern_larger_than_host(self):
         assert contains(cyclic_triangle(), transitive_tournament(4)) is None
 

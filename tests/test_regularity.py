@@ -336,7 +336,8 @@ class TestVerifyPartition:
             host, [], [range(6), range(6, 12), range(12, 18)], Fraction(1, 4)
         )
         assert cert.equal_sizes and cert.exceptional_ok
-        assert cert.passed == (len(cert.irregular_pairs) <= cert.irregular_bound)
+        # at most floor(eps k^2) irregular pairs among k = 3 parts
+        assert cert.passed == (len(cert.irregular_pairs) <= math.floor(Fraction(1, 4) * 3 * 3))
 
     def test_single_part_degenerate_pass(self):
         host = random_tournament(8, random.Random(10))

@@ -45,6 +45,23 @@ class TestVerifyStructure:
         cert = verify_structure(host, [frozenset(range(5))], Fraction(1, 2), Fraction(1, 10))
         assert cert.passed
 
+    def test_float_lambda_read_as_decimal(self):
+        # 1..10 transitive; vertex 0 beats 1..7 and loses to 8..10, so the
+        # pair density and vertex 0's out-density are exactly 7/10 = 1 - 0.3
+        host = core.from_edges(
+            11,
+            [(u, v) for u in range(1, 11) for v in range(u + 1, 11)]
+            + [(0, v) for v in range(1, 8)] + [(v, 0) for v in range(8, 11)],
+        )
+        parts = [frozenset({0}), frozenset(range(1, 11))]
+        exact = verify_structure(host, parts, 0, Fraction(3, 10))
+        assert [(v.check, v.detail["vertex"]) for v in exact.violations] == [
+            ("strong-in", 8), ("strong-in", 9), ("strong-in", 10)
+        ]
+        read = verify_structure(host, parts, 0, 0.3)
+        assert read.violations == exact.violations
+        assert read.under[2] == Fraction(3, 10)
+
     def test_complete_pair_passes_any_lambda(self):
         host = forward_block_host(2, 5, seed=1)
         parts = [frozenset(range(5)), frozenset(range(5, 10))]
@@ -413,6 +430,18 @@ class TestClassifyTriple:
             make_triple([], [1], [2])
 
 
+class TestCompletePair:
+    @pytest.mark.parametrize(
+        "a, b",
+        [(set(), {5, 6}), ({0, 1}, set()), ({0, 1}, {1, 5})],
+        ids=["empty A", "empty B", "overlapping sides"],
+    )
+    def test_malformed_pair_fails(self, a, b):
+        host = forward_block_host(2, 5, seed=1)
+        assert CompletePair(frozenset({0, 1}), frozenset({5, 6})).validate(host)
+        assert CompletePair(frozenset(a), frozenset(b)).validate(host) is False
+
+
 class TestWitness:
     def test_immediate_pattern_triple(self):
         # S_2 and S_3 beat S_1 entirely; S_3 beats only the later vertex of
@@ -583,6 +612,28 @@ class TestNormality:
         broken[1] = tuple(swapped)
         assert not is_normal(host, parts, pattern, phi, broken)
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["phi not injective", "ordering missing", "ordering of another part",
+         "ordering one vertex short"],
+    )
+    def test_refusals(self, fault):
+        pattern, _ = small_central_star()
+        host, parts, orderings = self._stacked_host(pattern, rows=4, seed=0)
+        phi = {v: v for v in range(3)}
+        if fault == "phi not injective":
+            with pytest.raises(ValueError, match="phi must be injective"):
+                is_normal(host, parts, pattern, {0: 0, 1: 0, 2: 1}, orderings)
+            return
+        changed = dict(orderings)
+        if fault == "ordering missing":
+            del changed[1]
+        elif fault == "ordering of another part":
+            changed[1] = orderings[0]
+        else:
+            changed[1] = orderings[1][:-1]
+        assert is_normal(host, parts, pattern, phi, changed) is False
+
     def test_unequal_sizes_rejected(self):
         host = random_tournament(5, random.Random(12))
         with pytest.raises(ValueError):
@@ -653,6 +704,23 @@ class TestExtractProduct:
         if is_normal(broken, parts, comps[0].pattern, comps[0].phi, comps[0].orderings):
             with pytest.raises(LambdaTooLargeError):
                 extract_product(broken, parts, comps, lam=Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("no components", "needs at least one component"),
+         ("not normal", "structure is not normal for a component")],
+    )
+    def test_refusals(self, fault, message):
+        host, parts, comps = self._lambda_zero_instance(rows=3, seed=16)
+        if fault == "no components":
+            comps = []
+        else:
+            # the left star's center in the first part: its leaves would have
+            # to beat it, but every edge between parts points forward
+            left = comps[0]
+            comps = [NormalPart(left.pattern, {0: 0, 1: 1, 2: 2}, left.orderings), comps[1]]
+        with pytest.raises(ValueError, match=message):
+            extract_product(host, parts, comps, lam=Fraction(0))
 
     def test_overlapping_phi_rejected(self):
         host, parts, comps = self._lambda_zero_instance(rows=3, seed=16)
