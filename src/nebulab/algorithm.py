@@ -425,17 +425,22 @@ def find_strong_structure(
 ) -> Optional[StructureCertificate]:
     """Sampled search for a verifying strong structure, returned as its passed
     certificate: contiguous blocks first, then up to 50 seeded random
-    partitions, each drawn only once every candidate before it has failed."""
+    partitions, each drawn only once every candidate before it has failed.
+    A drawn partition that was already refused is not verified again."""
     need = t * part_size
     if need > host.n:
         return None
     rng = random.Random(seed)
+    refused = set()
     for attempt in range(51):
         vertices = rng.sample(range(host.n), need) if attempt else list(range(need))
-        parts = [
+        parts = tuple(
             frozenset(vertices[i * part_size : (i + 1) * part_size]) for i in range(t)
-        ]
+        )
+        if parts in refused:
+            continue
         cert = verify_structure(host, parts, c, lam)
         if cert.passed:
             return cert
+        refused.add(parts)
     return None

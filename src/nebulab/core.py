@@ -270,7 +270,10 @@ def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
 
     Each vertex of a cell gets the signature of its out-degrees into every
     current cell; a cell splits into its signature classes, ordered by
-    signature.  Rounds repeat until no cell splits.
+    signature.  Rounds repeat until no cell splits.  A signature is packed
+    into one int, four bits per cell: every count is at most n - 1 < 16
+    (n <= CANONICAL_BUDGET), and packed ints of one length sort as the
+    count tuples do.
     """
     while True:
         refined = []
@@ -278,13 +281,15 @@ def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
             if not cell & (cell - 1):
                 refined.append(cell)
                 continue
-            parts: dict[tuple[int, ...], int] = {}
+            parts: dict[int, int] = {}
             bits = cell
             while bits:
                 low = bits & -bits
                 bits ^= low
                 row = rows[low.bit_length() - 1]
-                sig = tuple([(row & c).bit_count() for c in cells])
+                sig = 0
+                for c in cells:
+                    sig = sig << 4 | (row & c).bit_count()
                 parts[sig] = parts.get(sig, 0) | low
             if len(parts) == 1:
                 refined.append(cell)
@@ -296,18 +301,23 @@ def _refine(rows: Sequence[int], cells: list[int]) -> list[int]:
 
 
 def _leaf_columns(rows: Sequence[int], order: list[int]) -> tuple[int, ...]:
+    placed = [rows[order[0]]]
     cols = []
-    for q in range(1, len(order)):
-        v = order[q]
+    for v in order[1:]:
         col = 0
-        for u in order[:q]:
-            col = col << 1 | (rows[u] >> v & 1)
+        for row in placed:
+            col = col << 1 | (row >> v & 1)
         cols.append(col)
+        placed.append(rows[v])
     return tuple(cols)
 
 
 def _canonical_columns(rows: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically minimal column encoding over the search's leaves."""
+    """Lexicographically minimal column encoding over the search's leaves.
+
+    The search starts from the score cells in ascending score order, which is
+    what a first refinement round makes of the single full cell.
+    """
     best: Optional[tuple[int, ...]] = None
 
     def search(cells: list[int]) -> None:
@@ -327,7 +337,10 @@ def _canonical_columns(rows: Sequence[int]) -> tuple[int, ...]:
             bits ^= low
             search(cells[:i] + [low, cell ^ low] + cells[i + 1 :])
 
-    search([(1 << len(rows)) - 1])
+    by_score = [0] * len(rows)
+    for v, row in enumerate(rows):
+        by_score[row.bit_count()] |= 1 << v
+    search([cell for cell in by_score if cell])
     assert best is not None
     return best
 
@@ -373,17 +386,19 @@ def canonical_form(t: Tournament) -> bytes:
 def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[Tournament]:
     """One representative per isomorphism class, by iterated one-vertex extension.
 
-    An extension of a class representative by a new vertex is kept only if no
-    vertex of the extended tournament has a higher score than the new one
-    (McKay's canonical deletion by a vertex invariant, "Isomorph-free
-    exhaustive generation", J. Algorithms 1998).  No class is lost: deleting
-    a top-score vertex of any class leaves a tournament isomorphic to some
+    An extension of a class representative by a new vertex is kept only if the
+    new vertex maximises the key (score, second score) over the extended
+    tournament, where a vertex's second score is the sum of the scores of the
+    vertices it beats (McKay's canonical deletion by a vertex invariant,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998).  No class is
+    lost: the key is an isomorphism invariant, so deleting a vertex that
+    maximises it in any class leaves a tournament isomorphic to some
     representative, and the matching extension of that representative puts
-    the new vertex at top score.  Each kept extension, given as raw rows, is
-    reduced to its canonical columns by the same search as
-    ``canonical_form``; the distinct column tuples are the classes of the next
-    size.  Representatives are rebuilt from their canonical encodings, so the
-    stream is deterministic and sorted by encoding.
+    the new vertex at the maximum key, so that extension is kept.  Each kept
+    extension, given as raw rows, is reduced to its canonical columns by the
+    same search as ``canonical_form``; the distinct column tuples are the
+    classes of the next size.  Representatives are rebuilt from their
+    canonical encodings, so the stream is deterministic and sorted by encoding.
     """
     if n > budget:
         raise BudgetError(f"enumeration limited to n <= {budget}, got {n}")
@@ -395,14 +410,27 @@ def enumerate_tournaments(n: int, budget: int = ENUMERATION_BUDGET) -> Iterator[
         extended = set()
         for cols in reps:
             base = _rows_from_columns(size, cols)
+            scores = [row.bit_count() for row in base]
             # at_least[s]: the base vertices of score >= s
-            at_least = [sum(1 << v for v, row in enumerate(base) if row.bit_count() >= s)
+            at_least = [sum(1 << v for v, score in enumerate(scores) if score >= s)
                         for s in range(size + 2)]
+            # beaten_sum[v]: the base scores of the base vertices v beats
+            beaten_sum = [sum(scores[w] for w in mask_vertices(row)) for row in base]
             for out_bits in range(1 << size):
-                # keep when the new vertex ties for top score: a base vertex above `top`
+                # the new vertex ties for top score: a base vertex above `top`
                 # outscores it, and one at `top` does so when it beats the new vertex
                 top = out_bits.bit_count()
                 if at_least[top + 1] | at_least[top] & ~out_bits:
+                    continue
+                # the base vertices tied with it: those at `top` that it beats, and
+                # those at `top - 1` that beat it (top >= 1 here, as size >= 1)
+                tied = at_least[top] | at_least[top - 1] & ~out_bits
+                second = sum(scores[w] for w in mask_vertices(out_bits))
+                if any(
+                    beaten_sum[u] + (base[u] & ~out_bits).bit_count()
+                    + (0 if out_bits >> u & 1 else top) > second
+                    for u in mask_vertices(tied)
+                ):
                     continue
                 rows = [
                     row if out_bits >> v & 1 else row | new_bit

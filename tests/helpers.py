@@ -160,6 +160,31 @@ def loop_write_matrix(t: core.Tournament) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tuple_refine(rows, cells: list[int]) -> list[int]:
+    """Reference refinement with tuple signatures, one count per cell."""
+    while True:
+        refined = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            bits = cell
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                row = rows[low.bit_length() - 1]
+                sig = tuple([(row & c).bit_count() for c in cells])
+                parts[sig] = parts.get(sig, 0) | low
+            if len(parts) == 1:
+                refined.append(cell)
+            else:
+                refined.extend(parts[sig] for sig in sorted(parts))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
+
+
 def tr_sweep(t: core.Tournament) -> int:
     """Definition-level oracle: largest subset passing is_transitive."""
     for r in range(t.n, 0, -1):

@@ -405,6 +405,33 @@ class TestOtherCommands:
         assert code == 0 and report["results"]["total"] == 12
         assert len(report["results"]["files"]) == 12
 
+    def test_enumerate_renders_each_class_once(self, capsys, tmp_path, monkeypatch):
+        # the round trip parses the very text that is written
+        rendered = []
+        monkeypatch.setattr(cli.files, "write_matrix", lambda t: rendered.append(t) or write_matrix(t))
+        code, report = run_cli(capsys, "enumerate", "--n", "5", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert rendered == list(core.enumerate_tournaments(5))
+        assert [Path(p).read_text() for p in report["results"]["files"]] == [
+            write_matrix(t) for t in rendered
+        ]
+
+    def test_enumerate_round_trip_sees_a_wrong_render(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.files, "write_matrix", lambda t: write_matrix(core.complement(t)))
+        code, report = run_cli(capsys, "enumerate", "--n", "5", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert {v["check"]: v["passed"] for v in report["validation"]}["round-trip"] is False
+
+    def test_out_file_replaced_whole(self, capsys, tmp_path):
+        out = tmp_path / "t.txt"
+        out.write_text("x" * 1000)
+        assert run_cli(capsys, "product", "--kind", "left", "--slots", "1,3,5;2,4,6",
+                       "--out", str(out))[0] == 0
+        assert parse_tournament(out.read_text()).n == 6
+        err = assert_clean_exit(capsys, ["product", "--kind", "left", "--slots", "1,3,5;2,4,6",
+                                         "--out", str(tmp_path / "missing" / "t.txt")], 2)
+        assert err.startswith(f"parse error: cannot write {tmp_path / 'missing' / 't.txt'}: ")
+
     def test_enumerate_refuses_stale_class_files(self, capsys, tmp_path):
         out = tmp_path / "out"
         assert run_cli(capsys, "enumerate", "--n", "5", "--out", str(out))[0] == 0
@@ -820,12 +847,19 @@ class TestMalformedInput:
         err = assert_clean_exit(capsys, argv, 3)
         assert err == "no data: need at least two distinct sizes\n"
 
-    def test_auto_structure_not_found_exit(self, capsys, c3_file):
-        # every candidate partition of the cyclic triangle has a backward pair
+    def test_auto_structure_not_found_exit(self, capsys, c3_file, monkeypatch):
+        # every candidate partition of the cyclic triangle has a backward pair;
+        # the 51 draws hold only 6 ordered partitions, each verified once
+        checked = []
+        real = algorithm.verify_structure
+        monkeypatch.setattr(algorithm, "verify_structure",
+                            lambda host, parts, c, lam: checked.append(tuple(parts))
+                            or real(host, parts, c, lam))
         argv = ["run-algorithm", c3_file, "--case", "LR", "--t", "3", "--k", "3",
                 "--part-size", "1", "--structure", "auto"]
         err = assert_clean_exit(capsys, argv, 3)
         assert err == "budget exceeded: no verifying strong structure found\n"
+        assert len(checked) == len(set(checked)) <= 6
 
     def test_exponent_repeated_size_exit(self, capsys):
         # a repeated size would fit its seeded samples twice
