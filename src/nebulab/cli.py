@@ -69,12 +69,16 @@ def _positive_ints(text: str) -> list[int]:
     return values
 
 
-def _read_tournament(path: str) -> core.Tournament:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, the encoding ``_write_text`` writes."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return files.parse_tournament(text)
+
+
+def _read_tournament(path: str) -> core.Tournament:
+    return files.parse_tournament(_read_text(path))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -429,10 +433,9 @@ def cmd_complement(args) -> tuple[dict, dict, list[dict]]:
 def _read_structure(path: str, n: int) -> list[frozenset[int]]:
     """Parse {"parts": [[v, ...], ...]} with 1-based vertices; algorithm.run
     checks the part count, sizes, disjointness and strong structure."""
+    text = _read_text(path)  # outside the try: a ParseError is a ValueError
     try:
-        blocks = json.loads(Path(path).read_text())["parts"]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        blocks = json.loads(text)["parts"]
     except (ValueError, TypeError, KeyError):
         raise ParseError(f"{path} is not a JSON object with a 'parts' list") from None
     if not isinstance(blocks, list) or not all(isinstance(block, list) for block in blocks):
@@ -444,11 +447,9 @@ def _read_structure(path: str, n: int) -> list[frozenset[int]]:
 
 def _read_trace(path: str) -> list:
     """The records of a --trace file, one JSON value per nonblank line."""
+    text = _read_text(path)  # outside the try: a ParseError is a ValueError
     try:
-        with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        return [json.loads(line) for line in text.split("\n") if line.strip()]
     except ValueError as exc:
         raise ParseError(f"{path} is not a JSON-lines trace: {exc}") from None
 

@@ -3,12 +3,14 @@ import itertools
 import json
 import random
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import console_checks
 from helpers import (
     blocks,
     forward_block_host,
@@ -169,16 +171,6 @@ class TestClassifyCommand:
         )
         assert code == 0 and report["results"]["verdict"] is True
 
-    def test_galaxy_on_transitive(self, capsys, tmp_path):
-        path = tmp_path / "t5.txt"
-        path.write_text(write_matrix(core.transitive_tournament(5)))
-        code, report = run_cli(capsys, "classify", str(path), "--kind", "galaxy")
-        assert code == 0 and report["results"]["verdict"] is True
-        assert report["validation"] == [
-            {"check": "components-rederived", "passed": True},
-            {"check": "verdict-vs-components", "passed": True},
-        ]
-
     @pytest.mark.parametrize("kind", ["left", "right"])
     def test_search_without_ordering(self, capsys, c3_file, kind):
         # every ordering of C3 leaves a two-vertex or a central component
@@ -189,13 +181,6 @@ class TestClassifyCommand:
         assert report["results"]["verdict"] is False
         assert report["results"]["ordering"] is None
         assert report["results"]["components"] == []
-
-    def test_search_mode_budget_exit(self, capsys, tmp_path):
-        path = tmp_path / "big.txt"
-        path.write_text(write_matrix(core.random_tournament(13, random.Random(2))))
-        code = cli.main(["classify", str(path), "--ordering", "search"])
-        capsys.readouterr()
-        assert code == 3
 
     def test_parse_error_exit(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -257,16 +242,6 @@ class TestClassifyCommand:
         assert code == 1 and report["results"]["verdict"] is False
         assert passed == {"components-rederived": True, "verdict-vs-components": False}
 
-    def test_right_product_classified(self, capsys, tmp_path):
-        path = tmp_path / "right6.txt"
-        code, _ = run_cli(capsys, "product", "--kind", "right", "--slots", "1,3,5;2,4,6",
-                          "--out", str(path))
-        assert code == 0
-        code, report = run_cli(capsys, "classify", str(path), "--kind", "right")
-        assert code == 0 and report["results"]["verdict"] is True
-        assert {c["kind"] for c in report["results"]["components"]} == {"right"}
-        assert all(v["passed"] for v in report["validation"])
-
     @pytest.mark.parametrize("kind", ["nebula", "galaxy"])
     def test_backward_path_is_no_star(self, capsys, tmp_path, kind):
         # under the identity the backward graph is the path 1-2-3-4
@@ -302,19 +277,6 @@ class TestClassifyCommand:
 
 
 class TestVerifyExamples:
-    def test_all_pass(self, capsys):
-        code, report = run_cli(capsys, "verify-examples")
-        assert code == 0
-        assert report["results"]["passed"] is True
-        names = {v["check"] for v in report["validation"]}
-        assert {
-            "left-example-components",
-            "central-example-components",
-            "left-example-prime",
-            "central-example-prime",
-            "left-example-product-extension",
-        } <= names
-
     @pytest.mark.parametrize("search", ["find_module_exhaustive", "find_module"])
     def test_reported_module_fails_primality(self, capsys, monkeypatch, search):
         # either module search alone reporting a 2-vertex module fails both entries
@@ -384,26 +346,6 @@ class TestOtherCommands:
         code, _ = run_cli(capsys, "complement", str(out1), "--out", str(out2))
         assert code == 0
         assert out2.read_text() == write_matrix(examples.left_example())
-
-    def test_product_command(self, capsys, tmp_path):
-        out = tmp_path / "neb.txt"
-        code, report = run_cli(
-            capsys, "product", "--kind", "left", "--slots", "1,3,5;2,4,6",
-            "--out", str(out),
-        )
-        assert code == 0
-        assert report["results"] == {"order": 6, "stars": 2, "width": 6}
-        t = parse_tournament(out.read_text())
-        from nebulab.stars import is_left_nebula_ordering
-
-        assert is_left_nebula_ordering(t, tuple(range(6)))
-
-    def test_enumerate_counts(self, capsys, tmp_path):
-        code, report = run_cli(
-            capsys, "enumerate", "--n", "5", "--out", str(tmp_path / "out")
-        )
-        assert code == 0 and report["results"]["total"] == 12
-        assert len(report["results"]["files"]) == 12
 
     def test_enumerate_renders_each_class_once(self, capsys, tmp_path, monkeypatch):
         # the round trip parses the very text that is written
@@ -782,16 +724,6 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            RUN_C3 + ["--t", "40", "--k", "10"],  # C(40, 10) part subsets
-        ],
-    )
-    def test_budget_exit_without_traceback(self, capsys, c3_file, argv):
-        argv = [c3_file if arg == "C3" else arg for arg in argv]
-        assert_clean_exit(capsys, argv, 3)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             RUN_T3 + ["--replay", "MISSING/trace.jsonl"],
             RUN_T3 + ["--replay", "BAD"],  # a malformed JSON line
             RUN_T3 + ["--trace", "MISSING/trace.jsonl"],
@@ -813,14 +745,16 @@ class TestMalformedInput:
         err = assert_clean_exit(capsys, argv, 2)
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [["tr", "BAD"], ["free", "C3", "BAD"]])
+    @pytest.mark.parametrize("argv", [["tr", "BAD"], ["free", "C3", "BAD"],
+                                      RUN_C3 + ["--structure", "BAD"], RUN_C3 + ["--replay", "BAD"]])
     def test_non_utf8_file_exit(self, capsys, tmp_path, c3_file, argv):
-        # a host or member file whose bytes do not decode is a malformed file
+        # a host, member, structure or trace file whose bytes do not decode
+        # as UTF-8 cannot be read, whatever the locale
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe\x00tournament 3 matrix\n")
         names = {"C3": c3_file, "BAD": str(bad)}
         err = assert_clean_exit(capsys, [names.get(arg, arg) for arg in argv], 2)
-        assert err.count("\n") == 1
+        assert err.startswith(f"parse error: cannot read {bad}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("lam", ["2", "1", "3/2", "-1/2"])
     def test_lambda_outside_unit_interval_exit(self, capsys, tmp_path, lam):
@@ -861,12 +795,6 @@ class TestMalformedInput:
         assert err == "budget exceeded: no verifying strong structure found\n"
         assert len(checked) == len(set(checked)) <= 6
 
-    def test_exponent_repeated_size_exit(self, capsys):
-        # a repeated size would fit its seeded samples twice
-        argv = ["exponent", "--sizes", "6,6,8", "--samples", "2", "--seed", "7"]
-        err = assert_clean_exit(capsys, argv, 2)
-        assert "repeated size 6" in err
-
 
 class TestRunAlgorithmCommand:
     @pytest.fixture
@@ -877,45 +805,6 @@ class TestRunAlgorithmCommand:
         path = tmp_path / "victim.txt"
         path.write_text(write_matrix(host))
         return str(path)
-
-    def test_run_with_auto_structure(self, capsys, victim_file, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        code, report = run_cli(
-            capsys, "run-algorithm", victim_file, "--case", "LR", "--t", "7",
-            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
-            "--trace", str(trace),
-        )
-        assert code == 0
-        assert all(v["passed"] for v in report["validation"])
-        assert trace.exists()
-
-    def test_replay_matches(self, capsys, victim_file, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        args = [
-            "run-algorithm", victim_file, "--case", "LR", "--t", "7",
-            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
-        ]
-        code, _ = run_cli(capsys, *args, "--trace", str(trace))
-        assert code == 0
-        code, report = run_cli(capsys, *args, "--replay", str(trace))
-        assert code == 0
-        assert any(
-            v["check"] == "replay-matches" and v["passed"]
-            for v in report["validation"]
-        )
-
-    def test_replay_mismatch_exit(self, capsys, victim_file, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        args = [
-            "run-algorithm", victim_file, "--case", "LR", "--t", "7",
-            "--part-size", "30", "--c", "1/7", "--lam", "3/10",
-        ]
-        assert run_cli(capsys, *args, "--trace", str(trace))[0] == 0
-        short = tmp_path / "short.jsonl"
-        short.write_text("".join(trace.read_text().splitlines(keepends=True)[:-1]))
-        code, report = run_cli(capsys, *args, "--replay", str(short))
-        passed = {v["check"]: v["passed"] for v in report["validation"]}
-        assert code == 1 and passed["replay-matches"] is False
 
     def test_no_monochromatic_clique_payload(self, capsys, tmp_path):
         # the host of test_engineered_no_clique: every triple is colored, no
@@ -1019,35 +908,10 @@ class TestRunAlgorithmCommand:
         assert report["results"]["outcome"]["kind"] == "complete-pair"
         assert {"check": "pair-complete", "passed": False} in report["validation"]
 
-    @pytest.fixture
-    def state_two_run(self, tmp_path):
-        """Criterion 5's central pair instance under its three blocks of 8:
-        RC's first witness finds no central star and falls back to a
-        complete pair (state 2)."""
-        back = [(8, 0), (9, 0), (10, 0), (11, 0), (16, 1), (17, 1), (18, 1), (19, 1)]
-        host = tmp_path / "central24.txt"
-        host.write_text(write_matrix(core.from_backward_edges(24, tuple(range(24)), back)))
-        structure = tmp_path / "blocks.json"
-        structure.write_text(json.dumps({"parts": [list(range(8 * p + 1, 8 * p + 9))
-                                                   for p in range(3)]}))
-        return ["run-algorithm", str(host), "--case", "RC", "--t", "3", "--k", "3",
-                "--part-size", "8", "--c", "1/3", "--lam", "1/2", "--structure", str(structure)]
-
-    def test_state_two_pair(self, capsys, state_two_run):
-        code, report = run_cli(capsys, *state_two_run)
-        assert code == 0
-        assert report["results"] == {
-            "outcome": {"kind": "complete-pair", "state": 2, "a": [9, 10, 11, 12],
-                        "b": list(range(17, 25)), "phase": 0},
-            "phases": 0,
-        }
-        assert report["validation"] == [
-            {"check": "phase-bound", "passed": True},
-            {"check": "pair-complete", "passed": True},
-        ]
-
-    def test_wrong_state_two_pair_fails_a_check(self, capsys, monkeypatch, state_two_run):
+    def test_wrong_state_two_pair_fails_a_check(self, capsys, monkeypatch, tmp_path):
         # witness's lemma makes its pair complete; the CLI entry is the one check
+        console_checks.make_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
         real = algorithm.witness
 
         def reversed_pair(host, sigma, verdict):
@@ -1056,7 +920,7 @@ class TestRunAlgorithmCommand:
             return CompletePair(pair.b, pair.a)
 
         monkeypatch.setattr(algorithm, "witness", reversed_pair)
-        code, report = run_cli(capsys, *state_two_run)
+        code, report = run_cli(capsys, *shlex.split(console_checks.RUN_STATE_TWO))
         assert code == 1
         assert report["results"]["outcome"]["state"] == 2
         assert {"check": "pair-complete", "passed": False} in report["validation"]
@@ -1213,3 +1077,19 @@ class TestReportEnvelope:
             assert isinstance(timed["timing"], float) and timed["timing"] >= 0, argv
             timed["timing"] = None
             assert json.dumps(timed, indent=2, sort_keys=True) + "\n" == plain, argv
+
+
+class TestConsoleChecks:
+    """The console-check table of tests/console_checks.py, run in-process."""
+
+    def test_every_row_passes(self, tmp_path):
+        assert console_checks.run(tmp_path) == []
+
+    def test_smaller_transitive_set_fails_the_tr_rows(self, tmp_path, monkeypatch):
+        # drop one vertex: every tr row that exits 0 sees it, no other row does
+        solver = core.largest_transitive
+        monkeypatch.setattr(core, "largest_transitive",
+                            lambda t: frozenset(sorted(solver(t))[1:]))
+        failures = console_checks.run(tmp_path)
+        assert [f.split(":")[0] for f in failures] == [
+            "nebulab tr t9.txt", "nebulab tr t12.txt", "nebulab tr t24.txt"]
