@@ -325,10 +325,8 @@ def nonsaturation_extract(
     # extract_product raises unless its embedding induces the product, and the
     # components sit at the ranks of the nebula's slots, so that product is the
     # nebula's own.
-    extraction = extract_product(
-        host, omega_sets, components, lam=config.lam / theta
-    )
-    return ForbiddenCopyOutcome(kind, extraction.product.tournament, extraction.embedding)
+    extraction = extract_product(host, omega_sets, components, lam=config.lam / theta)
+    return ForbiddenCopyOutcome(kind, extraction.product, extraction.embedding)
 
 
 # ---------------------------------------------------------------------------

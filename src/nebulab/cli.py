@@ -54,6 +54,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer: Random(-s) draws what Random(s) draws."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -280,15 +288,12 @@ def example_checklist() -> list[dict]:
             }
         )
     try:
-        nebula, embedding = product.extend_to_product_form(
-            left, identity, StarKind.LEFT
-        )
-        big = nebula.build().tournament
-        copy = containment.Embedding(tuple(embedding[v] for v in range(left.n)))
+        nebula, embedding = product.extend_to_product_form(left, identity, StarKind.LEFT)
+        big = nebula.build()
         checks.append(
             {
                 "check": "left-example-product-extension",
-                "passed": copy.validate(big, left)
+                "passed": embedding.validate(big, left)
                 and big.n >= 15
                 and stars.is_left_nebula_ordering(big, tuple(range(big.n))),
                 "detail": {"extension_order": big.n, "stars": nebula.star_count},
@@ -668,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--part-size", type=int, required=True)
     p.add_argument("--lam", type=_fraction, default="3/10")
     p.add_argument("--c", type=_fraction, default="1/10")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--structure", default="auto")
     p.add_argument("--nebula-white", default="1,2,3")
     p.add_argument("--nebula-black", default="1,2,3")
@@ -680,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", nargs="*", default=[])
     p.add_argument("--sizes", type=_positive_ints, required=True)
     p.add_argument("--samples", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(handler=cmd_exponent)
 
     p = sub.add_parser("enumerate", help="one tournament per isomorphism class")

@@ -16,42 +16,22 @@ from dataclasses import dataclass
 from itertools import count
 
 from .containment import Embedding
-from .core import Ordering, Tournament, from_backward_edges, from_edges, mask_vertices
+from .core import Ordering, Tournament, from_backward_edges, mask_vertices
 from .errors import InvariantError, ParseError
 from .stars import StarKind, backward_graph, classify_components
 
 Placement = dict[int, int]
 
-
-def small_left_star() -> tuple[Tournament, Ordering]:
-    """Vertices (c, l1, l2) = (0, 1, 2); backward edges l1->c and l2->c."""
-    return from_edges(3, [(1, 0), (2, 0), (1, 2)]), (0, 1, 2)
-
-
-def small_right_star() -> tuple[Tournament, Ordering]:
-    """Vertices (l1, l2, c) = (0, 1, 2); backward edges c->l1 and c->l2."""
-    return from_edges(3, [(2, 0), (2, 1), (0, 1)]), (0, 1, 2)
-
-
-def small_central_star() -> tuple[Tournament, Ordering]:
-    """Vertices (l1, c, l2) = (0, 1, 2); backward edges c->l1 and l2->c."""
-    return from_edges(3, [(1, 0), (2, 1), (0, 2)]), (0, 1, 2)
-
-
-# each kind's star tournament, built once
+# each kind's star tournament, built once from its backward edges under its
+# default ordering (0, 1, 2), whose vertices each comment names
 SMALL_STARS = {
-    StarKind.LEFT: small_left_star()[0],
-    StarKind.RIGHT: small_right_star()[0],
-    StarKind.CENTRAL: small_central_star()[0],
+    StarKind.LEFT: from_backward_edges(3, (0, 1, 2), [(1, 0), (2, 0)]),  # c, l1, l2
+    StarKind.RIGHT: from_backward_edges(3, (0, 1, 2), [(2, 0), (2, 1)]),  # l1, l2, c
+    StarKind.CENTRAL: from_backward_edges(3, (0, 1, 2), [(1, 0), (2, 1)]),  # l1, c, l2
 }
 
 
-@dataclass(frozen=True)
-class ProductResult:
-    tournament: Tournament
-
-
-def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
+def product(parts: list[tuple[Tournament, Placement]]) -> Tournament:
     """Combine parts under their placements; slots fix everything exactly.
 
     Product vertices are numbered by slot rank, so the identity is the slot
@@ -71,9 +51,8 @@ def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
             if slot in taken:
                 raise ValueError(f"slot {slot} reused by parts {taken[slot][0]} and {idx}")
             taken[slot] = (idx, v)
-    order_slots = sorted(taken)
-    vertex_map = {taken[slot]: rank for rank, slot in enumerate(order_slots)}
-    n = len(order_slots)
+    vertex_map = {taken[slot]: rank for rank, slot in enumerate(sorted(taken))}
+    n = len(taken)
     back = [
         (vertex_map[idx, w], vertex_map[idx, u])
         for idx, (part, placement) in enumerate(parts)
@@ -81,7 +60,7 @@ def product(parts: list[tuple[Tournament, Placement]]) -> ProductResult:
         for u in mask_vertices(part.rows[w])
         if placement[u] < placement[w]
     ]
-    return ProductResult(from_backward_edges(n, tuple(range(n)), back))
+    return from_backward_edges(n, tuple(range(n)), back)
 
 
 @dataclass(frozen=True)
@@ -117,7 +96,7 @@ class PlacementNebula:
     def star_count(self) -> int:
         return len(self.placements)
 
-    def build(self) -> ProductResult:
+    def build(self) -> Tournament:
         star = SMALL_STARS[self.kind]
         return product([(star, dict(enumerate(slots))) for slots in self.placements])
 
@@ -128,7 +107,7 @@ def build_nebula(
     """The nebula on the given slot triples, its width the largest slot."""
     width = max((s for triple in placements for s in triple), default=0)
     nebula = PlacementNebula(kind, tuple(tuple(p) for p in placements), width)
-    return nebula, nebula.build().tournament
+    return nebula, nebula.build()
 
 
 # The default order of the small star that completes a component, by target
@@ -143,15 +122,15 @@ _TEMPLATES = {
 
 def extend_to_product_form(
     t: Tournament, order: Ordering, kind: StarKind
-) -> tuple[PlacementNebula, dict[int, int]]:
+) -> tuple[PlacementNebula, Embedding]:
     """Complete a nebula ordering to a product of small stars containing ``t``.
 
     Singletons, 2-vertex components and 3-stars of ``kind`` are completed by
     the template of their size; any other component is refused.  A fresh
     vertex, numbered from ``t.n`` up, goes just before the next member in its
     star's default order, or after the last member if no member follows.
-    Returns the completed nebula and the embedding original vertex -> product
-    vertex, validated as an induced copy of ``t``.
+    Returns the completed nebula and the embedding of ``t`` into its product,
+    validated as an induced copy of ``t``.
     """
     if kind not in SMALL_STARS:
         raise ValueError(f"cannot extend toward kind {kind}")
@@ -180,8 +159,7 @@ def extend_to_product_form(
     slot_of = {v: s for s, v in enumerate(sorted(place, key=place.get), start=1)}
     placements = sorted(tuple(slot_of[v] for v in star) for star in stars)
     nebula = PlacementNebula(kind, tuple(placements), len(slot_of))
-    embedding = {v: slot_of[v] - 1 for v in order}
-    copy = Embedding(tuple(embedding[v] for v in range(t.n)))
-    if not copy.validate(nebula.build().tournament, t):
+    embedding = Embedding(tuple(slot_of[v] - 1 for v in range(t.n)))
+    if not embedding.validate(nebula.build(), t):
         raise InvariantError("completion is not an induced copy of the input")
     return nebula, embedding

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 from .containment import Embedding, contains_in_parts
 from .core import Tournament, mask_vertices, to_fraction, vertex_mask
 from .errors import CoverageTieError, InvariantError, LambdaTooLargeError
-from .product import SMALL_STARS, ProductResult, product
+from .product import SMALL_STARS, product
 from .stars import StarKind
 
 
@@ -111,13 +111,6 @@ class Triple:
         if s1 & s2 or s1 & s3 or s2 & s3:
             raise ValueError("triple sets must be pairwise disjoint")
 
-    def get(self, index: int) -> frozenset[int]:
-        return frozenset(mask_vertices(self.masks[index - 1]))
-
-
-def make_triple(s1, s2, s3) -> Triple:
-    return Triple((vertex_mask(s1), vertex_mask(s2), vertex_mask(s3)))
-
 
 @dataclass(frozen=True)
 class CompletePair:
@@ -126,6 +119,8 @@ class CompletePair:
 
     def validate(self, host: Tournament) -> bool:
         if not self.a or not self.b or self.a & self.b:
+            return False
+        if not all(0 <= v < host.n for v in self.a | self.b):
             return False
         return all(host.has_edge(u, v) for u in self.a for v in self.b)
 
@@ -212,9 +207,9 @@ class WitnessTriple:
 
     def validate(self, host: Tournament, sigma: Triple) -> bool:
         vs = self.vertices
-        if any(not sigma.masks[m] >> vs[m] & 1 for m in range(3)):
-            return False
-        return Embedding(vs).validate(host, SMALL_STARS[self.pattern])
+        # the copy check goes first: it refuses a vertex outside the host
+        return Embedding(vs).validate(host, SMALL_STARS[self.pattern]) and all(
+            sigma.masks[m] >> vs[m] & 1 for m in range(3))
 
 
 # (i, j) -> (pattern, A side, B side); 'cov' takes the coverage of S_index at
@@ -316,9 +311,8 @@ def is_normal(
 
 @dataclass(frozen=True)
 class ProductEmbedding:
-    product: ProductResult
+    product: Tournament
     embedding: Embedding
-    rows_used: tuple[int, ...]
     turan_gate: dict
 
 
@@ -403,9 +397,9 @@ def extract_product(
     row_vertex = {q: comp.orderings[q][s] for comp, s in zip(components, chosen)
                   for q in comp.phi.values()}
     embedding = Embedding(tuple(row_vertex[q] for q in sorted(row_vertex)))
-    if not embedding.validate(host, prod.tournament):
+    if not embedding.validate(host, prod):
         raise InvariantError("extracted rows do not induce the product")
-    return ProductEmbedding(prod, embedding, tuple(chosen), gate)
+    return ProductEmbedding(prod, embedding, gate)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from helpers import random_speed_tables, victim_host
+from helpers import random_speed_tables, victim_host, write_backedges
 from nebulab import cli, core, files
 
 
@@ -56,6 +56,7 @@ def make_inputs(workdir) -> None:
     write_host("central24.txt", core.from_backward_edges(24, tuple(range(24)), back))
     write("blocks.json", json.dumps(
         {"parts": [list(range(8 * p + 1, 8 * p + 9)) for p in range(3)]}))
+    write("c3.txt", write_backedges(core.cyclic_triangle(), (0, 1, 2)))
     write("both-ways.txt", "tournament 3 matrix\n011\n101\n000\n")
     write("neither-way.txt", "tournament 3 matrix\n010\n000\n100\n")
 
@@ -99,6 +100,8 @@ RUN_LC = "run-algorithm victim.txt --case LC --t 7 --part-size 30 --c 1/7 --lam 
 # falls back to a complete pair (state 2)
 RUN_STATE_TWO = ("run-algorithm central24.txt --case RC --t 3 --k 3 --part-size 8 --c 1/3"
                  " --lam 1/2 --structure blocks.json")
+# a run on the cyclic triangle, which the seed row extends by a negative seed
+RUN_C3 = "run-algorithm c3.txt --case LR --t 3 --part-size 1"
 # the example checklist entries that must be listed; both primality entries
 # are among them, so a dropped entry cannot pass silently
 EXAMPLE_CHECKS = {"left-example-components", "central-example-components", "left-example-prime",
@@ -184,6 +187,9 @@ ROWS = [
     Row("run-algorithm victim.txt --case LR --t 7 --part-size 30 --c 1/7 --lam 3/10"
         " --structure reversed.json", 2,
         "^parse error: the structure fails strong verification: pair-density (i=0, j=1,"),
+    # Random(-s) draws what Random(s) draws, so a negative seed is refused
+    Row(f"{RUN_C3} --seed -5", 2, "must be a non-negative integer, got -5"),
+    Row("exponent --sizes 4,6 --seed -5", 2, "must be a non-negative integer, got -5"),
 ]
 
 

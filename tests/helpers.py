@@ -357,6 +357,16 @@ def extraction_columns(state, config: AlgorithmConfig, subset, kind) -> list[fro
     return [columns[slot] for slot in sorted(columns)]
 
 
+def make_triple(s1, s2, s3) -> Triple:
+    """The triple (S_1, S_2, S_3) of three vertex sets."""
+    return Triple((core.vertex_mask(s1), core.vertex_mask(s2), core.vertex_mask(s3)))
+
+
+def triple_set(sigma: Triple, index: int) -> frozenset[int]:
+    """S_index of ``sigma``, 1-based like the triple's case names."""
+    return frozenset(core.mask_vertices(sigma.masks[index - 1]))
+
+
 def neighborhood(host: core.Tournament, sigma: Triple, v: int, j: int) -> frozenset[int]:
     """N(v, j): the in-neighbours of v inside S_j when j is later than v's
     set, its out-neighbours when earlier."""
@@ -373,7 +383,7 @@ def definition_classify_triple(host: core.Tournament, sigma: Triple, i: int, j: 
     untouched vertices and S_i; otherwise the verdict compares the first steps
     at which the two coverages reach half, a tie going to the queried j."""
     l = 6 - i - j
-    source = sigma.get(i)
+    source = triple_set(sigma, i)
     first_half = {}
     for target in (j, l):
         covered: set[int] = set()
@@ -381,7 +391,7 @@ def definition_classify_triple(host: core.Tournament, sigma: Triple, i: int, j: 
         for v in sorted(source):
             covered |= neighborhood(host, sigma, v, target)
             profile.append(len(covered))
-        whole = sigma.get(target)
+        whole = triple_set(sigma, target)
         if 2 * profile[-1] < len(whole):
             untouched = frozenset(whole - covered)
             if target > i:
@@ -402,13 +412,14 @@ def definition_witness_pair(host: core.Tournament, sigma: Triple, verdict: Tripl
     _, a_spec, b_spec = WITNESS_TABLE[verdict.i, verdict.j]
     j, l = verdict.j, verdict.l
     covered: dict[int, set[int]] = {j: set(), l: set()}
-    for v in sorted(sigma.get(verdict.i)):
+    size_j, size_l = len(triple_set(sigma, j)), len(triple_set(sigma, l))
+    for v in sorted(triple_set(sigma, verdict.i)):
         for m in covered:
             covered[m] |= neighborhood(host, sigma, v, m)
-        if 2 * len(covered[j]) < len(sigma.get(j)) or 2 * len(covered[l]) > len(sigma.get(l)):
+        if 2 * len(covered[j]) < size_j or 2 * len(covered[l]) > size_l:
             continue
-        a, b = (sigma.get(index) - covered[index] if role == "compl" else frozenset(covered[index])
-                for role, index in (a_spec, b_spec))
+        a, b = (triple_set(sigma, index) - covered[index] if role == "compl"
+                else frozenset(covered[index]) for role, index in (a_spec, b_spec))
         return CompletePair(a, b)
     return None
 

@@ -14,9 +14,11 @@ import pytest
 
 from helpers import (
     blocks,
+    make_triple,
     noise_host,
     random_speed_tables,
     single_star_config,
+    triple_set,
     victim_host,
 )
 from nebulab import cli, core, examples, files
@@ -28,7 +30,7 @@ from nebulab.core import (
     largest_transitive,
     random_tournament,
 )
-from nebulab.product import build_nebula, small_left_star, small_right_star
+from nebulab.product import SMALL_STARS, build_nebula
 from nebulab.regularity import (
     PipelineReport,
     regular_pair_exact,
@@ -45,7 +47,6 @@ from nebulab.structures import (
     WitnessTriple,
     classify_triple,
     extract_product,
-    make_triple,
     verify_structure,
     witness,
 )
@@ -226,7 +227,7 @@ def test_criterion_5_trichotomy_and_witness_suite():
                 else:
                     assert result.validate(host)
                     assert 2 * len(result.a) >= min(
-                        len(sigma.get(verdict.j)), len(sigma.get(verdict.l))
+                        len(triple_set(sigma, verdict.j)), len(triple_set(sigma, verdict.l))
                     )
                     pair_count += 1
                 validated += 1
@@ -240,8 +241,8 @@ def test_criterion_5_trichotomy_and_witness_suite():
                 result = witness(host, sigma, verdict)
                 assert isinstance(result, CompletePair)
                 assert result.validate(host)
-                assert 2 * len(result.a) >= len(sigma.get(verdict.j))
-                assert 2 * len(result.b) >= len(sigma.get(verdict.l))
+                assert 2 * len(result.a) >= len(triple_set(sigma, verdict.j))
+                assert 2 * len(result.b) >= len(triple_set(sigma, verdict.l))
                 validated += 1
                 pair_count += 1
             assert validated >= 1000
@@ -264,8 +265,8 @@ def lambda_zero_instance(rows, seed):
     host = core.Tournament(n, tuple(adj))
     parts = [frozenset(range(p * rows, (p + 1) * rows)) for p in range(6)]
     orderings = {p: tuple(sorted(parts[p])) for p in range(6)}
-    left, _ = small_left_star()
-    right, _ = small_right_star()
+    left = SMALL_STARS[StarKind.LEFT]
+    right = SMALL_STARS[StarKind.RIGHT]
     comp1 = NormalPart(left, {1: 0, 2: 1, 0: 2}, {p: orderings[p] for p in (0, 1, 2)})
     comp2 = NormalPart(right, {2: 3, 0: 4, 1: 5}, {p: orderings[p] for p in (3, 4, 5)})
     return host, parts, [comp1, comp2]
@@ -279,8 +280,8 @@ def test_criterion_6_product_extraction_lambda_zero():
             cert = verify_structure(host, parts, Fraction(1, 6), Fraction(0))
             assert cert.passed
             res = extract_product(host, parts, comps, lam=Fraction(0))
-            assert res.product.tournament.n == 6
-            assert res.embedding.validate(host, res.product.tournament)
+            assert res.product.n == 6
+            assert res.embedding.validate(host, res.product)
             gate = res.turan_gate
             assert gate["edges"] >= gate["bound"]
             assert gate["epsilon"] < Fraction(1, (2 - 1) ** 2)

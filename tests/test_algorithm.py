@@ -303,7 +303,7 @@ class TestRunPhase:
         outcome, record = run_phase(host, state, cfg)
         assert record["action"] == "saturated"
         assert isinstance(outcome, ForbiddenCopyOutcome)
-        assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
+        assert outcome.pattern == cfg.nebulae[outcome.kind].build()
         assert outcome.embedding.validate(host, outcome.pattern)
 
 
@@ -367,14 +367,14 @@ class TestNonsaturationExtract:
         outcome = nonsaturation_extract(host, state, cfg, subset, StarKind.LEFT)
         assert isinstance(outcome, ForbiddenCopyOutcome)
         assert outcome.pattern.n == 6
-        assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
+        assert outcome.pattern == cfg.nebulae[outcome.kind].build()
         assert outcome.embedding.validate(host, outcome.pattern)
 
     def test_capacity_one_minimal(self):
         host, cfg, state, subset = self._planted_state(StarKind.RIGHT, 1, cap=1)
         outcome = nonsaturation_extract(host, state, cfg, subset, StarKind.RIGHT)
         assert outcome.pattern.n == 3
-        assert outcome.pattern == cfg.nebulae[outcome.kind].build().tournament
+        assert outcome.pattern == cfg.nebulae[outcome.kind].build()
         assert outcome.embedding.validate(host, outcome.pattern)
 
     def test_unsaturated_rejected(self):
@@ -471,7 +471,7 @@ class TestRun:
         result = run(host, blocks(7, 30), cfg)
         assert isinstance(result.outcome, ForbiddenCopyOutcome)
         assert result.outcome.kind is StarKind.CENTRAL
-        assert result.outcome.pattern == cfg.nebulae[StarKind.CENTRAL].build().tournament
+        assert result.outcome.pattern == cfg.nebulae[StarKind.CENTRAL].build()
         assert result.outcome.embedding.validate(host, result.outcome.pattern)
 
     def test_multi_star_saturation_reports_honestly(self):

@@ -908,6 +908,25 @@ class TestRunAlgorithmCommand:
         assert report["results"]["outcome"]["kind"] == "complete-pair"
         assert {"check": "pair-complete", "passed": False} in report["validation"]
 
+    @pytest.mark.parametrize("outside", ["n", "-1"])
+    def test_pair_outside_the_host_fails_a_check(self, capsys, monkeypatch, tmp_path, outside):
+        # a classifier whose state-0 pair holds a vertex outside 0..n-1: vertex
+        # n has no row, and -1 read as the last vertex would beat the other side
+        host = forward_block_host(3, 4, seed=0)
+        path = tmp_path / "blocks.txt"
+        path.write_text(write_matrix(host))
+        last = host.n - 1
+        beaten = next(v for v in range(host.n) if host.has_edge(last, v))
+        vertex = host.n if outside == "n" else -1
+        pair = CompletePair(frozenset({vertex}), frozenset({beaten}))
+        monkeypatch.setattr(algorithm, "classify_triple", lambda *args: pair)
+        code, report = run_cli(
+            capsys, "run-algorithm", str(path), "--case", "LR", "--t", "3", "--part-size", "4",
+        )
+        assert code == 1
+        assert report["results"]["outcome"]["kind"] == "complete-pair"
+        assert {"check": "pair-complete", "passed": False} in report["validation"]
+
     def test_wrong_state_two_pair_fails_a_check(self, capsys, monkeypatch, tmp_path):
         # witness's lemma makes its pair complete; the CLI entry is the one check
         console_checks.make_inputs(tmp_path)

@@ -18,7 +18,7 @@ from nebulab.containment import (
 )
 from nebulab.core import cyclic_triangle, random_tournament, transitive_tournament
 from nebulab.errors import BudgetError
-from nebulab.product import build_nebula, small_central_star
+from nebulab.product import SMALL_STARS, build_nebula
 from nebulab.stars import StarKind
 
 LEFT6 = build_nebula(StarKind.LEFT, [(1, 3, 5), (2, 4, 6)])[1]
@@ -34,7 +34,7 @@ class TestContains:
         assert contains(transitive_tournament(5), cyclic_triangle()) is None
 
     def test_left_example_contains_central_star(self):
-        star, _ = small_central_star()
+        star = SMALL_STARS[StarKind.CENTRAL]
         emb = contains(examples.left_example(), star)
         brute = brute_force_contains(examples.left_example(), star)
         assert (emb is None) == (brute is None)

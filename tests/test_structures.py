@@ -11,16 +11,18 @@ from helpers import (
     definition_dense_vertices,
     definition_witness_pair,
     forward_block_host,
+    make_triple,
     neighborhood,
     pattern_triple,
     set_density,
     structure_oracle,
+    triple_set,
 )
 from nebulab import core
 from nebulab.core import from_backward_edges, random_tournament
 from nebulab.errors import CoverageTieError, LambdaTooLargeError
 from nebulab.containment import contains_in_parts
-from nebulab.product import SMALL_STARS, small_central_star, small_left_star, small_right_star
+from nebulab.product import SMALL_STARS
 from nebulab.stars import StarKind
 from nebulab.structures import (
     WITNESS_TABLE,
@@ -31,7 +33,6 @@ from nebulab.structures import (
     classify_triple,
     extract_product,
     is_normal,
-    make_triple,
     turan_clique,
     ugraph_from_edges,
     verify_structure,
@@ -243,12 +244,12 @@ class TestNeighborhood:
             verts = rng.sample(range(9), 6)
             sigma = make_triple(verts[:2], verts[2:4], verts[4:6])
             for i, j in itertools.permutations((1, 2, 3), 2):
-                for v in sigma.get(i):
+                for v in triple_set(sigma, i):
                     got = neighborhood(host, sigma, v, j)
                     if j > i:
-                        want = {w for w in sigma.get(j) if host.has_edge(w, v)}
+                        want = {w for w in triple_set(sigma, j) if host.has_edge(w, v)}
                     else:
-                        want = {w for w in sigma.get(j) if host.has_edge(v, w)}
+                        want = {w for w in triple_set(sigma, j) if host.has_edge(v, w)}
                     assert got == frozenset(want)
 
 
@@ -341,8 +342,8 @@ class TestClassifyTripleOracle:
                 got = classify_triple(host, sigma, i, j)
                 assert got == definition_classify_triple(host, sigma, i, j)
                 if isinstance(got, CompletePair):
-                    untouched = got.b if got.a == sigma.get(i) else got.a
-                    seen["pair-j" if untouched <= sigma.get(j) else "pair-l"] += 1
+                    untouched = got.b if got.a == triple_set(sigma, i) else got.a
+                    seen["pair-j" if untouched <= triple_set(sigma, j) else "pair-l"] += 1
                 elif got.k_j == got.k_l:
                     seen["tie"] += 1
                 else:
@@ -395,14 +396,13 @@ class TestClassifyTriple:
 
         def brute(host, sigma, i, j):
             l = 6 - i - j
-            for perm in itertools.permutations(sorted(sigma.get(i))):
+            for perm in itertools.permutations(sorted(triple_set(sigma, i))):
                 uj, ul = set(), set()
                 for v in perm:
                     uj |= neighborhood(host, sigma, v, j)
                     ul |= neighborhood(host, sigma, v, l)
-                    if 2 * len(uj) >= len(sigma.get(j)) and 2 * len(ul) <= len(
-                        sigma.get(l)
-                    ):
+                    if (2 * len(uj) >= len(triple_set(sigma, j))
+                            and 2 * len(ul) <= len(triple_set(sigma, l))):
                         return True
             return False
 
@@ -441,6 +441,13 @@ class TestCompletePair:
         assert CompletePair(frozenset({0, 1}), frozenset({5, 6})).validate(host)
         assert CompletePair(frozenset(a), frozenset(b)).validate(host) is False
 
+    @pytest.mark.parametrize("a, b", [({-1}, {0}), ({0}, {-1}), ({3}, {0}), ({0}, {3})])
+    def test_vertex_outside_the_host_fails(self, a, b):
+        # vertex 2 beats 0, so a -1 read as the last vertex would pass
+        host = from_backward_edges(3, (0, 1, 2), [(2, 0)])
+        assert CompletePair(frozenset({2}), frozenset({0})).validate(host)
+        assert CompletePair(frozenset(a), frozenset(b)).validate(host) is False
+
 
 class TestWitness:
     def test_immediate_pattern_triple(self):
@@ -459,6 +466,13 @@ class TestWitness:
         assert result.pattern is StarKind.LEFT
         assert result.validate(host, sigma)
 
+    @pytest.mark.parametrize("vertices", [(-1, 1, 2), (0, -1, 2), (0, 1, -1), (3, 1, 2), (0, 1, 3)])
+    def test_vertex_outside_the_host_fails(self, vertices):
+        host = SMALL_STARS[StarKind.LEFT]
+        sigma = make_triple([0], [1], [2])
+        assert WitnessTriple((0, 1, 2), StarKind.LEFT).validate(host, sigma)
+        assert WitnessTriple(vertices, StarKind.LEFT).validate(host, sigma) is False
+
     def test_adversarial_fallback_pair(self):
         host = adversarial_no_pattern_host()
         sigma = make_triple(range(8), range(8, 16), range(16, 24))
@@ -466,8 +480,8 @@ class TestWitness:
         result = witness(host, sigma, verdict)
         assert isinstance(result, CompletePair)
         assert result.validate(host)
-        assert 2 * len(result.a) >= len(sigma.get(1))
-        assert 2 * len(result.b) >= len(sigma.get(3))
+        assert 2 * len(result.a) >= len(triple_set(sigma, 1))
+        assert 2 * len(result.b) >= len(triple_set(sigma, 3))
 
     def test_tie_without_pattern_raises(self):
         back = [(2, 0), (2, 1), (3, 0), (3, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
@@ -597,13 +611,13 @@ class TestNormality:
         assert is_normal(host, parts, single, {0: 0}, {0: (0, 1, 2)})
 
     def test_stacked_copies_normal(self):
-        pattern, _ = small_central_star()
+        pattern = SMALL_STARS[StarKind.CENTRAL]
         host, parts, orderings = self._stacked_host(pattern, rows=4, seed=0)
         phi = {v: v for v in range(3)}
         assert is_normal(host, parts, pattern, phi, orderings)
 
     def test_row_mutation_breaks_normality(self):
-        pattern, _ = small_central_star()
+        pattern = SMALL_STARS[StarKind.CENTRAL]
         host, parts, orderings = self._stacked_host(pattern, rows=4, seed=0)
         phi = {v: v for v in range(3)}
         broken = dict(orderings)
@@ -618,7 +632,7 @@ class TestNormality:
          "ordering one vertex short"],
     )
     def test_refusals(self, fault):
-        pattern, _ = small_central_star()
+        pattern = SMALL_STARS[StarKind.CENTRAL]
         host, parts, orderings = self._stacked_host(pattern, rows=4, seed=0)
         phi = {v: v for v in range(3)}
         if fault == "phi not injective":
@@ -663,24 +677,24 @@ class TestExtractProduct:
         host = core.Tournament(n, tuple(adj))
         parts = [frozenset(range(p * rows, (p + 1) * rows)) for p in range(6)]
         orderings = {p: tuple(sorted(parts[p])) for p in range(6)}
-        left, _ = small_left_star()
-        right, _ = small_right_star()
+        left = SMALL_STARS[StarKind.LEFT]
+        right = SMALL_STARS[StarKind.RIGHT]
         comp1 = NormalPart(left, {1: 0, 2: 1, 0: 2}, {p: orderings[p] for p in (0, 1, 2)})
         comp2 = NormalPart(right, {2: 3, 0: 4, 1: 5}, {p: orderings[p] for p in (3, 4, 5)})
         return host, parts, [comp1, comp2]
 
     def test_single_part_any_row(self):
-        pattern, _ = small_central_star()
+        pattern = SMALL_STARS[StarKind.CENTRAL]
         host, parts, orderings = TestNormality()._stacked_host(pattern, rows=3, seed=1)
         comp = NormalPart(pattern, {v: v for v in range(3)}, orderings)
         res = extract_product(host, parts, [comp], lam=Fraction(0))
-        assert res.embedding.validate(host, res.product.tournament)
+        assert res.embedding.validate(host, res.product)
 
     def test_two_stars_lambda_zero(self):
         host, parts, comps = self._lambda_zero_instance(rows=4, seed=13)
         res = extract_product(host, parts, comps, lam=Fraction(0))
-        assert res.product.tournament.n == 6
-        assert res.embedding.validate(host, res.product.tournament)
+        assert res.product.n == 6
+        assert res.embedding.validate(host, res.product)
 
     def test_turan_gate_holds(self):
         host, parts, comps = self._lambda_zero_instance(rows=5, seed=14)
@@ -734,8 +748,8 @@ def random_normal_instance(rng, p, t, forward):
     component induces its star; every other pair of vertices in distinct
     parts points from the lower part to the higher with probability
     ``forward``, and pairs inside a part are random."""
-    makers = (small_left_star, small_right_star, small_central_star)
-    patterns = [rng.choice(makers)()[0] for _ in range(p)]
+    stars = tuple(SMALL_STARS[kind] for kind in (StarKind.LEFT, StarKind.RIGHT, StarKind.CENTRAL))
+    patterns = [rng.choice(stars) for _ in range(p)]
     part_ids = rng.sample(range(3 * p), 3 * p)
     phis = [{h: part_ids[3 * m + h] for h in range(3)} for m in range(p)]
     orderings = {q: tuple(rng.sample(range(q * t, (q + 1) * t), t)) for q in range(3 * p)}
@@ -807,9 +821,13 @@ class TestExtractProductLexFirst:
                 extract_product(host, parts, comps, lam=Fraction(0))
             return
         res = extract_product(host, parts, comps, lam=Fraction(0))
-        assert res.rows_used == first
+        # the copy of the oracle's rows: each used part's vertex in its
+        # component's row, parts ascending
+        row_vertex = {q: comp.orderings[q][s] for comp, s in zip(comps, first)
+                      for q in comp.phi.values()}
+        assert res.embedding.mapping == tuple(row_vertex[q] for q in sorted(row_vertex))
         assert res.turan_gate["edges"] == edges
-        assert res.embedding.validate(host, res.product.tournament)
+        assert res.embedding.validate(host, res.product)
 
     def test_no_compatible_rows_raises(self):
         host, parts, comps = random_normal_instance(random.Random(3), 2, 3, 0.0)
