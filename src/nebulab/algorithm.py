@@ -28,7 +28,6 @@ from .structures import (
     CompletePair,
     NormalPart,
     StructureCertificate,
-    Triple,
     TripleClass,
     WitnessTriple,
     classify_triple,
@@ -68,7 +67,7 @@ class AlgorithmConfig:
     def __post_init__(self) -> None:
         if self.case not in CASES:
             raise ParseError(f"unknown case {self.case}")
-        spec = CASES[self.case]
+        spec = self.spec
         if set(self.nebulae) != {spec.white, spec.black}:
             raise ParseError(
                 f"case {self.case} needs nebulae for {spec.white.value} and {spec.black.value}"
@@ -102,9 +101,8 @@ class AlgorithmConfig:
 
     def lambda_warning(self) -> Optional[str]:
         """The guarantee threshold from the saturation argument, when finite."""
-        spec = CASES[self.case]
-        c1 = self.nebulae[spec.white].star_count
-        c2 = self.nebulae[spec.black].star_count
+        c1 = self.nebulae[self.spec.white].star_count
+        c2 = self.nebulae[self.spec.black].star_count
         if c1 <= 1 or c2 <= 1:
             return None
         denom = (
@@ -199,7 +197,7 @@ def color_hyperedges(
     i_q, j_q = config.spec.query
     coloring: dict[tuple[int, int, int], ColorEntry] = {}
     for edge in combinations(range(config.t), 3):
-        verdict = classify_triple(host, Triple(tuple(sets[part] for part in edge)), i_q, j_q)
+        verdict = classify_triple(host, tuple(sets[part] for part in edge), i_q, j_q)
         if isinstance(verdict, CompletePair):
             coloring[edge] = ("uncolored", verdict)
             break
@@ -257,7 +255,7 @@ def run_phase(
         return outcome, record
     slots = nebula.placements[entry_index]
     x = tuple(subset[s - 1] for s in slots)
-    sigma = Triple(tuple(sets[part] for part in x))
+    sigma = tuple(sets[part] for part in x)
     verdict = coloring[x][1]
     assert isinstance(verdict, TripleClass)
     result = witness(host, sigma, verdict)
@@ -347,7 +345,7 @@ def check_state(host: Tournament, state: PhaseState, config: AlgorithmConfig) ->
                 raise InvariantError(
                     f"entry ({kind.value},{subset_rank(subset, config.t)},{z}) exceeds capacity"
                 )
-            sigma = Triple(tuple(state.initial_sets[subset[slot - 1]] for slot in slots))
+            sigma = tuple(state.initial_sets[subset[slot - 1]] for slot in slots)
             for triple in entry:
                 stored |= vertex_mask(triple)
                 count += len(triple)

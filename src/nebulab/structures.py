@@ -1,11 +1,12 @@
 """Density structures, ordered-triple classification, and witness extraction.
 
-Every vertex set of a structure or triple is held as a bitmask over the host
-(bit v for vertex v), so densities and coverage counts are ``bit_count``s of
-masked host rows.  Triple positions are 1-based (sets S_1, S_2, S_3) so the
-(i,j) case names match the usual notation.  Density thresholds are compared
-as integer cross-products; a ``Fraction`` is built only for a reported
-density, and a ``frozenset`` only for an emitted ``CompletePair``.
+Every vertex set of a structure is held as a bitmask over the host (bit v
+for vertex v), so densities and coverage counts are ``bit_count``s of masked
+host rows.  A triple is the plain tuple of its three part masks, named
+1-based (sets S_1, S_2, S_3) so the (i,j) case names match the usual
+notation.  Density thresholds are compared as integer cross-products; a
+``Fraction`` is built only for a reported density, and a ``frozenset`` only
+for an emitted ``CompletePair``.
 """
 
 from __future__ import annotations
@@ -98,18 +99,10 @@ def verify_structure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Triple:
-    masks: tuple[int, int, int]
+Triple = tuple[int, int, int]  # the vertex masks of S_1, S_2, S_3
 
-    def __post_init__(self) -> None:
-        if len(self.masks) != 3:
-            raise ValueError("a triple holds exactly three sets")
-        s1, s2, s3 = self.masks
-        if not (s1 and s2 and s3):
-            raise ValueError("triple sets must be nonempty")
-        if s1 & s2 or s1 & s3 or s2 & s3:
-            raise ValueError("triple sets must be pairwise disjoint")
+# the star an (i,j)-verdict promises has its center in S_j
+CENTERED_IN = {1: StarKind.LEFT, 2: StarKind.CENTRAL, 3: StarKind.RIGHT}
 
 
 @dataclass(frozen=True)
@@ -142,8 +135,12 @@ class TripleClass:
 TripleVerdict = Union[CompletePair, TripleClass]
 
 
-def _complete_pair(first: int, second: int) -> CompletePair:
-    return CompletePair(frozenset(mask_vertices(first)), frozenset(mask_vertices(second)))
+def _complete_pair(x: int, x_index: int, y: int, y_index: int) -> CompletePair:
+    """The pair of the masks x in S_x_index and y in S_y_index; the side in
+    the earlier set is A."""
+    if x_index > y_index:
+        x, y = y, x
+    return CompletePair(frozenset(mask_vertices(x)), frozenset(mask_vertices(y)))
 
 
 def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVerdict:
@@ -155,11 +152,15 @@ def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVe
     coverage below half, the untouched half is complete to S_i (or the
     reverse) and a CompletePair is emitted.  Otherwise the verdict follows the
     first-to-half comparison of the two coverages; ties go to the queried j.
+
+    The three sets must be nonempty and pairwise disjoint; the phase
+    algorithm's triples are, as ``run`` refuses overlapping parts and
+    ``color_hyperedges`` refuses an emptied one.
     """
     if i not in (1, 2, 3) or j not in (1, 2, 3) or i == j:
         raise ValueError(f"invalid triple indices ({i},{j})")
     l = 6 - i - j
-    source, target_j, target_l = sigma.masks[i - 1], sigma.masks[j - 1], sigma.masks[l - 1]
+    source, target_j, target_l = sigma[i - 1], sigma[j - 1], sigma[l - 1]
     size_j, size_l = target_j.bit_count(), target_l.bit_count()
     # N(v, m) is v's in-neighbourhood, ~row, when S_m is later than S_i
     flip_j, flip_l = -1 if j > i else 0, -1 if l > i else 0
@@ -183,10 +184,7 @@ def classify_triple(host: Tournament, sigma: Triple, i: int, j: int) -> TripleVe
             break
     for k, cov, target, index in ((k_j, cov_j, target_j, j), (k_l, cov_l, target_l, l)):
         if not k:
-            untouched = target & ~cov
-            if index > i:
-                return _complete_pair(source, untouched)
-            return _complete_pair(untouched, source)
+            return _complete_pair(source, i, target & ~cov, index)
     if k_j <= k_l:
         return TripleClass(i, j, l, k_j, k_l)
     return TripleClass(i, l, j, k_l, k_j)
@@ -209,27 +207,16 @@ class WitnessTriple:
         vs = self.vertices
         # the copy check goes first: it refuses a vertex outside the host
         return Embedding(vs).validate(host, SMALL_STARS[self.pattern]) and all(
-            sigma.masks[m] >> vs[m] & 1 for m in range(3))
-
-
-# (i, j) -> (pattern, A side, B side); 'cov' takes the coverage of S_index at
-# step k_j, 'compl' its complement; A is complete to B
-WITNESS_TABLE: dict[tuple[int, int], tuple[StarKind, tuple[str, int], tuple[str, int]]] = {
-    (2, 1): (StarKind.LEFT, ("cov", 1), ("compl", 3)),
-    (3, 1): (StarKind.LEFT, ("cov", 1), ("compl", 2)),
-    (2, 3): (StarKind.RIGHT, ("compl", 1), ("cov", 3)),
-    (1, 3): (StarKind.RIGHT, ("compl", 2), ("cov", 3)),
-    (1, 2): (StarKind.CENTRAL, ("cov", 2), ("compl", 3)),
-    (3, 2): (StarKind.CENTRAL, ("compl", 1), ("cov", 2)),
-}
+            sigma[m] >> vs[m] & 1 for m in range(3))
 
 
 def witness(
     host: Tournament, sigma: Triple, verdict: TripleClass
 ) -> Union[WitnessTriple, CompletePair]:
-    """Extract the star pattern promised by an (i,j)-verdict, the lex-first
-    (v1, v2, v3), or, when no pattern exists, a half-sized complete pair built
-    from the coverages of S_j and S_l after the first k_j vertices of S_i.
+    """Extract the star promised by an (i,j)-verdict, ``CENTERED_IN[j]``, as
+    the lex-first (v1, v2, v3), or, when no copy exists, a half-sized
+    complete pair of S_j's coverage and S_l's uncovered rest after the first
+    k_j vertices of S_i.
 
     The pair needs a step at which S_j's coverage has reached half while
     S_l's has not exceeded it.  Before step k_j, S_j's coverage is below
@@ -239,35 +226,30 @@ def witness(
     place of an undersized pair, exactly when k_j == k_l and S_l's coverage at
     that step is above half.
 
-    The pair is complete.  In every WITNESS_TABLE row, A lies in the earlier
-    of S_j and S_l.  A covered x in S_j is joined by a backward edge to some
-    v among the first k_j of S_i, and an uncovered y in S_l by a forward edge
-    to v; a backward edge between x and y would make x, v, y, in set order,
-    the row's star centered at x, which contradicts "no pattern".  For
-    (2,1): if b -> a for a in A and b in B, the covering v beats both, so
-    (a, v, b) is a left star.  A holds at least half of S_j and B, by the
-    tie check, at least half of S_l.
+    The pair is complete: with A the side in the earlier set, every edge
+    between A and B points forward.  A covered x in S_j is joined by a
+    backward edge to some v among the first k_j of S_i, and an uncovered y
+    in S_l by a forward edge to v.  A backward edge between x and y would
+    give x backward edges to both others, so x, v, y, in set order, would
+    induce a three-vertex star centered at x in S_j, which is
+    ``CENTERED_IN[j]`` and contradicts "no copy".  S_j's side holds at least
+    half of S_j, and S_l's side, by the tie check, at least half of S_l.
     """
-    key = (verdict.i, verdict.j)
-    if key not in WITNESS_TABLE:
-        raise ValueError(f"no witness pattern for verdict {key}")
-    pattern, a_spec, b_spec = WITNESS_TABLE[key]
-    found = contains_in_parts(host, SMALL_STARS[pattern], sigma.masks)
+    i, j, l = verdict.i, verdict.j, verdict.l
+    pattern = CENTERED_IN[j]
+    found = contains_in_parts(host, SMALL_STARS[pattern], sigma)
     if found is not None:
         return WitnessTriple(found.mapping, pattern)
-    i, j, l = verdict.i, verdict.j, verdict.l
     cov = {j: 0, l: 0}
-    for v in mask_vertices(sigma.masks[i - 1])[: verdict.k_j]:
+    for v in mask_vertices(sigma[i - 1])[: verdict.k_j]:
         for m in cov:  # N(v, m) is v's in-neighbourhood, ~row, when S_m is later
-            cov[m] |= sigma.masks[m - 1] & (host.rows[v] ^ (-1 if m > i else 0))
-    if 2 * cov[l].bit_count() > sigma.masks[l - 1].bit_count():
+            cov[m] |= sigma[m - 1] & (host.rows[v] ^ (-1 if m > i else 0))
+    if 2 * cov[l].bit_count() > sigma[l - 1].bit_count():
         raise CoverageTieError(
             f"verdict ({i},{j}) with k_j={verdict.k_j}, k_l={verdict.k_l}: "
             "no step satisfies both half bounds"
         )
-    a, b = (sigma.masks[index - 1] & ~cov[index] if role == "compl" else cov[index]
-            for role, index in (a_spec, b_spec))
-    return _complete_pair(a, b)
+    return _complete_pair(cov[j], j, sigma[l - 1] & ~cov[l], l)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ ROWS = [
         "exceed the enumeration budget 200000"),
     Row("product --kind left --slots '1,3,5;2,4,6' --out left6.txt",
         report=lambda r: r["results"] == {"order": 6, "stars": 2, "width": 6}),
+    Row("complement left6.txt --out left6c.txt", report=lambda r: r["results"] == {"order": 6}
+        and [c["check"] for c in r["validation"]] == ["involution", "edges-reversed"]),
+    # the complement of a left nebula is a right nebula under the reversed order
+    Row("classify left6c.txt --ordering search --kind right", report=lambda r:
+        r["results"]["verdict"] is True and r["results"]["ordering"] == [6, 5, 4, 3, 2, 1]),
     Row("free t9.txt left6.txt", report=lambda r: r["validation"] == [
         {"check": "brute-force-agrees:left6.txt", "passed": True}]),
     # the identity ordering of the left product is a nebula, left and galaxy

@@ -13,7 +13,7 @@ from nebulab.containment import Embedding, contains
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.regularity import PairVerdict, ViolatingPair, to_fraction
 from nebulab.stars import StarKind
-from nebulab.structures import WITNESS_TABLE, CompletePair, Triple, TripleClass
+from nebulab.structures import CompletePair, Triple, TripleClass
 
 
 def all_labeled_tournaments(n: int):
@@ -118,10 +118,10 @@ def pattern_triple(host: core.Tournament, sigma: Triple, kind) -> tuple[int, int
 
     def fitting(v: int, a: int, b: int) -> int:
         """Vertices of S_(b+1) oriented toward v, at star vertex a, as the star asks."""
-        target = sigma.masks[b]
+        target = sigma[b]
         return target & host.rows[v] if star.has_edge(a, b) else target & ~host.rows[v]
 
-    for v1 in core.mask_vertices(sigma.masks[0]):
+    for v1 in core.mask_vertices(sigma[0]):
         for v2 in core.mask_vertices(fitting(v1, 0, 1)):
             third = fitting(v1, 0, 2) & fitting(v2, 1, 2)
             if third:
@@ -358,20 +358,20 @@ def extraction_columns(state, config: AlgorithmConfig, subset, kind) -> list[fro
 
 
 def make_triple(s1, s2, s3) -> Triple:
-    """The triple (S_1, S_2, S_3) of three vertex sets."""
-    return Triple((core.vertex_mask(s1), core.vertex_mask(s2), core.vertex_mask(s3)))
+    """The triple (S_1, S_2, S_3) of three vertex sets, as their masks."""
+    return core.vertex_mask(s1), core.vertex_mask(s2), core.vertex_mask(s3)
 
 
 def triple_set(sigma: Triple, index: int) -> frozenset[int]:
     """S_index of ``sigma``, 1-based like the triple's case names."""
-    return frozenset(core.mask_vertices(sigma.masks[index - 1]))
+    return frozenset(core.mask_vertices(sigma[index - 1]))
 
 
 def neighborhood(host: core.Tournament, sigma: Triple, v: int, j: int) -> frozenset[int]:
     """N(v, j): the in-neighbours of v inside S_j when j is later than v's
     set, its out-neighbours when earlier."""
-    i = next(k for k in (1, 2, 3) if sigma.masks[k - 1] >> v & 1)
-    target = sigma.masks[j - 1]
+    i = next(k for k in (1, 2, 3) if sigma[k - 1] >> v & 1)
+    target = sigma[j - 1]
     met = target & ~host.rows[v] if j > i else target & host.rows[v]
     return frozenset(core.mask_vertices(met))
 
@@ -404,12 +404,24 @@ def definition_classify_triple(host: core.Tournament, sigma: Triple, i: int, j: 
     return TripleClass(i, l, j, first_half[l], first_half[j])
 
 
+# (i, j) -> (A side, B side) of the witness fallback pair; 'cov' takes the
+# coverage of S_index, 'compl' the rest of S_index; A is complete to B
+WITNESS_SIDES = {
+    (2, 1): (("cov", 1), ("compl", 3)),
+    (3, 1): (("cov", 1), ("compl", 2)),
+    (2, 3): (("compl", 1), ("cov", 3)),
+    (1, 3): (("compl", 2), ("cov", 3)),
+    (1, 2): (("cov", 2), ("compl", 3)),
+    (3, 2): (("compl", 1), ("cov", 2)),
+}
+
+
 def definition_witness_pair(host: core.Tournament, sigma: Triple, verdict: TripleClass):
     """The witness fallback by a scan of every step: the coverages of S_j and
     S_l after each vertex of S_i in ascending order.  The first step at which
     S_j's coverage has reached half and S_l's has not exceeded it gives the
-    complete pair read off ``WITNESS_TABLE``; None when no step does."""
-    _, a_spec, b_spec = WITNESS_TABLE[verdict.i, verdict.j]
+    complete pair read off ``WITNESS_SIDES``; None when no step does."""
+    a_spec, b_spec = WITNESS_SIDES[verdict.i, verdict.j]
     j, l = verdict.j, verdict.l
     covered: dict[int, set[int]] = {j: set(), l: set()}
     size_j, size_l = len(triple_set(sigma, j)), len(triple_set(sigma, l))

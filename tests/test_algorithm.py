@@ -42,7 +42,7 @@ from nebulab.containment import Embedding, contains_in_parts
 from nebulab.errors import InvariantError, NebulabError, ParseError
 from nebulab.product import SMALL_STARS, PlacementNebula
 from nebulab.stars import StarKind
-from nebulab.structures import classify_triple, verify_structure
+from nebulab.structures import CENTERED_IN, classify_triple, verify_structure
 
 LAM = Fraction(3, 10)
 
@@ -87,6 +87,17 @@ class TestConfig:
     def test_lambda_warning_only_for_multi_star(self):
         cfg = single_star_config("LR", 7, 30, LAM)
         assert cfg.lambda_warning() is None
+
+    def test_tables_follow_the_centered_in_rule(self):
+        # an (i,j)-verdict promises the star centered in S_j: the query's own
+        # j is white, its sibling l = 6 - i - j black
+        for spec in CASES.values():
+            i, j = spec.query
+            assert (spec.white, spec.black) == (CENTERED_IN[j], CENTERED_IN[6 - i - j])
+        # that star's backward edges under (0, 1, 2) both meet vertex j - 1
+        for j, kind in CENTERED_IN.items():
+            edges = core.backward_edges(SMALL_STARS[kind], (0, 1, 2))
+            assert len(edges) == 2 and all(j - 1 in edge for edge in edges)
 
 
 def _run_on_forward_blocks(parts):
@@ -168,8 +179,7 @@ class TestColoring:
         cfg = single_star_config("LR", 5, 30, LAM, c=Fraction(1, 5))
         sets = [core.vertex_mask(p) for p in blocks(5, 30)]
         full = {
-            edge: classify_triple(host, algorithm.Triple(tuple(sets[p] for p in edge)),
-                                  *CASES["LR"].query)
+            edge: classify_triple(host, tuple(sets[p] for p in edge), *CASES["LR"].query)
             for edge in itertools.combinations(range(5), 3)
         }
         calls = []

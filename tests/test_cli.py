@@ -894,7 +894,7 @@ class TestRunAlgorithmCommand:
         def whole_parts(host, sigma, i, j):
             verdict = real(host, sigma, i, j)
             if isinstance(verdict, CompletePair):
-                parts = [frozenset(core.mask_vertices(m)) for m in sigma.masks]
+                parts = [frozenset(core.mask_vertices(m)) for m in sigma]
                 verdict = CompletePair(*(next(p for p in parts if side <= p)
                                          for side in (verdict.a, verdict.b)))
                 assert sum(host.has_edge(v, u) for u in verdict.a for v in verdict.b) == 1
@@ -1103,6 +1103,11 @@ class TestConsoleChecks:
 
     def test_every_row_passes(self, tmp_path):
         assert console_checks.run(tmp_path) == []
+
+    def test_every_subcommand_has_a_passing_row(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        covered = {shlex.split(row.argv)[0] for row in console_checks.ROWS if row.exit == 0}
+        assert set(sub.choices) <= covered
 
     def test_smaller_transitive_set_fails_the_tr_rows(self, tmp_path, monkeypatch):
         # drop one vertex: every tr row that exits 0 sees it, no other row does

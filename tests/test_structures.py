@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    WITNESS_SIDES,
     definition_classify_triple,
     definition_dense_vertices,
     definition_witness_pair,
@@ -25,7 +26,6 @@ from nebulab.containment import contains_in_parts
 from nebulab.product import SMALL_STARS
 from nebulab.stars import StarKind
 from nebulab.structures import (
-    WITNESS_TABLE,
     CompletePair,
     NormalPart,
     TripleClass,
@@ -358,7 +358,7 @@ class TestClassifyTripleOracle:
             rows = _ReadLog(host.rows)
             rows.read = []
             verdict = classify_triple(type("Host", (), {"rows": rows})(), sigma, i, j)
-            walked = core.mask_vertices(sigma.masks[i - 1])
+            walked = core.mask_vertices(sigma[i - 1])
             if isinstance(verdict, TripleClass):
                 walked = walked[:verdict.k_l]
             assert rows.read == walked
@@ -424,10 +424,6 @@ class TestClassifyTriple:
         sigma = make_triple([0], [1], [2])
         with pytest.raises(ValueError):
             classify_triple(host, sigma, 2, 2)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            make_triple([], [1], [2])
 
 
 class TestCompletePair:
@@ -505,7 +501,7 @@ class TestWitness:
             b = rng.randint(1, n - 1 - a)
             c = rng.randint(1, n - a - b)
             sigma = make_triple(verts[:a], verts[a : a + b], verts[a + b : a + b + c])
-            verdict = classify_triple(host, sigma, *rng.choice(list(WITNESS_TABLE)))
+            verdict = classify_triple(host, sigma, *rng.choice(list(WITNESS_SIDES)))
             if not isinstance(verdict, TripleClass):
                 continue
             try:
@@ -569,7 +565,7 @@ class TestWitness:
             verts = rng.sample(range(n), a + b + c)
             sigma = make_triple(verts[:a], verts[a : a + b], verts[a + b :])
             expected = pattern_triple(host, sigma, kind)
-            found = contains_in_parts(host, star, sigma.masks)
+            found = contains_in_parts(host, star, sigma)
             assert (None if found is None else found.mapping) == expected
             absent += expected is None
             if expected is not None:
