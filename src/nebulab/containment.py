@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import core
 from .core import Tournament, largest_transitive, random_tournament
-from .errors import BudgetError, NoDataError
+from .errors import BudgetError, InvariantError, NoDataError
 
 BRUTE_FORCE_BUDGET = 200_000
 SAMPLER_TRIES = 200
@@ -204,6 +208,85 @@ def random_free_tournament(
     return None
 
 
+def _forked_map(fn: Callable, tasks: Sequence) -> list:
+    """``[fn(task) for task in tasks]``, computed on the usable CPUs.
+
+    Task i goes to worker i mod W.  W is the number of CPUs this process
+    may run on, at most one per task, and 1 where the platform cannot tell
+    or the process runs other threads (a forked child would inherit this
+    thread alone, and any lock another one holds would stay held).  Worker
+    0 is this process; each other worker is a child made by ``os.fork``,
+    which starts at once with the caller's modules and patches, where a
+    spawned interpreter would spend about as long importing the package as
+    an ``exponent`` run spends drawing.  A child pickles its results, or
+    the first exception of its share, into a pipe and leaves by
+    ``os._exit``: it never returns into the caller's code or flushes the
+    caller's stdio.  Every child is reaped before this returns or raises.
+    The exception of the earliest failing task is then raised, as a serial
+    run would raise it; a child that dies before it has sent its results
+    raises ``InvariantError``.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = 1
+    workers = max(min(cpus, len(tasks)), 1) if threading.active_count() == 1 else 1
+
+    def run(share):
+        """(True, the results of ``share``), or (False, (position, exception))
+        of its first failing task."""
+        results = []
+        for task in share:
+            try:
+                results.append(fn(task))
+            except Exception as exc:
+                return False, (len(results), exc)
+        return True, results
+
+    pids: list[int] = []
+    readers = []
+    payloads: list[bytes] = []
+    exit_codes: list[int] = []
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            readers.append(os.fdopen(read_end, "rb"))
+            with os.fdopen(write_end, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        writer.write(pickle.dumps(run(tasks[w::workers])))
+                        writer.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        outcomes = [run(tasks[0::workers])]
+        payloads = [reader.read() for reader in readers]
+    finally:
+        if len(payloads) < len(pids):  # interrupted before the results were read
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            exit_codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for pid, payload, code in zip(pids, payloads, exit_codes):
+        if code != 0:
+            raise InvariantError(f"worker process {pid} ended with exit code {code}")
+        outcomes.append(pickle.loads(payload))
+    failures = [
+        (w + workers * value[0], value[1]) for w, (ok, value) in enumerate(outcomes) if not ok
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    for w, (_, share) in enumerate(outcomes):
+        results[w::workers] = share
+    return results
+
+
 @dataclass(frozen=True)
 class ExponentReport:
     """Log-log fit of exact transitive sizes against host sizes."""
@@ -221,22 +304,35 @@ def empirical_eh_exponent(
     samples_per_size: int,
     seed: int,
 ) -> ExponentReport:
+    """Fit log tr against log n over ``samples_per_size`` free samples of each size.
+
+    Sample ``index`` of size ``n`` is drawn by ``random_free_tournament``
+    with the seed ``(seed << 64) + (n << 32) + index``, which does not
+    depend on the interpreter's hash.  A draw that gives up adds no sample
+    and counts toward its size's failure rate, the share of the size's
+    draws that gave up; a size is flagged when its rate is above one half.
+    The draws run on the usable CPUs (``_forked_map``), and the report is
+    the same for any number of them.
+    """
     if any(n > core.TR_BUDGET for n in sizes):
         raise BudgetError(f"sizes exceed the exact transitive budget {core.TR_BUDGET}")
+
+    def transitive_size(task: tuple[int, int]) -> Optional[int]:
+        n, sample_seed = task
+        t = random_free_tournament(n, family, seed=sample_seed)
+        return None if t is None else len(largest_transitive(t))
+
+    tasks = [
+        (n, (seed << 64) + (n << 32) + index) for n in sizes for index in range(samples_per_size)
+    ]
+    drawn = _forked_map(transitive_size, tasks)
     samples: list[tuple[int, int]] = []
     failure_rates: list[tuple[int, float]] = []
     flagged: list[int] = []
-    for n in sizes:
-        failures = 0
-        for index in range(samples_per_size):
-            # one seed per (seed, n, index), independent of the interpreter's hash
-            sample_seed = (seed << 64) + (n << 32) + index
-            t = random_free_tournament(n, family, seed=sample_seed)
-            if t is None:
-                failures += 1
-                continue
-            samples.append((n, len(largest_transitive(t))))
-        rate = failures / samples_per_size
+    for i, n in enumerate(sizes):
+        trs = drawn[i * samples_per_size : (i + 1) * samples_per_size]
+        samples += [(n, tr) for tr in trs if tr is not None]
+        rate = trs.count(None) / samples_per_size
         failure_rates.append((n, rate))
         if rate > 0.5:
             flagged.append(n)

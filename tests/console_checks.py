@@ -166,7 +166,10 @@ ROWS = [
     Row("tr t24.txt", report=lambda r: r["results"]["tr"] == 9),
     # each two-vertex component picks its center alone
     Row("classify pairs63.txt --kind galaxy", report=verdict(False), seconds=60),
-    Row("exponent --family left6.txt --sizes 8,12 --samples 2 --seed 1"),
+    # four draws, so on two or more usable CPUs forked workers draw some of them
+    Row("exponent --family left6.txt --sizes 8,12 --samples 2 --seed 1", report=lambda r:
+        r["results"]["samples"] == [[8, 5], [8, 6], [12, 8], [12, 9]]
+        and r["results"]["failure_rates"] == [[8, 0.0], [12, 0.0]]),
     # a repeated size would fit the same samples twice
     Row("exponent --family left6.txt --sizes 6,6,8", 2, "repeated size 6"),
     # LC appends a witness triple, saturates and extracts a copy; the replay

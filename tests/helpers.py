@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -507,3 +508,17 @@ def structure_oracle(t: core.Tournament, parts, c, lam) -> list[tuple[str, dict]
             if d < 1 - lam:
                 out.append((check, {"i": i, "j": j, "vertex": v, "d": d}))
     return out
+
+
+def pretend_cpus(monkeypatch, cpus: int) -> None:
+    """Make ``os.sched_getaffinity`` report ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or finished."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

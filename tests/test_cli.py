@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from helpers import (
     blocks,
     forward_block_host,
     loop_write_matrix,
+    no_child_left,
+    pretend_cpus,
     random_speed_tables,
     tr_sweep,
     victim_host,
@@ -490,6 +495,19 @@ class TestExponentFailureFlags:
         code, report = self.run_with(capsys, monkeypatch, edit)
         assert code == 1
         assert {"check": "failure-flags", "passed": False} in report["validation"]
+
+    @pytest.mark.parametrize("cpus", [2, 3, 16])
+    def test_report_independent_of_cpu_count(self, capsys, monkeypatch, eight_fails, cpus):
+        # the forked workers inherit the patched sampler
+        argv = ["exponent", "--sizes", "6,7,8", "--samples", "3", "--seed", "2"]
+        outputs = []
+        for usable in (1, cpus):
+            pretend_cpus(monkeypatch, usable)
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["results"]["flagged_sizes"] == [8]
+        assert no_child_left()
 
 
 # a valid run-algorithm invocation on the cyclic triangle: three one-vertex parts
@@ -1050,6 +1068,99 @@ class TestDeterminism:
         )
         expected = json.dumps(json.loads(pinned), indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+
+class TestExponentWorkers:
+    """exponent draws its samples on the usable CPUs.  Its report, exit code
+    and stderr text are those of a serial run for any CPU count, and no
+    worker outlives the call."""
+
+    LEFT6_EXPONENT = ["exponent", "--family", "left6.txt", "--sizes", "8,12",
+                      "--samples", "2", "--seed", "1"]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked while the test runs."""
+        pids = []
+        fork = os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        return pids
+
+    @pytest.fixture
+    def left6(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_cli(
+            capsys, "product", "--kind", "left", "--slots", "1,3,5;2,4,6", "--out", "left6.txt"
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    def test_pinned_bytes(self, capsys, tmp_path, monkeypatch, forks, cpus):
+        # 16 is more than either invocation's 4 and 15 draws
+        pretend_cpus(monkeypatch, cpus)
+        pinned = TestDeterminism()
+        pinned.test_exponent_bytes_pinned(capsys)
+        pinned.test_exponent_left6_bytes_pinned(capsys, tmp_path, monkeypatch)
+        assert len(forks) == min(cpus, 4) - 1 + min(cpus, 15) - 1
+        assert no_child_left()
+
+    def test_one_report_on_stdout(self, capsys):
+        # a worker that returned into the caller would print a second report,
+        # and one that flushed the caller's stdio a second copy of its line
+        argv = ["exponent", "--sizes", "6,8", "--samples", "2", "--seed", "7"]
+        assert cli.main(argv) == 0
+        report = capsys.readouterr().out
+        script = ("import os, sys; from nebulab import cli;"
+                  " os.sched_getaffinity = lambda pid: set(range(4));"
+                  " print('unflushed'); sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "unflushed\n" + report
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_worker_error_exits_like_serial(self, capsys, monkeypatch, left6, forks, cpus):
+        # draws 2 and 3 are at n = 12; on 4 CPUs two children draw them
+        real = containment.largest_transitive
+
+        def refuse_twelve(t):
+            if t.n == 12:
+                raise BudgetError("no transitive search at n = 12")
+            return real(t)
+
+        monkeypatch.setattr(containment, "largest_transitive", refuse_twelve)
+        pretend_cpus(monkeypatch, cpus)
+        family = [parse_tournament(Path("left6.txt").read_text())]
+        with pytest.raises(BudgetError, match="at n = 12"):
+            containment.empirical_eh_exponent(family, [8, 12], 2, seed=1)
+        err = assert_clean_exit(capsys, self.LEFT6_EXPONENT, 3)
+        assert err == "budget exceeded: no transitive search at n = 12\n"
+        assert len(forks) == 2 * (min(cpus, 4) - 1)
+        assert no_child_left()
+
+    def test_worker_that_dies_exits_4(self, capsys, monkeypatch, left6, forks):
+        parent = os.getpid()
+        real = containment.largest_transitive
+
+        def die_in_worker(t):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(t)
+
+        monkeypatch.setattr(containment, "largest_transitive", die_in_worker)
+        pretend_cpus(monkeypatch, 2)
+        err = assert_clean_exit(capsys, self.LEFT6_EXPONENT, 4)
+        assert err == f"invariant violation: worker process {forks[0]} ended with exit code 7\n"
+        assert no_child_left()
 
 
 @pytest.fixture

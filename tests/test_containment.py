@@ -1,12 +1,14 @@
 import itertools
 import math
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import definition_contains, is_free
+from helpers import definition_contains, is_free, no_child_left, pretend_cpus
 from nebulab import containment, core, examples
 from nebulab.containment import (
     Embedding,
@@ -320,3 +322,55 @@ class TestExponent:
     def test_budget(self):
         with pytest.raises(BudgetError):
             empirical_eh_exponent([], [40], 2, seed=0)
+
+
+class TestForkedWorkers:
+    """``empirical_eh_exponent`` draws on the usable CPUs through
+    ``_forked_map``: it raises what a serial run raises, and no worker
+    outlives the call (``tests/test_cli.py`` compares the reports)."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 6])
+    def test_earliest_failing_task_raises(self, monkeypatch, cpus):
+        # tasks 3 and 4 fail; a serial run stops at task 3
+        def fail_from_three(i):
+            if i in (3, 4):
+                raise ValueError(i)
+            return i
+
+        pretend_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as caught:
+            containment._forked_map(fail_from_three, range(6))
+        assert caught.value.args == (3,)
+        assert containment._forked_map(str, range(6)) == list("012345")
+        assert no_child_left()
+
+    def test_interrupt_reaps_workers(self, monkeypatch):
+        parent = os.getpid()
+        real = containment.largest_transitive
+
+        def interrupted(t):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real(t)
+
+        monkeypatch.setattr(containment, "largest_transitive", interrupted)
+        pretend_cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            empirical_eh_exponent([LEFT6], [8, 12, 16], 5, seed=1)
+        assert no_child_left()
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        # a forked child would inherit the calling thread alone
+        pretend_cpus(monkeypatch, 1)
+        serial = empirical_eh_exponent([LEFT6], [8, 12], 2, seed=1)
+        pretend_cpus(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert empirical_eh_exponent([LEFT6], [8, 12], 2, seed=1) == serial
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
